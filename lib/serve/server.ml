@@ -38,22 +38,96 @@ type session_entry = {
   k : int;
 }
 
+(* The completion wake, a self-pipe: a pool task that has settled its
+   future writes one byte, and the socket loop, which selects on the
+   read end, wakes and polls its deferred replies.
+
+   Lifetime rule: the server (until [close]) and every dispatched task
+   whose hook has not yet run each hold one reference, and the last
+   holder closes both ends.  A task may finish long after the loop
+   returned and the server was closed; were the pipe already closed,
+   its write would go to whatever file took the descriptor number
+   next, a WAL for instance. *)
+type wake = {
+  rd : Unix.file_descr;
+  wr : Unix.file_descr;
+  refs : int Atomic.t;
+  owned : bool Atomic.t;  (* the server's reference is still held *)
+}
+
+let close_quietly fd =
+  match Unix.close fd with () -> () | exception Unix.Unix_error _ -> ()
+
+let wake_create () =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock rd;
+  Unix.set_nonblock wr;
+  { rd; wr; refs = Atomic.make 1; owned = Atomic.make true }
+
+let wake_release w =
+  if Atomic.fetch_and_add w.refs (-1) = 1 then begin
+    close_quietly w.rd;
+    close_quietly w.wr
+  end
+
+(* The pool's [on_done] hook: runs on the worker, after the settle and
+   outside every lock, and must not raise.  A full pipe already holds
+   an unread wake-up, so EAGAIN loses nothing. *)
+let wake_signal w =
+  let rec write () =
+    match Unix.single_write_substring w.wr "!" 0 1 with
+    | _ -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write ()
+  in
+  write ()
+
+(* Empty the pipe before polling, so a task that settles after the
+   poll leaves a byte behind and the next select returns at once. *)
+let wake_drain w =
+  let buf = Bytes.create 64 in
+  let rec go () =
+    match Unix.read w.rd buf 0 (Bytes.length buf) with
+    | n when n = Bytes.length buf -> go ()
+    | _ -> ()
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+        ()
+  in
+  go ()
+
 type t = {
   cfg : config;
-  pool : Dsp_util.Pool.t option;
+  pool : (Dsp_util.Pool.t * wake) option;
   sessions : (string, session_entry) Hashtbl.t; (* lint: local *)
   mutable n_inflight : int;
 }
 
 let create ?pool cfg =
-  { cfg; pool; sessions = Hashtbl.create 16; n_inflight = 0 }
+  {
+    cfg;
+    pool = Option.map (fun p -> (p, wake_create ())) pool;
+    sessions = Hashtbl.create 16;
+    n_inflight = 0;
+  }
 
 let session_names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.sessions [] |> List.sort compare
 
 let inflight t = t.n_inflight
 
-type reply = Now of string | Later of (unit -> string option)
+type deferred = { poll : unit -> string option; wait : unit -> unit }
+type reply = Now of string | Later of deferred
+
+let rec await = function
+  | Now line -> line
+  | Later d as reply -> (
+      match d.poll () with
+      | Some line -> line
+      | None ->
+          d.wait ();
+          await reply)
 
 let err ~id kind =
   Dsp_util.Instr.bump c_errors;
@@ -317,34 +391,45 @@ let resolution_json (r : Runner.resolution) =
     ]
 
 (* Run [task] on the pool behind admission control, answering
-   [overloaded] once the in-flight cap is reached.  The poll thunk is
-   driven by the transport loop; the decrement runs there too — the
-   whole server is single-loop, so plain mutation is safe. *)
+   [overloaded] once the in-flight cap is reached.  The task's hook
+   wakes the transport loop, which runs the poll thunk; the decrement
+   runs there too — the whole server is single-loop, so plain mutation
+   is safe. *)
 let dispatch t ~id task render =
   Dsp_util.Instr.bump c_solves;
   match t.pool with
   | None -> Now (render (task ()))
-  | Some pool ->
+  | Some (pool, wake) ->
       if t.n_inflight >= t.cfg.queue_limit then begin
         Dsp_util.Instr.bump c_shed;
         err ~id (Protocol.Overloaded t.cfg.retry_after_ms)
       end
       else begin
         t.n_inflight <- t.n_inflight + 1;
-        let fut = Dsp_util.Pool.submit pool task in
+        (* the task's reference, taken before it can possibly run *)
+        Atomic.incr wake.refs;
+        let on_done () =
+          wake_signal wake;
+          wake_release wake
+        in
+        let fut = Dsp_util.Pool.submit ~on_done pool task in
         Later
-          (fun () ->
-            match Dsp_util.Pool.poll fut with
-            | None -> None
-            | Some outcome ->
-                t.n_inflight <- t.n_inflight - 1;
-                Some
-                  (match outcome with
-                  | Ok v -> render v
-                  | Error e ->
-                      Dsp_util.Instr.bump c_errors;
-                      Protocol.error_response ~id
-                        (Protocol.Internal (Printexc.to_string e))))
+          {
+            poll =
+              (fun () ->
+                match Dsp_util.Pool.poll fut with
+                | None -> None
+                | Some outcome ->
+                    t.n_inflight <- t.n_inflight - 1;
+                    Some
+                      (match outcome with
+                      | Ok v -> render v
+                      | Error e ->
+                          Dsp_util.Instr.bump c_errors;
+                          Protocol.error_response ~id
+                            (Protocol.Internal (Printexc.to_string e))));
+            wait = (fun () -> ignore (Dsp_util.Pool.await_result fut));
+          }
       end
 
 let do_solve t ~id ~width ~items ~timeout_ms ~chain =
@@ -545,25 +630,19 @@ let close t =
   Hashtbl.iter
     (fun _ entry -> Option.iter Wal.close entry.wal)
     t.sessions;
-  Hashtbl.reset t.sessions
+  Hashtbl.reset t.sessions;
+  Option.iter
+    (fun (_, w) -> if Atomic.exchange w.owned false then wake_release w)
+    t.pool
 
 (* ----- transports ---------------------------------------------------- *)
 
 let run_pipe t ic oc =
-  let rec drain_reply = function
-    | Now line -> line
-    | Later poll -> (
-        match poll () with
-        | Some line -> line
-        | None ->
-            Unix.sleepf 0.001;
-            drain_reply (Later poll))
-  in
   let rec loop () =
     match input_line ic with
     | line ->
         if String.trim line <> "" then begin
-          output_string oc (drain_reply (handle t line));
+          output_string oc (await (handle t line));
           output_char oc '\n';
           flush oc
         end;
@@ -577,7 +656,7 @@ let run_pipe t ic oc =
 type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
-  mutable deferred : (unit -> string option) list; (* newest last *)
+  mutable deferred : deferred list; (* newest last *)
   mutable open_ : bool;
 }
 
@@ -605,7 +684,7 @@ let handle_conn_line t conn ~max_pending line =
   else
     match handle t line with
     | Now reply -> send_line conn.fd reply
-    | Later poll -> conn.deferred <- conn.deferred @ [ poll ]
+    | Later d -> conn.deferred <- conn.deferred @ [ d ]
 
 let split_buffer conn =
   let data = Buffer.contents conn.inbuf in
@@ -641,8 +720,8 @@ let service_read t conn ~max_pending =
 let poll_deferred conn =
   conn.deferred <-
     List.filter
-      (fun poll ->
-        match poll () with
+      (fun d ->
+        match d.poll () with
         | None -> true
         | Some reply ->
             send_line conn.fd reply;
@@ -675,31 +754,36 @@ let run_socket t ~path ?(max_pending_per_conn = 64) ?(stop = Atomic.make false)
         conn.open_ <- false;
         orphans := conn.deferred @ !orphans;
         conn.deferred <- [];
-        match Unix.close conn.fd with () -> () | exception Unix.Unix_error _ -> ()
+        close_quietly conn.fd
       in
+      (* the wake pipe exists only with a pool: without one every
+         reply is immediate and the loop selects on sockets alone *)
+      let wake = Option.map snd t.pool in
+      let wake_fds = Option.to_list (Option.map (fun w -> w.rd) wake) in
       Fun.protect
         ~finally:(fun () ->
           List.iter drop !conns;
-          (match Unix.close listen_fd with
-          | () -> ()
-          | exception Unix.Unix_error _ -> ());
+          close_quietly listen_fd;
           match Unix.unlink path with
           | () -> ()
           | exception Unix.Unix_error _ -> ())
         (fun () ->
           while not (Atomic.get stop) do
             orphans :=
-              List.filter (fun poll -> Option.is_none (poll ())) !orphans;
-            let pending =
-              !orphans <> [] || List.exists (fun c -> c.deferred <> []) !conns
+              List.filter (fun d -> Option.is_none (d.poll ())) !orphans;
+            let fds =
+              (listen_fd :: wake_fds) @ List.map (fun c -> c.fd) !conns
             in
-            let timeout = if pending then 0.02 else 0.2 in
-            let fds = listen_fd :: List.map (fun c -> c.fd) !conns in
+            (* finished solves arrive through the wake pipe, so the
+               timeout only bounds how late [stop] is noticed *)
             let readable, _, _ =
-              match Unix.select fds [] [] timeout with
+              match Unix.select fds [] [] 0.2 with
               | r -> r
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
             in
+            Option.iter
+              (fun w -> if List.mem w.rd readable then wake_drain w)
+              wake;
             if List.mem listen_fd readable then begin
               match Unix.accept listen_fd with
               | fd, _ ->

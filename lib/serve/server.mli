@@ -45,12 +45,24 @@ type t
 
 val create : ?pool:Dsp_util.Pool.t -> config -> t
 (** Without a pool, solves run inline on the caller (every reply is
-    immediate) — the test-suite mode.  The daemon passes a pool. *)
+    immediate) — the test-suite mode.  The daemon passes a pool; the
+    server then also owns a wake pipe, which each pool solve signals
+    when it completes. *)
 
-(** One request's answer: immediate, or a poll thunk for a solve that
-    went to the pool.  Poll until [Some line]; after that the thunk
-    must not be called again. *)
-type reply = Now of string | Later of (unit -> string option)
+type deferred
+(** A solve running on the pool; its reply line exists once the task
+    completes. *)
+
+(** One request's answer: immediate, or deferred for a solve that went
+    to the pool.  A deferred reply is ready when its task completes,
+    not on a timer; {!run_socket} sends it then. *)
+type reply = Now of string | Later of deferred
+
+val await : reply -> string
+(** The reply line: a [Now] line at once; a [Later] one once its pool
+    task has completed, blocking until then.  Taking a deferred line
+    releases the solve's admission slot, so {!inflight} drops only
+    here (or when {!run_socket} sends it).  Await each reply once. *)
 
 val handle : t -> string -> reply
 (** Process one NDJSON request line.  Total — any input yields a
@@ -68,13 +80,18 @@ val inflight : t -> int
 
 val close : t -> unit
 (** Close every session WAL (files are kept — they are the durable
-    state).  The server must not be used afterwards. *)
+    state) and let go of the wake pipe.  The pipe itself closes when
+    the last pool solve dispatched before [close] completes, so a late
+    completion never writes to a closed or reused descriptor.  The
+    server must not be used afterwards. *)
 
 (** {2 Transports} *)
 
 val run_pipe : t -> in_channel -> out_channel -> unit
 (** Serve request lines until EOF — the [--stdio] daemon mode and the
-    fuzz harness's entry.  Deferred replies are awaited in order. *)
+    fuzz harness's entry.  One request at a time: a deferred reply is
+    written as soon as its pool task completes ({!await}), before the
+    next line is read. *)
 
 val run_socket :
   t ->
@@ -84,6 +101,9 @@ val run_socket :
   unit ->
   (unit, string) result
 (** Bind a Unix-domain stream socket at [path] (replacing a stale
-    socket file) and serve until [stop] flips.  Per-connection
-    failures (a peer vanishing mid-line, oversized lines) close that
-    connection only.  [Error] is reserved for failure to bind. *)
+    socket file) and serve until [stop] flips.  With a pool, the loop
+    also selects on the server's wake pipe, so a deferred reply goes
+    out as soon as its task completes; the loop's 0.2 s select timeout
+    only bounds how late [stop] is noticed.  Per-connection failures
+    (a peer vanishing mid-line, oversized lines) close that connection
+    only.  [Error] is reserved for failure to bind. *)

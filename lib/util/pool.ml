@@ -57,7 +57,7 @@ let create ~jobs =
 
 let size pool = pool.size
 
-let submit pool f =
+let submit ?on_done pool f =
   let fut = { fm = Mutex.create (); fc = Condition.create (); st = Pending } in
   let task () =
     let r =
@@ -68,7 +68,14 @@ let submit pool f =
     Mutex.lock fut.fm;
     fut.st <- r;
     Condition.broadcast fut.fc;
-    Mutex.unlock fut.fm
+    Mutex.unlock fut.fm;
+    (* After the unlock: whoever the hook wakes must find the future
+       settled, and a hook doing IO must not hold the future's lock.
+       Its exception has nowhere to go, and letting it escape would
+       kill this worker, so it is dropped. *)
+    match on_done with
+    | None -> ()
+    | Some hook -> ( match hook () with () -> () | exception _ -> ())
   in
   Mutex.lock pool.m;
   if pool.stopping then begin
@@ -96,9 +103,9 @@ let await_result fut =
   match await fut with v -> Ok v | exception e -> Error e
 
 (* Non-blocking probe: the serve daemon's select loop holds a bounded
-   set of in-flight solve futures and harvests whichever completed
-   between two socket wakeups, so it must never park on one future
-   while another client is waiting for its answer. *)
+   set of in-flight solve futures and harvests whichever completed each
+   time a task's [on_done] hook wakes it, so it must never park on one
+   future while another client is waiting for its answer. *)
 let poll fut =
   Mutex.lock fut.fm;
   let st = fut.st in

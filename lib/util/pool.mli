@@ -33,8 +33,17 @@ val size : t -> int
 
 type 'a future
 
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a task.  @raise Invalid_argument after {!shutdown}. *)
+val submit : ?on_done:(unit -> unit) -> t -> (unit -> 'a) -> 'a future
+(** Enqueue a task.  @raise Invalid_argument after {!shutdown}.
+
+    [on_done] is a completion hook.  It runs on the worker domain once
+    the task's outcome is stored in the future and the future's lock
+    is released, so a {!poll} it prompts already sees [Some].  It runs
+    outside every pool lock.  It must neither raise nor block: it
+    delays the worker's next task, and an exception it raises is
+    dropped (so the worker survives) along with whatever the hook had
+    left to do.  The serve daemon's hook writes one byte to a wake
+    pipe. *)
 
 val await : 'a future -> 'a
 (** Block until the task completed; re-raises the task's exception
@@ -46,9 +55,9 @@ val await_result : 'a future -> ('a, exn) result
 val poll : 'a future -> ('a, exn) result option
 (** Non-blocking completion probe: [None] while the task is still
     pending or queued, [Some] once it finished.  The serve daemon's
-    event loop drains completed solves between socket wakeups with
-    this — it must never block on one client's future while another
-    client waits. *)
+    event loop drains completed solves with this whenever a task's
+    [on_done] hook wakes it — it must never block on one client's
+    future while another client waits. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Submit one task per element, await in order.  Re-raises the first

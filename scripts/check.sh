@@ -169,6 +169,23 @@ wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
 echo "ok: daemon state survives kill -9 via WAL recovery"
 
+# stdio mode: two solves piped through the daemon on a 1-worker pool
+# must come back as two ok lines in request order.  Each reply is
+# written once its pool task completes (Server.await); a hang fails.
+stdio_out=$(printf '%s\n' \
+  '{"id":1,"op":"solve","width":9,"items":[[3,2],[4,1],[2,5]],"fallback":"bfd-height"}' \
+  '{"id":2,"op":"solve","width":8,"items":[[4,4],[4,2],[3,3]]}' \
+  | timeout 30 "$served" daemon --stdio --jobs 1) \
+  || { echo "FAIL: stdio daemon exited non-zero" >&2; exit 1; }
+if [ "$(printf '%s\n' "$stdio_out" | grep -c '"ok":true')" -ne 2 ] \
+   || ! printf '%s\n' "$stdio_out" | sed -n 1p | grep -q '^{"id":1,"ok":true' \
+   || ! printf '%s\n' "$stdio_out" | sed -n 2p | grep -q '^{"id":2,"ok":true'; then
+  echo "FAIL: stdio daemon did not answer both solves in order:" >&2
+  echo "$stdio_out" >&2
+  exit 1
+fi
+echo "ok: stdio daemon answers pool solves in order"
+
 # and the CI-sized serve bench experiment end to end
 BENCH_JSON=none DSP_BENCH_RESULTS=none \
   timeout 120 dune exec bench/main.exe -- serve-smoke >/dev/null

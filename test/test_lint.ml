@@ -197,6 +197,13 @@ let whole_rule_tests =
           (wrun ~only:[ L.R9 ] [ fx "r9_bad.ml" ]));
     case "R9 accepts IO outside the section and Condition.wait" (fun () ->
         check "r9_good" [] (wrun ~only:[ L.R9 ] [ fx "r9_good.ml" ]));
+    case "R9 flags a settle that writes the wake pipe under the future's lock"
+      (fun () ->
+        check "r9_wake_bad"
+          [ ("R9", "r9_wake_bad.ml", 11); ("R9", "r9_wake_bad.ml", 17) ]
+          (wrun ~only:[ L.R9 ] [ fx "r9_wake_bad.ml" ]));
+    case "R9 accepts the wake written after Mutex.unlock" (fun () ->
+        check "r9_wake_good" [] (wrun ~only:[ L.R9 ] [ fx "r9_wake_good.ml" ]));
     case "line waivers silence R6-R9 findings" (fun () ->
         check "suppress_whole" []
           (wrun

@@ -497,6 +497,36 @@ let race_tests =
           (peak_of "exact-bb-par"));
   ]
 
+(* Pool.submit's completion hook, which wakes the serve daemon. *)
+let hook_tests =
+  [
+    Alcotest.test_case "on_done sees the future settled; a raising hook \
+                        spares the worker" `Quick (fun () ->
+        let pool = Pool.create ~jobs:1 in
+        (* the gate holds the task back until [cell] has its future *)
+        let gate = Mutex.create () in
+        Mutex.lock gate;
+        let cell = Atomic.make None and seen = Atomic.make None in
+        let on_done () =
+          Atomic.set seen (Option.map Pool.poll (Atomic.get cell))
+        in
+        let fut =
+          Pool.submit ~on_done pool (fun () ->
+              Mutex.lock gate;
+              Mutex.unlock gate;
+              7)
+        in
+        Atomic.set cell (Some fut);
+        Mutex.unlock gate;
+        ignore (Pool.submit ~on_done:(fun () -> failwith "hook") pool Fun.id);
+        let last = Pool.submit pool (fun () -> 42) in
+        Pool.shutdown pool;
+        Alcotest.(check bool) "hook polled Some" true
+          (Atomic.get seen = Some (Some (Ok 7)));
+        Alcotest.(check bool) "worker ran the next task" true
+          (Pool.poll last = Some (Ok 42)));
+  ]
+
 let suite =
   pool_tests @ instr_tests @ deque_tests @ skew_tests @ solve_par_tests
-  @ race_tests
+  @ race_tests @ hook_tests

@@ -30,31 +30,24 @@ let fresh_dir () =
   else Sys.mkdir d 0o755;
   d
 
-(* Run one request through the transport-independent core, spinning on
-   deferred replies (pool-dispatched solves) until they land. *)
-let rec drain = function
-  | Server.Now line -> line
-  | Server.Later poll -> (
-      match poll () with
-      | Some line -> line
-      | None ->
-          Unix.sleepf 0.001;
-          drain (Server.Later poll))
-
-let req t line = drain (Server.handle t line)
+(* Run one request through the transport-independent core, waiting
+   for deferred replies (pool-dispatched solves) to land. *)
+let req t line = Server.await (Server.handle t line)
 
 let decode line =
   match Protocol.parse_response line with
   | Ok r -> r
   | Error m -> Alcotest.failf "undecodable response %S: %s" line m
 
-let expect_ok name line =
-  match (decode line).Protocol.body with
+let ok_body name (resp : Protocol.response) =
+  match resp.Protocol.body with
   | Ok result -> result
   | Error kind ->
       Alcotest.failf "%s: expected ok, got %s error: %s" name
         (Protocol.kind_name kind)
         (Protocol.error_message kind)
+
+let expect_ok name line = ok_body name (decode line)
 
 let expect_error name line =
   match (decode line).Protocol.body with
@@ -732,10 +725,11 @@ let overload_tests =
             ignore
               (expect_ok "open"
                  (req t {|{"op":"open","session":"s","width":5}|}));
-            (* draining the deferral frees the slot and answers *)
-            ignore (expect_ok "deferred solve" (drain first));
+            (* awaiting the deferral frees the slot and answers *)
+            ignore (expect_ok "deferred solve" (Server.await first));
             Alcotest.(check int) "slot released" 0 (Server.inflight t);
-            ignore (expect_ok "after drain" (req t solve_line))));
+            ignore (expect_ok "after await" (req t solve_line));
+            Server.close t));
     case "per-request deadline degrades to the safety net, not a hang"
       (fun () ->
         let t = Server.create Server.default_config in
@@ -758,6 +752,118 @@ let overload_tests =
           (int_field "peak" r >= int_field "lower_bound" r));
   ]
 
+(* ---- the socket loop's completion wake ---- *)
+
+module Client = Dsp_serve.Client
+
+let small_solve =
+  {|{"op":"solve","width":9,"items":[[3,2],[4,1],[2,5]],"fallback":"bfd-height"}|}
+
+let expect_ok_response name = function
+  | Ok resp -> ok_body name resp
+  | Error m -> Alcotest.failf "%s: %s" name m
+
+type socket_server = {
+  server : Server.t;
+  path : string;
+  stop : bool Atomic.t;
+  loop : (unit, string) result Domain.t;
+}
+
+(* A pool-backed server with its [run_socket] loop on its own domain;
+   returns once the loop answers a ping. *)
+let start_socket_server pool =
+  let path = Filename.concat (fresh_dir ()) "dsp.sock" in
+  let server = Server.create ~pool Server.default_config in
+  let stop = Atomic.make false in
+  let loop = Domain.spawn (fun () -> Server.run_socket server ~path ~stop ()) in
+  (* rpc retries the connect until the loop has bound the socket *)
+  ignore (expect_ok_response "ping" (Client.rpc ~path {|{"op":"ping"}|}));
+  { server; path; stop; loop }
+
+(* Stop the loop and join it; the caller has already closed its
+   connections, which wakes the loop's select at once. *)
+let stop_socket_loop srv =
+  Atomic.set srv.stop true;
+  match Domain.join srv.loop with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "run_socket: %s" m
+
+let wake_tests =
+  [
+    case "socket loop answers pool solves when they finish, not on a timer"
+      (fun () ->
+        Dsp_util.Pool.with_pool ~jobs:1 (fun pool ->
+            let srv = start_socket_server pool in
+            let elapsed =
+              match Client.connect ~path:srv.path with
+              | Error m -> Alcotest.failf "connect: %s" m
+              | Ok client ->
+                  Fun.protect
+                    ~finally:(fun () -> Client.close client)
+                    (fun () ->
+                      let t0 = Unix.gettimeofday () in
+                      for _ = 1 to 20 do
+                        ignore
+                          (expect_ok_response "solve"
+                             (Client.request client small_solve))
+                      done;
+                      Unix.gettimeofday () -. t0)
+            in
+            stop_socket_loop srv;
+            Server.close srv.server;
+            (* each round trip takes a few ms; a loop that waited out
+               its 0.2 s select timeout would need about 4 s *)
+            Alcotest.(check bool)
+              (Printf.sprintf "20 sequential solves took %.3f s (< 1 s)"
+                 elapsed)
+              true (elapsed < 1.0)));
+    case "a solve finishing after close writes to no reused descriptor"
+      (fun () ->
+        let pool = Dsp_util.Pool.create ~jobs:1 in
+        let srv = start_socket_server pool in
+        (* hold the solve back on the worker until the loop has
+           returned, the server is closed and its descriptor numbers
+           are taken by other files *)
+        Fault.arm
+          {
+            Fault.site = Dsp_util.Instr.Sites.segtree_best_start;
+            action = Fault.Stall 0.5;
+            after = 1;
+          };
+        Fun.protect ~finally:Fault.disarm (fun () ->
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_UNIX srv.path);
+            let lines = small_solve ^ "\n" ^ {|{"op":"ping"}|} ^ "\n" in
+            ignore (Unix.write_substring fd lines 0 (String.length lines));
+            (* the loop handles lines in order, so the pong proves the
+               solve is already on the pool *)
+            let ic = Unix.in_channel_of_descr fd in
+            ignore (expect_ok "ping after solve" (input_line ic));
+            close_in ic;
+            stop_socket_loop srv;
+            Server.close srv.server;
+            let files =
+              List.init 8 (fun _ ->
+                  let path = Filename.temp_file "dsp_wake" ".tmp" in
+                  (path, Unix.openfile path [ Unix.O_RDWR ] 0o600))
+            in
+            let last = Dsp_util.Pool.submit pool (fun () -> 42) in
+            (* joins the worker after the held-back solve and [last] *)
+            Dsp_util.Pool.shutdown pool;
+            Alcotest.(check bool) "the solve was held back" true (Fault.fired ());
+            Alcotest.(check bool)
+              "the worker survived and ran one more task" true
+              (Dsp_util.Pool.poll last = Some (Ok 42));
+            List.iter
+              (fun (path, fd) ->
+                Alcotest.(check int)
+                  (path ^ " stays empty") 0 (Unix.fstat fd).Unix.st_size;
+                Unix.close fd;
+                Sys.remove path)
+              files));
+  ]
+
 let suite =
   json_tests @ protocol_fuzz_tests @ semantics_tests @ wal_tests
-  @ recovery_tests @ restore_tests @ overload_tests
+  @ recovery_tests @ restore_tests @ overload_tests @ wake_tests

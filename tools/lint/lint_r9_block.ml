@@ -21,6 +21,8 @@ let blocking =
     [ "Unix"; "read" ];
     [ "Unix"; "write" ];
     [ "Unix"; "single_write" ];
+    [ "Unix"; "write_substring" ];
+    [ "Unix"; "single_write_substring" ];
     [ "Unix"; "select" ];
     [ "Unix"; "accept" ];
     [ "Unix"; "connect" ];
