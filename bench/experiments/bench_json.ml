@@ -3,9 +3,10 @@
    Experiments register metrics (wall-clock seconds, peak heights,
    node counts, speedups) under their experiment id while they run;
    the harness then serializes everything to BENCH.json so later PRs
-   have a perf trajectory to regress against.  Hand-rolled writer and
-   validating reader: the container has no JSON library and the format
-   is flat.
+   have a perf trajectory to regress against.  The writer is
+   hand-rolled so the file keeps its layout and "%.6f" floats; the
+   validating reader parses with the daemon's codec ({!Dsp_serve.Json})
+   and checks the container shape on its value type.
 
    Schema v3 (documented in EXPERIMENTS.md): same container shape as
    v2 — {"schema", "experiments": [{"id", <metrics>...}]} — plus
@@ -44,6 +45,8 @@
    "*_steal_fails"), per-domain node-count groups ("*_nodes" with
    fields "d0".."d<k-1>"), and the "*_agree" optimum-equivalence
    signals the perf gate enforces for the parallel-smoke baseline. *)
+
+module Json = Dsp_serve.Json
 
 type value =
   | Int of int
@@ -113,33 +116,21 @@ let record_counters ~experiment ~solver counters =
     (fun (name, v) -> record ~experiment (solver ^ "." ^ name) (Int v))
     counters
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* A JSON string literal, quotes included. *)
+let quote s = Json.to_string (Json.String s)
 
 let rec value_to_string = function
   | Int i -> string_of_int i
   | Float f ->
       if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
-  | String s -> Printf.sprintf "\"%s\"" (escape s)
+  | String s -> quote s
   | Bool b -> if b then "true" else "false"
   | Group fields ->
       Printf.sprintf "{%s}"
         (String.concat ", "
            (List.map
               (fun (k, v) ->
-                Printf.sprintf "\"%s\": %s" (escape k) (value_to_string v))
+                Printf.sprintf "%s: %s" (quote k) (value_to_string v))
               fields))
 
 let render () =
@@ -154,11 +145,11 @@ let render () =
   List.iteri
     (fun i (id, metrics) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\n    {\n      \"id\": \"%s\"" (escape id));
+      Buffer.add_string buf (Printf.sprintf "\n    {\n      \"id\": %s" (quote id));
       List.iter
         (fun (k, v) ->
           Buffer.add_string buf
-            (Printf.sprintf ",\n      \"%s\": %s" (escape k) (value_to_string v)))
+            (Printf.sprintf ",\n      %s: %s" (quote k) (value_to_string v)))
         metrics;
       Buffer.add_string buf "\n    }")
     snapshot;
@@ -189,159 +180,6 @@ let write path =
 
 (* ----- validating reader ----------------------------------------- *)
 
-(* Minimal recursive-descent parser for the JSON subset the writer
-   emits (objects, arrays, strings, numbers, bools, null), tracking
-   line numbers for error messages.  Loading is only used by the
-   schema-validation tests and downstream tooling; it does not need to
-   be fast. *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstring of string
-  | Jlist of json list
-  | Jobj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let pos = ref 0 and line = ref 1 in
-  let len = String.length s in
-  let fail msg = raise (Parse_error (Printf.sprintf "line %d: %s" !line msg)) in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () =
-    if !pos < len then begin
-      if s.[!pos] = '\n' then incr line;
-      incr pos
-    end
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected %C, found %C" c c')
-    | None -> fail (Printf.sprintf "expected %C, found end of input" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-          | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > len then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some c when c < 128 -> Buffer.add_char buf (Char.chr c)
-              | Some _ -> Buffer.add_char buf '?'
-              | None -> fail (Printf.sprintf "bad \\u escape %S" hex));
-              for _ = 1 to 4 do advance () done;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_literal lit v =
-    if !pos + String.length lit <= len && String.sub s !pos (String.length lit) = lit
-    then begin
-      for _ = 1 to String.length lit do advance () done;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" lit)
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> Jnum f
-    | None -> fail (Printf.sprintf "bad number %S" text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin advance (); Jobj [] end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Jobj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}' in object"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin advance (); Jlist [] end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                Jlist (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']' in array"
-          in
-          elems []
-        end
-    | Some '"' -> Jstring (parse_string ())
-    | Some 't' -> parse_literal "true" (Jbool true)
-    | Some 'f' -> parse_literal "false" (Jbool false)
-    | Some 'n' -> parse_literal "null" Jnull
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage after document";
-  v
-
 type parsed = {
   schema : string;
   parsed_experiments : (string * (string * value) list) list;
@@ -350,30 +188,28 @@ type parsed = {
 (* Validate the container shape, with errors naming the offending
    experiment/metric. *)
 let of_json = function
-  | Jobj fields -> (
+  | Json.Obj fields -> (
       match (List.assoc_opt "schema" fields, List.assoc_opt "experiments" fields) with
       | None, _ -> Error "missing \"schema\" key"
       | _, None -> Error "missing \"experiments\" key"
-      | Some (Jstring schema), Some (Jlist entries) ->
+      | Some (Json.String schema), Some (Json.List entries) ->
           if not (List.mem schema known_schemas) then
             Error
               (Printf.sprintf "unknown schema %S (expected one of: %s)" schema
                  (String.concat ", " known_schemas))
           else begin
             let exp_of = function
-              | Jobj fields -> (
+              | Json.Obj fields -> (
                   match List.assoc_opt "id" fields with
-                  | Some (Jstring id) ->
+                  | Some (Json.String id) ->
                       let scalar k v =
                         match v with
-                        | Jnum f when Float.is_integer f && Float.abs f < 1e15
-                          ->
-                            Ok (Int (int_of_float f))
-                        | Jnum f -> Ok (Float f)
-                        | Jstring s -> Ok (String s)
-                        | Jbool b -> Ok (Bool b)
-                        | Jnull -> Ok (Float Float.nan)
-                        | Jlist _ | Jobj _ ->
+                        | Json.Int i -> Ok (Int i)
+                        | Json.Float f -> Ok (Float f)
+                        | Json.String s -> Ok (String s)
+                        | Json.Bool b -> Ok (Bool b)
+                        | Json.Null -> Ok (Float Float.nan)
+                        | Json.List _ | Json.Obj _ ->
                             Error
                               (Printf.sprintf
                                  "experiment %S: metric %S is not a scalar" id
@@ -383,7 +219,7 @@ let of_json = function
                         if k = "id" then Ok None
                         else
                           match v with
-                          | Jobj fields when List.mem schema group_schemas ->
+                          | Json.Obj fields when List.mem schema group_schemas ->
                               (* v4+ group: exactly one level of scalars. *)
                               let rec go acc = function
                                 | [] -> Ok (Some (k, Group (List.rev acc)))
@@ -422,14 +258,24 @@ let of_json = function
             in
             all [] entries
           end
-      | Some (Jstring _), Some _ -> Error "\"experiments\" is not an array"
+      | Some (Json.String _), Some _ -> Error "\"experiments\" is not an array"
       | Some _, _ -> Error "\"schema\" is not a string")
   | _ -> Error "top-level value is not an object"
 
+(* Json errors start "byte N: "; report the line holding byte N. *)
+let line_error text msg =
+  match Scanf.sscanf msg "byte %d: %n" (fun pos rest -> (pos, rest)) with
+  | pos, rest ->
+      let line = ref 1 in
+      String.iteri (fun i c -> if i < pos && c = '\n' then incr line) text;
+      Printf.sprintf "line %d: %s" !line
+        (String.sub msg rest (String.length msg - rest))
+  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> msg
+
 let parse_string_result text =
-  match parse_json text with
-  | json -> of_json json
-  | exception Parse_error msg -> Error msg
+  match Json.of_string text with
+  | Ok json -> of_json json
+  | Error msg -> Error (line_error text msg)
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -30,14 +30,6 @@ let policies () =
     Session.bounded_migration ~k:3;
   ]
 
-(* Nearest-rank percentile over an ascending array of seconds. *)
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let rank = int_of_float (Float.ceil (q *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-
 let us s = 1e6 *. s
 
 (* Replay [trace] under [policy], timing every event.  Returns the
@@ -75,12 +67,13 @@ let run_policy ~experiment ~family ~offline trace policy =
   Bench_json.record ~experiment (key "migrations") (Bench_json.Int st.Session.migrations);
   Bench_json.record ~experiment (key "replay_seconds") (Bench_json.Float seconds);
   Common.record_gc ~experiment (key "gc") gc;
+  let lat_us q = us (Dsp_util.Xutil.percentile lats q) in
   Bench_json.record_group ~experiment (key "latency")
     [
-      ("p50_us", Bench_json.Float (us (percentile lats 0.50)));
-      ("p95_us", Bench_json.Float (us (percentile lats 0.95)));
-      ("p99_us", Bench_json.Float (us (percentile lats 0.99)));
-      ("max_us", Bench_json.Float (us (percentile lats 1.0)));
+      ("p50_us", Bench_json.Float (lat_us 0.50));
+      ("p95_us", Bench_json.Float (lat_us 0.95));
+      ("p99_us", Bench_json.Float (lat_us 0.99));
+      ("max_us", Bench_json.Float (lat_us 1.0));
     ];
   let ratios =
     List.map
@@ -96,7 +89,7 @@ let run_policy ~experiment ~family ~offline trace policy =
     st.Session.peak_now maxpk st.Session.migrations
     (List.assoc (List.nth offline_solvers 0) ratios)
     (List.assoc (List.nth offline_solvers 1) ratios)
-    (us (percentile lats 0.95));
+    (lat_us 0.95);
   (policy.Session.pname, List.nth ratios 0 |> snd)
 
 let run_family ~experiment (family, trace) =

@@ -13,13 +13,6 @@
      balanced instance spreads its root subtrees evenly; the skewed
      one has a full-width dominant item, so the search tree has a
      single root subtree and only stealing can involve domain > 0.
-   - skew: the stealing scheduler vs the retired round-robin deal
-     ([Dsp_bb.solve_par_dealt]) on the skewed instance — the ablation
-     the tentpole is judged by.  On real cores the deal serializes on
-     one domain and stealing wins the wall-clock; on a single
-     hardware thread the wall-clock difference is noise, so the
-     curve's per-domain node counts and steal counters are the
-     load-balance evidence that travels.
    - portfolio: the same fallback chain run serially ([Runner.solve],
      weighted deadline slices burned one after another) vs raced on
      the pool ([Runner.race], one shared deadline, first validated
@@ -47,9 +40,8 @@ let uniform ~seed ~n ~width =
 
 (* One dominant full-width item plus small filler: the dominant item
    sorts first (max area) and admits exactly one start column, so the
-   B&B root has a single subtree and the round-robin deal hands the
-   entire search to one domain.  Work-stealing redistributes its
-   depth-2/3 children instead. *)
+   B&B root has a single subtree, seeded on one domain; only stealing
+   redistributes its depth-2/3 children. *)
 let skewed ~seed ~n ~width =
   let rng = Dsp_util.Rng.create (Common.seed_for seed) in
   let dims =
@@ -111,35 +103,11 @@ let curve ~experiment ~name ~domain_counts inst =
     (Bench_json.Int (if agree then 1 else 0));
   points
 
-(* Stealing vs the round-robin deal on the skewed instance. *)
-let skew_ablation ~experiment ~jobs inst =
-  let record key v = Bench_json.record ~experiment key v in
-  let rr_opt, rr_seconds, _ =
-    Common.time_reps (fun () ->
-        match Bb.solve_par_dealt ~jobs inst with
-        | Some pk -> Packing.height pk
-        | None -> -1)
-  in
-  let stats = ref None in
-  let ws_opt, ws_seconds, _ =
-    Common.time_reps (fun () -> solve_par_height ~jobs ~stats inst)
-  in
-  let st = Option.get !stats in
-  record "skew_rr_seconds" (Bench_json.Float rr_seconds);
-  record "skew_ws_seconds" (Bench_json.Float ws_seconds);
-  record "skew_ws_vs_rr_speedup"
-    (Bench_json.Float (speedup rr_seconds ws_seconds));
-  record "skew_ws_steals" (Bench_json.Int st.Bb.steals);
-  record "skew_agree" (Bench_json.Int (if rr_opt = ws_opt then 1 else 0));
-  Printf.printf
-    "skew    jobs=%d: round-robin %.3fs  stealing %.3fs  (%.2fx, steals=%d)\n"
-    jobs rr_seconds ws_seconds (speedup rr_seconds ws_seconds) st.Bb.steals
-
 let parallel () =
   let experiment = "parallel" in
   let record key v = Bench_json.record ~experiment key v in
   Common.section experiment
-    "work-stealing B&B: domain curve, skew ablation, pool sweep, portfolio race";
+    "work-stealing B&B: domain curve, pool sweep, portfolio race";
   Common.record_seed ~experiment;
   let jobs = 4 in
   record "jobs" (Bench_json.Int jobs);
@@ -176,7 +144,6 @@ let parallel () =
   let skew = skewed ~seed:37 ~n:30 ~width:24 in
   ignore (curve ~experiment ~name:"balanced" ~domain_counts balanced);
   ignore (curve ~experiment ~name:"skewed" ~domain_counts skew);
-  skew_ablation ~experiment ~jobs skew;
 
   (* Portfolio: serial fallback chain vs racing the same chain.  The
      instance is far beyond exact-bb's deadline slice on purpose. *)
@@ -226,8 +193,7 @@ let parallel_smoke () =
   let balanced = uniform ~seed:7 ~n:20 ~width:20 in
   let skew = skewed ~seed:35 ~n:28 ~width:24 in
   ignore (curve ~experiment ~name:"balanced" ~domain_counts:[ 1; jobs ] balanced);
-  ignore (curve ~experiment ~name:"skewed" ~domain_counts:[ 1; jobs ] skew);
-  skew_ablation ~experiment ~jobs skew
+  ignore (curve ~experiment ~name:"skewed" ~domain_counts:[ 1; jobs ] skew)
 
 let experiments =
   [ ("parallel", parallel); ("parallel-smoke", parallel_smoke) ]

@@ -30,13 +30,8 @@ module Wal = Dsp_serve.Wal
 module Protocol = Dsp_serve.Protocol
 module Json = Dsp_serve.Json
 
-(* Nearest-rank percentile over an ascending array of seconds. *)
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let rank = int_of_float (Float.ceil (q *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
+(* Nearest-rank percentile; perfbench/dspbench.ml reads this binding. *)
+let percentile = Dsp_util.Xutil.percentile
 
 let us s = 1e6 *. s
 

@@ -722,11 +722,6 @@ let trace_cmd =
 (* online *)
 
 let online_cmd =
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1) +. 0.5)))
-  in
   let run trace_path policy_name k stats show =
     let text =
       if trace_path = "-" then In_channel.input_all In_channel.stdin
@@ -799,9 +794,9 @@ let online_cmd =
     Array.sort compare sorted;
     Printf.printf
       "per-event latency: p50 %.1fus  p95 %.1fus  p99 %.1fus  max %.1fus\n"
-      (percentile sorted 0.50 *. 1e6)
-      (percentile sorted 0.95 *. 1e6)
-      (percentile sorted 0.99 *. 1e6)
+      (Dsp_util.Xutil.percentile sorted 0.50 *. 1e6)
+      (Dsp_util.Xutil.percentile sorted 0.95 *. 1e6)
+      (Dsp_util.Xutil.percentile sorted 0.99 *. 1e6)
       (sorted.(Array.length sorted - 1) *. 1e6);
     if stats then begin
       let after = Dsp_util.Instr.snapshot () in

@@ -162,15 +162,14 @@ let optimal_height ?node_limit ?budget inst =
    [depth; start of order.(0); ...; start of order.(depth-1)] — a
    prefix of placements identifying one subtree.  The root start
    columns (confined to the left half by mirror symmetry) are dealt
-   round-robin as depth-1 seed units, exactly the old static split;
-   from there each worker pops its own deque LIFO (depth-first,
-   cache-warm), pushes the children of shallow nodes
-   (depth <= [split_depth]) back as new units, and expands deeper
-   subtrees inline with plain recursion.  An idle worker steals FIFO
-   from a random victim, taking the victim's {e shallowest} — largest
-   — subtree, which is what re-balances a skewed tree that the static
-   deal would serialize on one domain.  A full deque never blocks:
-   the child is expanded inline instead.
+   round-robin as depth-1 seed units; from there each worker pops its
+   own deque LIFO (depth-first, cache-warm) and runs one expansion
+   routine at every depth: children at depth <= [split_depth] are
+   pushed back as new units, deeper ones are expanded inline with
+   plain recursion.  An idle worker steals FIFO from a random victim,
+   taking the victim's {e shallowest} — largest — subtree, which is
+   what re-balances a skewed tree whose root has a single subtree.  A
+   full deque never blocks: the child is expanded inline instead.
 
    Termination detection: [pending] counts units that exist (queued in
    any deque or being expanded), incremented {e before} each push and
@@ -294,8 +293,8 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
       let dom_units = Array.make jobs 0 in
       (* Seed the deques before any worker starts (the pool's task
          handoff is the synchronization point): the root start columns
-         as depth-1 units, dealt round-robin like the old static
-         split — stealing repairs whatever imbalance the deal hides. *)
+         as depth-1 units, dealt round-robin — stealing repairs
+         whatever imbalance the deal hides. *)
       let seed_buf = Array.make rw 0 in
       for s = 0 to max0 do
         seed_buf.(0) <- 1;
@@ -310,9 +309,10 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
         let loads = Segtree.create width in
         let starts = Array.make n (-1) in
         let used = ref 0 in
-        (* [cur] mirrors the prefix currently placed on [loads];
-           [unit_buf] receives popped/stolen units; [child_buf] stages
-           pushes.  All fixed-size, reused for the whole solve. *)
+        (* [cur] is the prefix of the unit being expanded, which
+           [loads] returns to after each inline child; [unit_buf]
+           receives popped/stolen units; [child_buf] stages pushes.
+           All fixed-size, reused for the whole solve. *)
         let cur = Array.make rw 0 in
         let unit_buf = Array.make rw 0 in
         let child_buf = Array.make rw 0 in
@@ -338,6 +338,30 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
           if Atomic.get stop then raise Stop_search;
           Dsp_util.Budget.check_opt wbudget
         in
+        (* Offer the child [prefix of depth k; s] as a stealable unit.
+           The prefix comes from [starts], which holds the whole
+           current path; [cur] holds only the popped unit's prefix and
+           is stale below an inline expansion.  [pending] is raised
+           before the push so it never under-reports live work; a full
+           deque refuses and the caller keeps the subtree. *)
+        let push_child k s =
+          child_buf.(0) <- k + 1;
+          for j = 0 to k - 1 do
+            child_buf.(1 + j) <- starts.(order.(j).Item.id)
+          done;
+          child_buf.(1 + k) <- s;
+          Atomic.incr pending;
+          if Dsp_util.Wsdeque.push my_dq child_buf then true
+          else begin
+            ignore (Atomic.fetch_and_add pending (-1));
+            false
+          end
+        in
+        (* The one expansion routine, at every depth: visit the node,
+           prune, then enumerate the next item's feasible starts.  A
+           child at depth <= [split_depth] (and < n) is pushed as a
+           unit when the deque has room; every other child recurses
+           inline. *)
         let rec go k =
           node ();
           let limit = Atomic.get incumbent - 1 in
@@ -367,9 +391,12 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
                 in
                 if s' < 0 || s' > width - it.w then ()
                 else begin
-                  place it s';
-                  go (k + 1);
-                  unplace it s';
+                  if not (k + 1 <= split_depth && k + 1 < n && push_child k s')
+                  then begin
+                    place it s';
+                    go (k + 1);
+                    unplace it s'
+                  end;
                   try_start (s' + 1)
                 end
               in
@@ -379,8 +406,8 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
         in
         (* Swap the placed prefix from [cur] to the unit in
            [unit_buf]: unplace the old prefix, replay the new one.
-           Prefixes are shallow (depth <= split_depth + 1), so the
-           replay is a handful of O(log W) range-adds. *)
+           Prefixes are shallow (depth <= split_depth), so the replay
+           is a handful of O(log W) range-adds. *)
         let load_unit () =
           for j = cur.(0) - 1 downto 0 do
             unplace order.(j) cur.(1 + j)
@@ -392,66 +419,9 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
           Array.blit unit_buf 0 cur 0 (k + 1);
           k
         in
-        (* Expand one unit: visit its node, prune, then enumerate the
-           next item's feasible starts — shallow children are pushed
-           as new units (stealable), deep ones recurse inline.  The
-           push-side [pending] increment happens before the push so
-           the counter never under-reports live work. *)
         let execute () =
           dom_units.(wid) <- dom_units.(wid) + 1;
-          node ();
-          let k = load_unit () in
-          let limit = Atomic.get incumbent - 1 in
-          if k = n then record (Segtree.max_all loads) starts
-          else if
-            remaining.(k) > (limit * width) - !used
-            || Segtree.max_all loads > limit
-          then ()
-          else begin
-            let it = order.(k) in
-            let max_start =
-              if k = 0 then (width - it.w) / 2 else width - it.w
-            in
-            let min_start =
-              if
-                k > 0
-                && order.(k - 1).Item.w = it.w
-                && order.(k - 1).Item.h = it.h
-              then starts.(order.(k - 1).Item.id)
-              else 0
-            in
-            let rec expand s =
-              node ();
-              let limit = Atomic.get incumbent - 1 in
-              let s' =
-                Segtree.first_fit_from_i loads ~from:s ~len:it.w ~height:it.h
-                  ~limit
-              in
-              if s' < 0 || s' > max_start then ()
-              else begin
-                (if k + 1 <= split_depth && k + 1 < n then begin
-                   Array.blit cur 0 child_buf 0 (k + 1);
-                   child_buf.(0) <- k + 1;
-                   child_buf.(1 + k) <- s';
-                   Atomic.incr pending;
-                   if not (Dsp_util.Wsdeque.push my_dq child_buf) then begin
-                     (* Full deque: keep the subtree, expand inline. *)
-                     ignore (Atomic.fetch_and_add pending (-1));
-                     place it s';
-                     go (k + 1);
-                     unplace it s'
-                   end
-                 end
-                 else begin
-                   place it s';
-                   go (k + 1);
-                   unplace it s'
-                 end);
-                expand (s' + 1)
-              end
-            in
-            expand (max 0 min_start)
-          end
+          go (load_unit ())
         in
         (* Steal FIFO from random victims: the oldest unit in a deque
            is the shallowest subtree the victim owns — the biggest
@@ -529,163 +499,6 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
           steal_fails = sum dom_steal_fails;
           units = sum dom_units;
         };
-      if Atomic.get exhausted then None else Some !best
-    end
-  end
-
-(* The pre-stealing scheduler: the root start columns dealt round-robin
-   once, no re-balancing.  Kept as the ablation baseline the parallel
-   bench experiment and the load-imbalance regression test compare
-   against — on a skewed tree (one deep root subtree) this serializes
-   the whole solve on one domain. *)
-let solve_par_dealt ?(node_limit = default_node_limit) ?budget ?jobs ?pool
-    (inst : Instance.t) =
-  let width = inst.Instance.width in
-  let n = Instance.n_items inst in
-  if n = 0 then Some (Packing.make inst [||])
-  else begin
-    let lb = Instance.lower_bound inst in
-    let seed = greedy_packing inst in
-    if Packing.height seed <= lb then Some seed
-    else begin
-      let jobs =
-        match pool with
-        | Some p -> Dsp_util.Pool.size p
-        | None -> (
-            match jobs with
-            | Some j when j >= 1 -> j
-            | Some _ -> invalid_arg "Dsp_bb.solve_par: jobs must be >= 1"
-            | None -> Dsp_util.Pool.default_jobs ())
-      in
-      let order = Array.copy inst.Instance.items in
-      Array.sort Item.compare_by_area_desc order;
-      (* remaining.(k) = total area of items order.(k..); read-only. *)
-      let remaining = Array.make (n + 1) 0 in
-      for k = n - 1 downto 0 do
-        remaining.(k) <- remaining.(k + 1) + Item.area order.(k)
-      done;
-      let incumbent = Atomic.make (Packing.height seed) in
-      let best_m = Mutex.create () in
-      let best = ref seed in
-      let stop = Atomic.make false in
-      let exhausted = Atomic.make false in
-      let total_nodes = Atomic.make 0 in
-      let record peak starts =
-        Mutex.lock best_m;
-        if peak < Atomic.get incumbent then begin
-          Atomic.set incumbent peak;
-          best := Packing.make inst (Array.copy starts);
-          (* The lower bound is tight: nothing can beat it, stop the
-             whole portfolio. *)
-          if peak <= lb then Atomic.set stop true
-        end;
-        Mutex.unlock best_m
-      in
-      let it0 = order.(0) in
-      let work chunk () =
-        let wbudget = Option.map Dsp_util.Budget.child budget in
-        let loads = Segtree.create width in
-        let starts = Array.make n (-1) in
-        let used = ref 0 in
-        let place (it : Item.t) s =
-          Segtree.range_add loads ~lo:s ~hi:(s + it.w) it.h;
-          used := !used + Item.area it;
-          starts.(it.id) <- s
-        in
-        let unplace (it : Item.t) s =
-          Segtree.range_add loads ~lo:s ~hi:(s + it.w) (-it.h);
-          used := !used - Item.area it;
-          starts.(it.id) <- -1
-        in
-        let node () =
-          Dsp_util.Instr.bump c_nodes;
-          if 1 + Atomic.fetch_and_add total_nodes 1 > node_limit then begin
-            Atomic.set exhausted true;
-            Atomic.set stop true
-          end;
-          if Atomic.get stop then raise Stop_search;
-          Dsp_util.Budget.check_opt wbudget
-        in
-        let rec go k =
-          node ();
-          let limit = Atomic.get incumbent - 1 in
-          if k = n then record (Segtree.max_all loads) starts
-          else begin
-            let it = order.(k) in
-            (* Both prunes are against the *current* incumbent: the
-               profile may have been legal when its items were placed
-               and still be cut here after another worker improved. *)
-            if
-              remaining.(k) > (limit * width) - !used
-              || Segtree.max_all loads > limit
-            then ()
-            else begin
-              let min_start =
-                (* Identical items in non-decreasing start order (for
-                   k = 1 this chains off the root placement). *)
-                if order.(k - 1).Item.w = it.w && order.(k - 1).Item.h = it.h
-                then starts.(order.(k - 1).Item.id)
-                else 0
-              in
-              let rec try_start s =
-                let limit = Atomic.get incumbent - 1 in
-                let s' =
-                  Segtree.first_fit_from_i loads ~from:s ~len:it.w ~height:it.h
-                    ~limit
-                in
-                if s' < 0 || s' > width - it.w then ()
-                else begin
-                  place it s';
-                  go (k + 1);
-                  unplace it s';
-                  try_start (s' + 1)
-                end
-              in
-              try_start (max 0 min_start)
-            end
-          end
-        in
-        match
-          List.iter
-            (fun s ->
-              node ();
-              if it0.h <= Atomic.get incumbent - 1 then begin
-                place it0 s;
-                go 1;
-                unplace it0 s
-              end)
-            chunk
-        with
-        | () -> ()
-        | exception Stop_search -> ()
-        | exception e ->
-            (* A real failure (deadline, cancellation, injected fault):
-               bring the siblings down too, then let the pool carry the
-               exception back to the caller. *)
-            Atomic.set stop true;
-            raise e
-      in
-      (* Round-robin deal of the root start columns: neighbouring
-         starts explore similar subtrees, so interleaving them
-         diversifies what the workers see and speeds up the first
-         incumbent improvements. *)
-      let chunks = Array.make (max 1 jobs) [] in
-      let max0 = (width - it0.w) / 2 in
-      for s = max0 downto 0 do
-        chunks.(s mod jobs) <- s :: chunks.(s mod jobs)
-      done;
-      let tasks =
-        Array.to_list chunks
-        |> List.filter (fun c -> c <> [])
-        |> List.map (fun c -> work c)
-      in
-      let results =
-        match pool with
-        | Some p -> Dsp_util.Pool.run_all p tasks
-        | None ->
-            Dsp_util.Pool.with_pool ~jobs (fun p -> Dsp_util.Pool.run_all p tasks)
-      in
-      List.iter (function Ok () -> () | Error e -> raise e) results;
       if Atomic.get exhausted then None else Some !best
     end
   end

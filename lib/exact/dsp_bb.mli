@@ -80,19 +80,6 @@ val solve_par :
     @raise Dsp_util.Budget.Expired when the budget runs out or is
     cancelled mid-search. *)
 
-val solve_par_dealt :
-  ?node_limit:int ->
-  ?budget:Dsp_util.Budget.t ->
-  ?jobs:int ->
-  ?pool:Dsp_util.Pool.t ->
-  Instance.t ->
-  Packing.t option
-(** The pre-stealing parallel scheduler: root start columns dealt
-    round-robin across the workers once, with no re-balancing.  Same
-    contract as {!solve_par}.  Kept as the ablation baseline for the
-    parallel bench experiment and the load-imbalance regression test;
-    prefer {!solve_par}. *)
-
 val optimal_height_par :
   ?node_limit:int ->
   ?budget:Dsp_util.Budget.t ->

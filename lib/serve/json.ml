@@ -282,7 +282,7 @@ let parse s =
   in
   let v = parse_value 0 in
   skip_ws ();
-  if !pos < n then fail "trailing characters after value";
+  if !pos < n then fail "trailing garbage after value";
   v
 
 let of_string s =

@@ -127,7 +127,6 @@ let by_name : (string, counter) Hashtbl.t = Hashtbl.create 32 (* lint: local *)
 let registered : counter list ref = ref [] (* lint: local *)
 let next_key = ref 0 (* lint: local *)
 let domain_cells : int array ref list ref = ref [] (* lint: local *)
-let phase_seconds : (string, float ref) Hashtbl.t = Hashtbl.create 8 (* lint: local *)
 
 let counter name =
   Mutex.lock mutex;
@@ -224,30 +223,4 @@ let delta ~before ~after =
 let reset () =
   Mutex.lock mutex;
   List.iter (fun box -> Array.fill !box 0 (Array.length !box) 0) !domain_cells;
-  Hashtbl.reset phase_seconds;
   Mutex.unlock mutex
-
-let time phase f =
-  let cell =
-    Mutex.lock mutex;
-    let r =
-      match Hashtbl.find_opt phase_seconds phase with
-      | Some r -> r
-      | None ->
-          let r = ref 0.0 in
-          Hashtbl.add phase_seconds phase r;
-          r
-    in
-    Mutex.unlock mutex;
-    r
-  in
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () -> cell := !cell +. (Unix.gettimeofday () -. t0))
-    f
-
-let timers () =
-  Mutex.lock mutex;
-  let bindings = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) phase_seconds [] in
-  Mutex.unlock mutex;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) bindings

@@ -1,5 +1,5 @@
-(** Lightweight, always-on instrumentation: named monotonic counters
-    and phase timers.
+(** Lightweight, always-on instrumentation: named monotonic
+    counters.
 
     The solver engine ({!module:Dsp_engine} in [lib/engine]) snapshots
     these around every solve and reports the deltas, so the hot paths
@@ -114,14 +114,6 @@ val delta : before:snapshot -> after:snapshot -> (string * int) list
     created after [before] count from zero. *)
 
 val reset : unit -> unit
-(** Zero every counter (in every domain's cells) and drop every
-    timer.  For test isolation; the engine itself only ever diffs
-    snapshots.  Do not call while worker domains are mid-solve. *)
-
-val time : string -> (unit -> 'a) -> 'a
-(** [time phase f] runs [f], accumulating its wall-clock seconds under
-    [phase].  Re-entrant on distinct phases; nested calls on the same
-    phase double-count and are the caller's responsibility. *)
-
-val timers : unit -> (string * float) list
-(** Accumulated seconds per phase, sorted by name. *)
+(** Zero every counter (in every domain's cells).  For test
+    isolation; the engine itself only ever diffs snapshots.  Do not
+    call while worker domains are mid-solve. *)

@@ -71,6 +71,13 @@ let binary_search_min lo hi ok =
     in
     Some (go lo hi)
 
+let percentile sorted q =
+  let n = Array.length sorted in
+  if n = 0 then 0.
+  else
+    let rank = int_of_float (Float.ceil (q *. float_of_int n)) - 1 in
+    sorted.(max 0 (min (n - 1) rank))
+
 let timeit f =
   let t0 = Unix.gettimeofday () in
   let r = f () in

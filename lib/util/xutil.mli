@@ -39,6 +39,11 @@ val binary_search_min : int -> int -> (int -> bool) -> int option
     with [ok x], assuming [ok] is monotone (false then true).  Returns
     [None] if no such value exists. *)
 
+val percentile : float array -> float -> float
+(** [percentile sorted q] is the nearest-rank [q]-quantile
+    ([0 <= q <= 1]) of an ascending array: the element of rank
+    [ceil (q * n)], clamped to the array.  0 on the empty array. *)
+
 val timeit : (unit -> 'a) -> 'a * float
 (** Run a thunk and return its result with elapsed wall-clock
     seconds. *)

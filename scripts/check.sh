@@ -191,6 +191,14 @@ BENCH_JSON=none DSP_BENCH_RESULTS=none \
   timeout 120 dune exec bench/main.exe -- serve-smoke >/dev/null
 echo "ok: serve-smoke bench experiment completes"
 
+# --- repository benchmark smoke ---------------------------------------
+# Every perfbench workload on a tiny input, twice: its correctness
+# checks (peak_agree, recover_agree, solve_agree) must pass and its
+# exact metrics must repeat.  A library change that breaks what the
+# benchmark reads fails here rather than in the benchmark run.
+timeout 120 bash perfbench/run.sh --smoke >/dev/null
+echo "ok: perfbench smoke passes its checks"
+
 # --- multicore smoke (--jobs 2) --------------------------------------
 # Race the fallback chain on a 2-domain pool: must return a validated
 # report (exit 0) under one shared deadline, never hang — the losers

@@ -327,15 +327,6 @@ let skew_tests =
         Alcotest.(check bool)
           (Printf.sprintf "bounded imbalance (worst/best = %d/%d)" worst best)
           true (worst <= 8 * best));
-    Alcotest.test_case "skew regression: round-robin ablation still agrees"
-      `Quick (fun () ->
-        let inst = skewed_instance () in
-        let dealt =
-          match Bb.solve_par_dealt ~jobs:4 inst with
-          | Some pk -> Some (Dsp_core.Packing.height pk)
-          | None -> None
-        in
-        check_opt "dealt scheduler optimum" (Bb.optimal_height inst) dealt);
   ]
 
 let solve_par_tests =
@@ -367,6 +358,45 @@ let solve_par_tests =
            no search happens. *)
         let tight = Dsp_core.Instance.of_dims ~width:4 [ (4, 2); (4, 3) ] in
         check_opt "greedy-tight" (Some 5) (Bb.optimal_height_par ~jobs:3 tight));
+    Alcotest.test_case "differential: split-depth boundary, n 2-5, W 2-8"
+      `Quick (fun () ->
+        (* With n <= 5 the deepest units sit at depth n-1 (the
+           [k + 1 < n] push guard), and narrow strips give roots with a
+           single seed unit.  Heights up to 10 keep the greedy seed
+           above the lower bound on about half the calls. *)
+        let cases =
+          List.init 200 (fun seed ->
+              let width = 2 + (seed mod 7) in
+              let inst =
+                Gen.uniform (Rng.create (1000 + seed)) ~n:(2 + (seed mod 4))
+                  ~width ~max_w:width ~max_h:10
+              in
+              (inst, Bb.optimal_height inst))
+        in
+        let calls = ref 0 and searched = ref 0 in
+        List.iter
+          (fun jobs ->
+            Pool.with_pool ~jobs (fun pool ->
+                List.iteri
+                  (fun i (inst, expected) ->
+                    let stats = ref None in
+                    let par =
+                      Option.map Dsp_core.Packing.height
+                        (Bb.solve_par ~pool ~stats inst)
+                    in
+                    check_opt
+                      (Printf.sprintf "jobs=%d instance %d" jobs i)
+                      expected par;
+                    incr calls;
+                    if (Option.get !stats).Bb.domains > 0 then incr searched)
+                  cases))
+          [ 1; 2; 3 ];
+        (* The greedy early return must not swallow the corpus:
+           require that a third of the calls reached the search. *)
+        Alcotest.(check bool)
+          (Printf.sprintf "%d of %d calls searched" !searched !calls)
+          true
+          (3 * !searched >= !calls));
     Alcotest.test_case "shared node cap exhausts across workers" `Quick
       (fun () ->
         check_opt "exhausted" None

@@ -83,6 +83,15 @@ let xutil_tests =
         Alcotest.check (Alcotest.list Alcotest.int) "range" [ 2; 3; 4 ]
           (Xutil.range 2 5);
         Alcotest.check (Alcotest.list Alcotest.int) "empty" [] (Xutil.range 5 5));
+    Alcotest.test_case "percentile is nearest-rank" `Quick (fun () ->
+        let xs = Array.init 10 (fun i -> float_of_int (i + 1)) in
+        let check msg expected actual =
+          Alcotest.check (Alcotest.float 0.) msg expected actual
+        in
+        check "empty" 0. (Xutil.percentile [||] 0.5);
+        check "p50" 5. (Xutil.percentile xs 0.5);
+        check "p99" 10. (Xutil.percentile xs 0.99);
+        check "max" 10. (Xutil.percentile xs 1.0));
   ]
 
 let suite = rng_tests @ xutil_tests
