@@ -1,29 +1,24 @@
-(* kernel: ablation of the segment-tree packing kernel, three ways.
+(* kernel: ablation of the segment-tree packing kernel against the
+   flat-array reference.
 
-   naive   — flat-array Profile.Naive, O(W * w) window scans;
-   boxed   — Segtree.Boxed, the original recursive kernel over OCaml
-             arrays (option results, per-call buffers);
-   flat    — the default Segtree, the iterative zero-allocation
-             Bigarray kernel.
+   naive — Profile.Naive, O(W * w) window scans;
+   flat  — the default Segtree, the iterative zero-allocation
+           Bigarray kernel.
 
    Best-fit decreasing and budgeted first fit compare naive against
-   the production path (Budget_fit on the flat kernel), as the
-   experiment always has; the "storm" rows then drive the boxed and
-   flat kernels directly through an identical placement-churn loop
-   (first-fit probe, best-start placement, window query, unplace) —
-   the BFD / branch-and-bound hot path.  The storm runs twice: serial,
-   and concurrently on min(4, recommended) domains with one tree per
+   the production path (Budget_fit on the flat kernel).  The "storm"
+   rows then drive the flat kernel directly through a placement-churn
+   loop (first-fit probe, best-start placement, window query,
+   unplace) — the BFD / branch-and-bound hot path — serially, and
+   concurrently on min(4, recommended) domains with one tree per
    domain, mirroring the racing-chain / parallel-B&B execution layer.
-   The parallel run is where the allocation discipline pays: OCaml 5
-   minor collections are stop-the-world across domains, so the boxed
-   kernel's per-best_start buffers (~2W words each) stall every
-   domain, while the flat kernel triggers none.  [par_] rows feed
-   [flat_over_boxed_speedup] — the ≥2x acceptance bar and what the CI
-   perf gate reads; the serial ratio is recorded alongside.  Every
-   timing carries a dsp-bench/4 [gc] sub-record (for parallel rows:
-   the measuring domain only), and the flat kernel's steady-state
-   allocation is measured directly (words per op over a long mixed-op
-   run; the gate requires ~zero).  All sides place identically, so
+   The same loop run once over Profile.Naive checks the storm's
+   answers (see [storm_naive]).  Every timing carries a dsp-bench/4
+   [gc] sub-record (for parallel rows: the measuring domain only), and
+   the flat kernel's steady-state allocation is measured directly
+   (words per op over a long mixed-op run).  The CI perf gate
+   (bench/gate.ml) reads the [*_seconds] timings, [flat_alloc_zero]
+   and every [*agree] flag; naive and kernel place identically, so
    peaks and checksums must agree exactly.
 
    DSP_BENCH_REPS=k repeats each timing and keeps the fastest run. *)
@@ -31,12 +26,9 @@
 open Dsp_core
 module Rng = Dsp_util.Rng
 
-(* Identical placement-churn loops over the two kernel APIs.  Kept as
-   two syntactic copies on purpose: a functor or first-class-function
-   driver would add its own call overhead to both sides and blur what
-   is being measured.  The checksum folds every query result so the
-   compiler cannot drop work, and doubles as a cross-kernel agreement
-   check. *)
+(* The placement-churn storm on the flat kernel.  The checksum folds
+   every query result so the compiler cannot drop work, and doubles as
+   the agreement check against [storm_naive]. *)
 let storm_flat t (items : (int * int) array) starts ~limit ~rounds =
   let acc = ref 0 in
   let n = Array.length items in
@@ -63,35 +55,45 @@ let storm_flat t (items : (int * int) array) starts ~limit ~rounds =
   done;
   !acc
 
-let storm_boxed b (items : (int * int) array) starts ~limit ~rounds =
-  let acc = ref 0 in
-  let n = Array.length items in
-  for _ = 1 to rounds do
-    for i = 0 to n - 1 do
-      let iw, ih = items.(i) in
-      let ff =
-        match
-          Segtree.Boxed.first_fit_from b ~from:0 ~len:iw ~height:ih ~limit
-        with
-        | None -> -1
-        | Some s -> s
-      in
-      let s, pk =
-        match Segtree.Boxed.best_start b ~len:iw with
-        | Some (s, pk) -> (s, pk)
-        | None -> (0, 0)
-      in
-      Segtree.Boxed.range_add b ~lo:s ~hi:(s + iw) ih;
-      acc := !acc + ff + s + pk + Segtree.Boxed.range_max b ~lo:s ~hi:(s + iw);
-      starts.(i) <- s
-    done;
-    acc := !acc + Segtree.Boxed.max_all b;
-    for i = n - 1 downto 0 do
-      let iw, ih = items.(i) in
-      Segtree.Boxed.range_add b ~lo:starts.(i) ~hi:(starts.(i) + iw) (-ih)
-    done
+(* The naive placement scans over a strip of width [w]: the first
+   start (s+1 stepping) whose window peak plus [height] stays within
+   [limit], or -1; and the leftmost start minimizing the window peak,
+   with that peak. *)
+let naive_first_fit p w ~len ~height ~limit =
+  let rec go s =
+    if s > w - len then -1
+    else if Profile.Naive.peak_in p ~start:s ~len + height <= limit then s
+    else go (s + 1)
+  in
+  go 0
+
+let naive_best_start p w ~len =
+  let best = ref 0 and best_peak = ref max_int in
+  for s = 0 to w - len do
+    let pk = Profile.Naive.peak_in p ~start:s ~len in
+    if pk < !best_peak then begin
+      best_peak := pk;
+      best := s
+    end
   done;
-  !acc
+  (!best, !best_peak)
+
+(* One round of the same storm over Profile.Naive.  Loads stay
+   nonnegative, so the naive peaks (clamped at 0) equal the kernel's
+   raw window maxima.  Every flat round starts and ends on an empty
+   strip, so the flat checksum over [rounds] rounds must be exactly
+   [rounds] times this one. *)
+let storm_naive w (items : (int * int) array) ~limit =
+  let p = Profile.Naive.create w in
+  let acc = ref 0 in
+  Array.iter
+    (fun (iw, ih) ->
+      let ff = naive_first_fit p w ~len:iw ~height:ih ~limit in
+      let s, pk = naive_best_start p w ~len:iw in
+      Profile.Naive.add p ~start:s ~len:iw ~height:ih;
+      acc := !acc + ff + s + pk + Profile.Naive.peak_in p ~start:s ~len:iw)
+    items;
+  !acc + Profile.Naive.peak p
 
 (* Run [f] on [domains] domains at once (the main domain is one of
    them) and fold the checksums.  Each thunk builds its own tree —
@@ -149,10 +151,10 @@ let alloc_probe ~experiment w =
 
 let kernel_at ~experiment widths () =
   Common.section "kernel"
-    "segment-tree packing kernel: naive vs boxed vs flat (same placements)";
-  Printf.printf "%-8s %6s | %11s %11s %8s | %11s %11s %8s | %11s %11s %8s | %6s\n"
+    "segment-tree packing kernel: naive vs flat (same placements)";
+  Printf.printf "%-8s %6s | %11s %11s %8s | %11s %11s %8s | %11s %11s | %6s\n"
     "W" "n" "bfd-naive" "bfd-kernel" "speedup" "ff-naive" "ff-kernel" "speedup"
-    "storm-boxed" "storm-flat" "speedup" "peak";
+    "storm-flat" "par-storm" "peak";
   List.iter
     (fun w ->
       let n = max 40 (w / 16) in
@@ -169,15 +171,8 @@ let kernel_at ~experiment widths () =
         let p = Profile.Naive.create w in
         List.iter
           (fun (it : Item.t) ->
-            let best = ref 0 and best_peak = ref max_int in
-            for s = 0 to w - it.Item.w do
-              let pk = Profile.Naive.peak_in p ~start:s ~len:it.Item.w in
-              if pk < !best_peak then begin
-                best_peak := pk;
-                best := s
-              end
-            done;
-            Profile.Naive.add_item p it ~start:!best)
+            let s, _ = naive_best_start p w ~len:it.Item.w in
+            Profile.Naive.add_item p it ~start:s)
           order;
         Profile.Naive.peak p
       in
@@ -198,18 +193,14 @@ let kernel_at ~experiment widths () =
         let placed = ref 0 in
         List.iter
           (fun (it : Item.t) ->
-            let rec go s =
-              if s > w - it.Item.w then ()
-              else if
-                Profile.Naive.peak_in p ~start:s ~len:it.Item.w + it.Item.h
-                <= budget
-              then begin
-                Profile.Naive.add_item p it ~start:s;
-                incr placed
-              end
-              else go (s + 1)
+            let s =
+              naive_first_fit p w ~len:it.Item.w ~height:it.Item.h
+                ~limit:budget
             in
-            go 0)
+            if s >= 0 then begin
+              Profile.Naive.add_item p it ~start:s;
+              incr placed
+            end)
           order;
         !placed
       in
@@ -223,9 +214,9 @@ let kernel_at ~experiment widths () =
       in
       let ff_kernel_placed, ff_kernel_s, ff_kernel_gc = Common.time_reps ff_kernel in
       let ff_naive_placed, ff_naive_s, ff_naive_gc = Common.time_reps ff_naive in
-      (* Boxed vs flat on the identical placement-churn storm.  The
-         per-item best_start makes a round O(n * W), so rounds scale
-         inversely with that (capped for tiny smoke widths). *)
+      (* The flat kernel on the placement-churn storm.  The per-item
+         best_start makes a round O(n * W), so rounds scale inversely
+         with that (capped for tiny smoke widths). *)
       let items =
         Array.of_list
           (List.map (fun (it : Item.t) -> (it.Item.w, it.Item.h)) order)
@@ -238,11 +229,7 @@ let kernel_at ~experiment widths () =
         Common.time_reps (fun () ->
             storm_flat flat_tree items starts ~limit:budget ~rounds)
       in
-      let boxed_tree = Segtree.Boxed.create w in
-      let boxed_sum, boxed_s, boxed_gc =
-        Common.time_reps (fun () ->
-            storm_boxed boxed_tree items starts ~limit:budget ~rounds)
-      in
+      let naive_sum = storm_naive w items ~limit:budget in
       (* Same storm, one tree per domain.  Deterministic per domain, so
          the checksum is exactly [domains * serial checksum]. *)
       let domains = min 4 (Domain.recommended_domain_count ()) in
@@ -253,39 +240,30 @@ let kernel_at ~experiment widths () =
                 let st = Array.make n_items 0 in
                 storm_flat t items st ~limit:budget ~rounds))
       in
-      let par_boxed_sum, par_boxed_s, par_boxed_gc =
-        Common.time_reps (fun () ->
-            on_domains ~domains (fun () ->
-                let b = Segtree.Boxed.create w in
-                let st = Array.make n_items 0 in
-                storm_boxed b items st ~limit:budget ~rounds))
-      in
       let bfd_speedup = bfd_naive_s /. Float.max 1e-9 bfd_kernel_s in
       let ff_speedup = ff_naive_s /. Float.max 1e-9 ff_kernel_s in
-      let serial_storm_speedup = boxed_s /. Float.max 1e-9 flat_s in
-      let par_storm_speedup = par_boxed_s /. Float.max 1e-9 par_flat_s in
       Printf.printf
         "%-8d %6d | %10.4fs %10.4fs %7.1fx | %10.4fs %10.4fs %7.1fx | %10.4fs \
-         %10.4fs %7.2fx | %6d\n"
+         %10.4fs | %6d\n"
         w n bfd_naive_s bfd_kernel_s bfd_speedup ff_naive_s ff_kernel_s
-        ff_speedup boxed_s flat_s serial_storm_speedup kernel_peak;
-      Printf.printf
-        "  parallel storm (%d domains): boxed %.4fs  flat %.4fs  %.2fx\n"
-        domains par_boxed_s par_flat_s par_storm_speedup;
+        ff_speedup flat_s par_flat_s kernel_peak;
+      Printf.printf "  storm: %d rounds; parallel storm on %d domains\n" rounds
+        domains;
       if naive_peak <> kernel_peak then
         Printf.printf "  !! peak mismatch: naive=%d kernel=%d\n" naive_peak
           kernel_peak;
       if ff_naive_placed <> ff_kernel_placed then
         Printf.printf "  !! first-fit placement mismatch: naive=%d kernel=%d\n"
           ff_naive_placed ff_kernel_placed;
-      if flat_sum <> boxed_sum then
-        Printf.printf "  !! storm checksum mismatch: flat=%d boxed=%d\n"
-          flat_sum boxed_sum;
-      if par_flat_sum <> domains * flat_sum || par_boxed_sum <> domains * boxed_sum
-      then
-        Printf.printf "  !! parallel storm checksum mismatch: flat=%d boxed=%d \
-                       (serial %d/%d on %d domains)\n"
-          par_flat_sum par_boxed_sum flat_sum boxed_sum domains;
+      if flat_sum <> rounds * naive_sum then
+        Printf.printf
+          "  !! storm checksum mismatch: flat=%d naive=%d x %d rounds\n"
+          flat_sum naive_sum rounds;
+      if par_flat_sum <> domains * flat_sum then
+        Printf.printf
+          "  !! parallel storm checksum mismatch: flat=%d (serial %d on %d \
+           domains)\n"
+          par_flat_sum flat_sum domains;
       let key fmt = Printf.sprintf "W%d.%s" w fmt in
       let rec_f k v = Bench_json.record ~experiment (key k) (Bench_json.Float v) in
       let rec_i k v = Bench_json.record ~experiment (key k) (Bench_json.Int v) in
@@ -301,23 +279,14 @@ let kernel_at ~experiment widths () =
       rec_f "ff_kernel_seconds" ff_kernel_s;
       rec_gc "ff_kernel_gc" ff_kernel_gc;
       rec_f "ff_speedup" ff_speedup;
-      rec_f "storm_boxed_seconds" boxed_s;
-      rec_gc "storm_boxed_gc" boxed_gc;
       rec_f "storm_flat_seconds" flat_s;
       rec_gc "storm_flat_gc" flat_gc;
-      rec_f "serial_flat_over_boxed_speedup" serial_storm_speedup;
       rec_i "storm_domains" domains;
-      rec_f "par_storm_boxed_seconds" par_boxed_s;
-      rec_gc "par_storm_boxed_gc" par_boxed_gc;
       rec_f "par_storm_flat_seconds" par_flat_s;
       rec_gc "par_storm_flat_gc" par_flat_gc;
-      rec_f "flat_over_boxed_speedup" par_storm_speedup;
-      rec_i "storm_agree" (if flat_sum = boxed_sum then 1 else 0);
+      rec_i "storm_agree" (if flat_sum = rounds * naive_sum then 1 else 0);
       rec_i "par_storm_agree"
-        (if par_flat_sum = domains * flat_sum
-            && par_boxed_sum = domains * boxed_sum
-         then 1
-         else 0);
+        (if par_flat_sum = domains * flat_sum then 1 else 0);
       rec_i "peak" kernel_peak;
       rec_i "peaks_agree" (if naive_peak = kernel_peak then 1 else 0))
     widths;

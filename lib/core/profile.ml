@@ -1,4 +1,4 @@
-(* The flat-array implementation, kept verbatim as a reference for
+(* The flat-array implementation, kept as the reference for
    differential testing and for the naive side of the kernel
    benchmark.  The production profile below is backed by the lazy
    segment tree and must agree with this module on every operation. *)
@@ -22,7 +22,6 @@ module Naive = struct
     done
 
   let add_item t (it : Item.t) ~start = add t ~start ~len:it.w ~height:it.h
-  let remove_item t (it : Item.t) ~start = add t ~start ~len:it.w ~height:(-it.h)
   let load t x = t.loads.(x)
   let peak t = Array.fold_left max 0 t.loads
 
@@ -36,7 +35,6 @@ module Naive = struct
     done;
     !m
 
-  let copy t = { loads = Array.copy t.loads }
   let to_array t = Array.copy t.loads
 
   let of_starts (inst : Instance.t) starts =
@@ -92,8 +90,8 @@ let peak_column t =
   if pk <= 0 then None
   else Some (Segtree.find_last_above_i t.tree ~lo:0 ~hi:(width t) (pk - 1))
 
-let first_fit_start ?(from = 0) t ~len ~height ~budget =
-  Segtree.first_fit_from t.tree ~from ~len ~height ~limit:budget
+let first_fit_start t ~len ~height ~budget =
+  Segtree.first_fit_from t.tree ~from:0 ~len ~height ~limit:budget
 
 let best_start t ~len = Segtree.best_start t.tree ~len
 

@@ -7,9 +7,9 @@
     tree ({!Segtree}): range updates and window-peak queries are
     O(log width), and the placement queries {!first_fit_start} /
     {!best_start} replace whole O(width * len) scan loops.  The
-    pre-kernel flat-array implementation survives as {!Naive} for
-    differential testing and as the baseline of the kernel
-    benchmark. *)
+    pre-kernel flat-array implementation survives as {!Naive}, the
+    reference implementation that the differential tests and the
+    kernel benchmark compare against. *)
 
 type t
 
@@ -60,13 +60,11 @@ val peak_column : t -> int option
 (** A column attaining the peak (the rightmost one), or [None] when
     the profile has no positive load.  O(log width). *)
 
-val first_fit_start :
-  ?from:int -> t -> len:int -> height:int -> budget:int -> int option
+val first_fit_start : t -> len:int -> height:int -> budget:int -> int option
 (** [first_fit_start t ~len ~height ~budget] is the leftmost start [s]
-    (at least [from], default 0) where placing an item of the given
-    footprint keeps the window peak within [budget]
-    ([peak_in s len + height <= budget]); [None] if no start
-    qualifies.  Skip-ahead segment-tree descent — see
+    where placing an item of the given footprint keeps the window peak
+    within [budget] ([peak_in s len + height <= budget]); [None] if no
+    start qualifies.  Skip-ahead segment-tree descent — see
     {!Segtree.first_fit_from}. *)
 
 val best_start : t -> len:int -> (int * int) option
@@ -95,11 +93,9 @@ module Naive : sig
   val width : t -> int
   val add : t -> start:int -> len:int -> height:int -> unit
   val add_item : t -> Item.t -> start:int -> unit
-  val remove_item : t -> Item.t -> start:int -> unit
   val load : t -> int -> int
   val peak : t -> int
   val peak_in : t -> start:int -> len:int -> int
-  val copy : t -> t
   val to_array : t -> int array
   val of_starts : Instance.t -> int array -> t
 end

@@ -8,17 +8,13 @@
     versus O(width) on a flat load array; {!first_fit_from} further
     skips past the column that caused a violation instead of advancing
     one start at a time.  The kernel micro-experiment
-    ([bench/main.exe -- kernel]) measures both structures side by
-    side and writes the result to [BENCH.json].
+    ([bench/main.exe -- kernel]) measures it against the flat-array
+    {!Profile.Naive} and writes the result to [BENCH.json].
 
-    The default implementation is a flat, implicit-layout kernel over
-    a single native-[int] [Bigarray]: iterative traversals with
-    preallocated scratch, so the steady-state operations ({!range_add},
-    {!range_max}, {!find_last_above_i}, {!first_fit_from_i}) allocate
-    nothing.  The original recursive array-of-[int] kernel is kept as
-    {!Boxed} for differential testing and as the ablation baseline of
-    the kernel experiment; both expose the same operations and bump
-    the same [segtree.*] instrumentation counters. *)
+    The kernel is flat and implicit-layout, over a single native-[int]
+    [Bigarray]: iterative traversals with preallocated scratch, so the
+    steady-state operations ({!range_add}, {!range_max},
+    {!find_last_above_i}, {!first_fit_from_i}) allocate nothing. *)
 
 type t
 
@@ -63,11 +59,10 @@ val range_max : t -> lo:int -> hi:int -> int
 
 val max_all : t -> int
 val get : t -> int -> int
-val of_array : int array -> t
 
 val to_array : t -> int array
-(** Flatten to per-column values in O(n) (single lazy-accumulating
-    walk, not n point queries). *)
+(** Flatten to per-column values: one O(n) dirty-tracked push-down
+    pass, not n point queries. *)
 
 val find_last_above : t -> lo:int -> hi:int -> int -> int option
 (** [find_last_above t ~lo ~hi threshold] is the rightmost column in
@@ -90,37 +85,8 @@ val first_fit_from_i : t -> from:int -> len:int -> height:int -> limit:int -> in
 (** {!first_fit_from} with a [-1] sentinel instead of [None] — the
     allocation-free form for hot loops (an option result boxes). *)
 
-val first_fit_pos : t -> len:int -> height:int -> limit:int -> int option
-(** [first_fit_from] with [from = 0]. *)
-
-val min_peak_start : t -> len:int -> height:int -> limit:int -> int option
-(** Historical alias of {!first_fit_pos} (kept for callers of the
-    pre-kernel interface). *)
-
 val best_start : t -> len:int -> (int * int) option
 (** [best_start t ~len] is [(s, peak)] where [s] is the leftmost start
     minimizing the window peak [range_max t s (s+len)] and [peak] that
     minimum; [None] when no window of length [len] fits.  O(n) via a
     sliding-window maximum over a flattened snapshot. *)
-
-(** The original recursive kernel over boxed OCaml arrays, kept as the
-    differential-testing reference for the flat kernel and as the
-    ablation baseline of the [kernel] bench experiment.  Same
-    semantics, same counters, same overflow guards. *)
-module Boxed : sig
-  type t
-
-  val create : int -> t
-  val size : t -> int
-  val copy : t -> t
-  val range_add : t -> lo:int -> hi:int -> int -> unit
-  val range_max : t -> lo:int -> hi:int -> int
-  val max_all : t -> int
-  val get : t -> int -> int
-  val of_array : int array -> t
-  val to_array : t -> int array
-  val find_last_above : t -> lo:int -> hi:int -> int -> int option
-  val first_fit_from : t -> from:int -> len:int -> height:int -> limit:int -> int option
-  val first_fit_pos : t -> len:int -> height:int -> limit:int -> int option
-  val best_start : t -> len:int -> (int * int) option
-end

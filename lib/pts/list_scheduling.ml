@@ -34,7 +34,7 @@ let schedule ?(order = Work_first) (inst : Pts.Inst.t) =
     List.iter
       (fun (j : Pts.Job.t) ->
         match
-          Segtree.min_peak_start profile ~len:j.p ~height:j.q ~limit:m
+          Segtree.first_fit_from profile ~from:0 ~len:j.p ~height:j.q ~limit:m
         with
         | Some t ->
             sigma.(j.id) <- t;

@@ -1,8 +1,9 @@
 (* Differential tests for the segment-tree packing kernel: the
    segtree-backed Profile must agree with the flat-array
-   Profile.Naive reference on every operation, and the kernel
-   placement queries (first_fit_pos / first_fit_from / best_start /
-   find_last_above) must agree with direct linear scans. *)
+   Profile.Naive reference on every operation, and the kernel's own
+   queries (range_max / first_fit_from / best_start / find_last_above
+   and their sentinel forms) must agree with direct linear scans over
+   a plain load array. *)
 
 open Dsp_core
 module Rng = Dsp_util.Rng
@@ -90,33 +91,48 @@ let loads_arb =
       in
       return (width, ops))
 
-let build width ops =
-  let t = Segtree.create width in
-  let a = Array.make width 0 in
+(* The segtree-backed profile and the naive reference after [ops]. *)
+let profiles width ops =
+  let p = Profile.create width and q = Profile.Naive.create width in
   List.iter
     (fun (s, l, h) ->
-      Segtree.range_add t ~lo:s ~hi:(s + l) h;
-      for x = s to s + l - 1 do
-        a.(x) <- a.(x) + h
-      done)
+      Profile.add p ~start:s ~len:l ~height:h;
+      Profile.Naive.add q ~start:s ~len:l ~height:h)
     ops;
-  (t, a)
-
-let window_max a s len =
-  let m = ref min_int in
-  for x = s to s + len - 1 do
-    if a.(x) > !m then m := a.(x)
-  done;
-  !m
+  (p, q)
 
 let scan_first_fit a ~from ~len ~height ~limit =
   let width = Array.length a in
   let rec go s =
     if s + len > width then None
-    else if window_max a s len + height <= limit then Some s
+    else if Helpers.window_max a s len + height <= limit then Some s
     else go (s + 1)
   in
   if len < 1 || len > width then None else go (max 0 from)
+
+(* Leftmost start minimizing the window maximum, with that maximum. *)
+let scan_best_start a ~len =
+  let width = Array.length a in
+  if len < 1 || len > width then None
+  else begin
+    let best = ref (-1) and best_peak = ref max_int in
+    for s = 0 to width - len do
+      let m = Helpers.window_max a s len in
+      if m < !best_peak then begin
+        best_peak := m;
+        best := s
+      end
+    done;
+    Some (!best, !best_peak)
+  end
+
+(* Rightmost column of [lo, hi) strictly above [thr]. *)
+let scan_last_above a ~lo ~hi thr =
+  let r = ref None in
+  for x = lo to hi - 1 do
+    if a.(x) > thr then r := Some x
+  done;
+  !r
 
 let query_arb =
   QCheck.make
@@ -131,20 +147,19 @@ let query_arb =
       let* limit = int_range 0 30 in
       return ((width, ops), (from, len, height, limit)))
 
-(* ---- flat kernel vs Segtree.Boxed ---- *)
+(* ---- flat kernel vs linear scans ---- *)
 
-(* The flat Bigarray kernel and the retained recursive kernel must
-   agree on every operation of the same randomized stream (the naive
-   Profile checks above pin both to ground truth; this pins them to
-   each other on the full query surface, including the sentinel
-   variants the hot loops use). *)
-let flat_vs_boxed_stream () =
+(* One randomized stream drives the flat kernel and a plain load
+   array; every query on the kernel's surface, including the sentinel
+   variants the hot loops use, must match a linear scan of the array.
+   Covers negative loads and thresholds, and empty ranges. *)
+let flat_vs_scans_stream () =
   let instances = 24 and ops_per_instance = 800 in
   for i = 1 to instances do
     let rng = Rng.create (31_000 + i) in
     let width = Rng.int_in rng 1 150 in
     let t = Segtree.create width in
-    let b = Segtree.Boxed.create width in
+    let a = Array.make width 0 in
     for op = 1 to ops_per_instance do
       match Rng.int rng 6 with
       | 0 ->
@@ -152,22 +167,21 @@ let flat_vs_boxed_stream () =
           let hi = lo + Rng.int rng (width - lo + 1) in
           let h = Rng.int_in rng (-5) 9 in
           Segtree.range_add t ~lo ~hi h;
-          Segtree.Boxed.range_add b ~lo ~hi h
+          Helpers.add_loads a ~lo ~hi h
       | 1 ->
           let lo = Rng.int rng width in
           let hi = lo + Rng.int rng (width - lo + 1) in
           let x = Segtree.range_max t ~lo ~hi in
-          let y = Segtree.Boxed.range_max b ~lo ~hi in
+          let y = if lo >= hi then 0 else Helpers.window_max a lo (hi - lo) in
           if x <> y then
-            Alcotest.failf "instance %d op %d: range_max [%d,%d) flat %d <> boxed %d"
+            Alcotest.failf "instance %d op %d: range_max [%d,%d) flat %d <> scan %d"
               i op lo hi x y
       | 2 ->
           let lo = Rng.int rng width in
           let hi = lo + Rng.int rng (width - lo + 1) in
           let thr = Rng.int_in rng (-10) 20 in
           let x = Segtree.find_last_above t ~lo ~hi thr in
-          let y = Segtree.Boxed.find_last_above b ~lo ~hi thr in
-          if x <> y then
+          if x <> scan_last_above a ~lo ~hi thr then
             Alcotest.failf "instance %d op %d: find_last_above differs" i op;
           if Segtree.find_last_above_i t ~lo ~hi thr
              <> Option.value x ~default:(-1)
@@ -178,35 +192,35 @@ let flat_vs_boxed_stream () =
           let height = Rng.int rng 8 in
           let limit = Rng.int_in rng (-5) 25 in
           let x = Segtree.first_fit_from t ~from ~len ~height ~limit in
-          let y = Segtree.Boxed.first_fit_from b ~from ~len ~height ~limit in
-          if x <> y then
+          if x <> scan_first_fit a ~from ~len ~height ~limit then
             Alcotest.failf "instance %d op %d: first_fit_from differs" i op;
           if Segtree.first_fit_from_i t ~from ~len ~height ~limit
              <> Option.value x ~default:(-1)
           then Alcotest.failf "instance %d op %d: _i sentinel differs" i op
       | 4 ->
           let len = 1 + Rng.int rng (width + 1) in
-          if Segtree.best_start t ~len <> Segtree.Boxed.best_start b ~len then
+          if Segtree.best_start t ~len <> scan_best_start a ~len then
             Alcotest.failf "instance %d op %d: best_start differs" i op
       | _ ->
-          if Segtree.max_all t <> Segtree.Boxed.max_all b then
+          if Segtree.max_all t <> Helpers.window_max a 0 width then
             Alcotest.failf "instance %d op %d: max_all differs" i op
     done;
-    if Segtree.to_array t <> Segtree.Boxed.to_array b then
+    if Segtree.to_array t <> a then
       Alcotest.failf "instance %d: final arrays differ" i
   done
 
-(* ---- add/remove inverses across the three kernels ---- *)
+(* ---- add/remove inverses across kernels ---- *)
 
 (* Range adds commute, so removing a set of placements in any order
    must return every kernel to its pre-placement state.  Drives the
-   flat kernel, the retained Boxed kernel, the segtree Profile, and
-   the naive reference with the same stream. *)
+   flat kernel, a plain load array, the segtree Profile, and the naive
+   reference with the same stream; with every placement applied, the
+   flat kernel must match the array. *)
 let add_remove_inverse () =
   for i = 1 to 20 do
     let rng = Rng.create (51_000 + i) in
     let width = Rng.int_in rng 1 80 in
-    let t = Segtree.create width and b = Segtree.Boxed.create width in
+    let t = Segtree.create width and a = Array.make width 0 in
     let p = Profile.create width and q = Profile.Naive.create width in
     let n = Rng.int_in rng 1 40 in
     let ops =
@@ -218,11 +232,15 @@ let add_remove_inverse () =
     in
     let apply sign (s, l, h) =
       Segtree.range_add t ~lo:s ~hi:(s + l) (sign * h);
-      Segtree.Boxed.range_add b ~lo:s ~hi:(s + l) (sign * h);
+      Helpers.add_loads a ~lo:s ~hi:(s + l) (sign * h);
       Profile.add p ~start:s ~len:l ~height:(sign * h);
       Profile.Naive.add q ~start:s ~len:l ~height:(sign * h)
     in
     Array.iter (apply 1) ops;
+    Alcotest.(check (list int))
+      (Printf.sprintf "instance %d: flat matches the placed loads" i)
+      (Array.to_list a)
+      (Array.to_list (Segtree.to_array t));
     Rng.shuffle rng ops;
     Array.iter (apply (-1)) ops;
     let zeros = Array.to_list (Array.make width 0) in
@@ -230,10 +248,6 @@ let add_remove_inverse () =
       (Printf.sprintf "instance %d: flat cancels" i)
       zeros
       (Array.to_list (Segtree.to_array t));
-    Alcotest.(check (list int))
-      (Printf.sprintf "instance %d: boxed cancels" i)
-      zeros
-      (Array.to_list (Segtree.Boxed.to_array b));
     Alcotest.(check (list int))
       (Printf.sprintf "instance %d: profile cancels" i)
       zeros
@@ -291,9 +305,9 @@ let random_adds rng t width n =
 
 (* Nested checkpoints under the LIFO discipline: each rollback must
    restore the exact array state at its checkpoint; a commit keeps the
-   state and, at depth 0, drains the journal.  Cross-checked against
-   Boxed on the query surface after rollback, because rollback goes
-   through the same lazy-add path as forward updates. *)
+   state and, at depth 0, drains the journal.  Queries are then
+   cross-checked against linear scans of the flattened state, because
+   rollback goes through the same lazy-add path as forward updates. *)
 let checkpoint_rollback_nested () =
   for i = 1 to 24 do
     let rng = Rng.create (52_000 + i) in
@@ -318,7 +332,7 @@ let checkpoint_rollback_nested () =
       (Array.to_list s0)
       (Array.to_list (snap t));
     (* Commit path: the journalled state survives and queries agree
-       with a Boxed rebuild of the final array. *)
+       with linear scans of the final array. *)
     let m = Segtree.checkpoint t in
     random_adds rng t width 8;
     let s2 = snap t in
@@ -327,12 +341,12 @@ let checkpoint_rollback_nested () =
       (Printf.sprintf "instance %d: commit keeps state" i)
       (Array.to_list s2)
       (Array.to_list (snap t));
-    let b = Segtree.Boxed.of_array (snap t) in
+    let a = snap t in
     Alcotest.(check bool)
       (Printf.sprintf "instance %d: queries agree after journal churn" i)
       true
-      (Segtree.max_all t = Segtree.Boxed.max_all b
-      && Segtree.best_start t ~len:1 = Segtree.Boxed.best_start b ~len:1)
+      (Segtree.max_all t = Helpers.window_max a 0 width
+      && Segtree.best_start t ~len:1 = scan_best_start a ~len:1)
   done
 
 let checkpoint_discipline () =
@@ -373,9 +387,10 @@ let checkpoint_discipline () =
 
 (* ---- int-boundary and overflow-guard cases ---- *)
 
-(* Both kernels carry the same O(1) root guard: a positive range_add
-   that would push the running maximum past max_int raises
-   Xutil.Overflow and leaves further behaviour to the caller. *)
+(* The kernel's O(1) root guard: a positive range_add that would push
+   the running maximum past max_int raises Xutil.Overflow and leaves
+   further behaviour to the caller.  A plain load array receives the
+   same accepted adds as the reference state. *)
 let overflow_guard_cases () =
   let huge = max_int - 10 in
   let raises f =
@@ -383,25 +398,21 @@ let overflow_guard_cases () =
     | () -> false
     | exception Dsp_util.Xutil.Overflow -> true
   in
-  let t = Segtree.create 8 and b = Segtree.Boxed.create 8 in
+  let t = Segtree.create 8 in
+  let a = Array.init 8 (fun x -> if x >= 2 && x < 6 then huge else 0) in
   Segtree.range_add t ~lo:2 ~hi:6 huge;
-  Segtree.Boxed.range_add b ~lo:2 ~hi:6 huge;
   Alcotest.(check int) "flat carries the near-max value" huge (Segtree.get t 3);
   Alcotest.(check bool) "flat guard trips" true
     (raises (fun () -> Segtree.range_add t ~lo:0 ~hi:8 100));
-  Alcotest.(check bool) "boxed guard trips" true
-    (raises (fun () -> Segtree.Boxed.range_add b ~lo:0 ~hi:8 100));
   (* A trip must not corrupt the structure: the guard fires before any
      cell is touched. *)
   Alcotest.(check int) "flat intact after trip" huge (Segtree.get t 3);
   Alcotest.(check (list int))
-    "flat still matches boxed after trip"
-    (Array.to_list (Segtree.Boxed.to_array b))
+    "flat still matches the loads after trip" (Array.to_list a)
     (Array.to_list (Segtree.to_array t));
   (* Negative adds cannot raise the maximum, so they pass the guard
      even at the boundary. *)
   Segtree.range_add t ~lo:0 ~hi:8 (-5);
-  Segtree.Boxed.range_add b ~lo:0 ~hi:8 (-5);
   Alcotest.(check int) "negative add applies" (huge - 5) (Segtree.get t 3);
   (* Saturating threshold: limit = max_int with a positive height must
      not wrap into rejecting everything. *)
@@ -451,16 +462,17 @@ let copy_flatten_interleaving () =
   Alcotest.(check (list int))
     "copy sees only its own update" (Array.to_list expect_c)
     (Array.to_list (Segtree.to_array c));
-  Alcotest.(check bool) "best_start agrees with Boxed after the fork" true
-    (let b = Segtree.Boxed.of_array (Segtree.to_array c) in
-     Segtree.best_start c ~len:9 = Segtree.Boxed.best_start b ~len:9)
+  Alcotest.(check (option (pair int int)))
+    "best_start agrees with a linear scan after the fork"
+    (scan_best_start expect_c ~len:9)
+    (Segtree.best_start c ~len:9)
 
 let suite =
   [
     Alcotest.test_case "profile ops match naive (24 instances x 1200 ops)" `Quick
       differential_stream;
-    Alcotest.test_case "flat matches Boxed (24 instances x 800 ops)" `Quick
-      flat_vs_boxed_stream;
+    Alcotest.test_case "flat matches linear scans (24 instances x 800 ops)"
+      `Quick flat_vs_scans_stream;
     Alcotest.test_case "add/remove inverses across kernels (20 instances)"
       `Quick add_remove_inverse;
     Alcotest.test_case "item add/remove inverse over a base profile" `Quick
@@ -475,14 +487,9 @@ let suite =
       copy_flatten_interleaving;
     Alcotest.test_case "of_starts matches naive (20 instances)" `Quick
       of_starts_differential;
-    Helpers.qtest ~count:300 "first_fit_pos matches linear scan" query_arb
-      (fun ((width, ops), (_, len, height, limit)) ->
-        let t, a = build width ops in
-        Segtree.first_fit_pos t ~len ~height ~limit
-        = scan_first_fit a ~from:0 ~len ~height ~limit);
     Helpers.qtest ~count:300 "first_fit_from matches linear scan" query_arb
       (fun ((width, ops), (from, len, height, limit)) ->
-        let t, a = build width ops in
+        let t, a = Helpers.build width ops in
         Segtree.first_fit_from t ~from ~len ~height ~limit
         = scan_first_fit a ~from ~len ~height ~limit);
     Helpers.qtest ~count:300 "profile first_fit_start matches naive scan"
@@ -492,13 +499,7 @@ let suite =
            which only coincides with the raw window max when loads are
            nonnegative (as in every placement state). *)
         let nonneg = List.map (fun (s, l, h) -> (s, l, abs h)) ops in
-        let p = Profile.create width in
-        let q = Profile.Naive.create width in
-        List.iter
-          (fun (s, l, h) ->
-            Profile.add p ~start:s ~len:l ~height:h;
-            Profile.Naive.add q ~start:s ~len:l ~height:h)
-          nonneg;
+        let p, q = profiles width nonneg in
         let reference =
           let rec go s =
             if len < 1 || s + len > width then None
@@ -509,44 +510,36 @@ let suite =
           go 0
         in
         Profile.first_fit_start p ~len ~height ~budget = reference);
+    Helpers.qtest ~count:300 "profile peak_column is the rightmost peak"
+      loads_arb
+      (fun (width, ops) ->
+        let p, q = profiles width ops in
+        (* Naive.peak clamps at 0, so a zero peak means no column
+           carries positive load and the reference stays None. *)
+        let pk = Profile.Naive.peak q and col = ref None in
+        Array.iteri
+          (fun x v -> if pk > 0 && v = pk then col := Some x)
+          (Profile.Naive.to_array q);
+        Profile.peak_column p = !col);
     Helpers.qtest ~count:300 "best_start matches argmin of window maxima"
       query_arb
       (fun ((width, ops), (_, len, _, _)) ->
-        let t, a = build width ops in
-        let reference =
-          if len > width then None
-          else begin
-            let best = ref (-1) and best_peak = ref max_int in
-            for s = 0 to width - len do
-              let m = window_max a s len in
-              if m < !best_peak then begin
-                best_peak := m;
-                best := s
-              end
-            done;
-            Some (!best, !best_peak)
-          end
-        in
-        Segtree.best_start t ~len = reference);
+        let t, a = Helpers.build width ops in
+        Segtree.best_start t ~len = scan_best_start a ~len);
     Helpers.qtest ~count:300 "find_last_above matches linear scan" query_arb
       (fun ((width, ops), (from, len, _, limit)) ->
-        let t, a = build width ops in
+        let t, a = Helpers.build width ops in
         let lo = min from (width - 1) and hi = min width (from + len) in
-        if lo > hi then true
-        else begin
-          let reference = ref None in
-          for x = lo to hi - 1 do
-            if a.(x) > limit then reference := Some x
-          done;
-          Segtree.find_last_above t ~lo ~hi limit = !reference
-        end);
+        lo > hi
+        || Segtree.find_last_above t ~lo ~hi limit
+           = scan_last_above a ~lo ~hi limit);
     Helpers.qtest ~count:200 "segtree to_array matches accumulated ops" loads_arb
       (fun (width, ops) ->
-        let t, a = build width ops in
+        let t, a = Helpers.build width ops in
         Segtree.to_array t = a);
     Helpers.qtest ~count:200 "segtree copy is independent" loads_arb
       (fun (width, ops) ->
-        let t, a = build width ops in
+        let t, a = Helpers.build width ops in
         let c = Segtree.copy t in
         Segtree.range_add t ~lo:0 ~hi:width 5;
         Segtree.to_array c = a);

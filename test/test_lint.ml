@@ -27,7 +27,7 @@ let cfg =
     r5_allow = [];
   }
 
-let run ?only paths =
+let run ?only ?(cfg = cfg) paths =
   let res = L.run ?only cfg paths in
   Alcotest.(check (list string)) "no parse errors" [] res.L.errors;
   List.map
@@ -101,6 +101,17 @@ let rule_tests =
         check "allowlisted" [] (List.map (fun f ->
             (L.rule_name f.L.rule, Filename.basename f.L.file, f.L.line))
             res.L.findings));
+    case "R1 reports a scope name with no binding in its file" (fun () ->
+        let stale =
+          {
+            cfg with
+            L.r1_scope =
+              [ ("r1_good.ml", L.Only [ "scale"; "no_such_binding" ]) ];
+          }
+        in
+        check "stale name"
+          [ ("R1", "r1_good.ml", 1) ]
+          (run ~cfg:stale ~only:[ L.R1 ] [ fx "r1_good.ml" ]));
   ]
 
 let suppression_tests =
@@ -154,8 +165,18 @@ let wcfg =
     r8_roots = [ "R8_bad.handle"; "R8_good.handle"; "Suppress_whole.handle" ];
   }
 
-let wrun ?only ?cache_dir paths =
-  let res = W.run_files ?only ?cache_dir ~config:wcfg paths in
+(* Each case loads only some fixtures, so it keeps just the roots whose
+   unit it loads: a root missing from the call graph is a finding. *)
+let wrun ?only ?cache_dir ?(config = wcfg) paths =
+  let units = List.map Lint_ir.Of_parsetree.unit_name_of_file paths in
+  let loaded r = List.mem (List.hd (String.split_on_char '.' r)) units in
+  let config =
+    {
+      W.r7_roots = List.filter loaded config.W.r7_roots;
+      r8_roots = List.filter loaded config.W.r8_roots;
+    }
+  in
+  let res = W.run_files ?only ?cache_dir ~config paths in
   Alcotest.(check (list string)) "no parse errors" [] res.W.errors;
   List.map
     (fun f -> (L.rule_name f.L.rule, Filename.basename f.L.file, f.L.line))
@@ -204,6 +225,18 @@ let whole_rule_tests =
           (wrun ~only:[ L.R9 ] [ fx "r9_wake_bad.ml" ]));
     case "R9 accepts the wake written after Mutex.unlock" (fun () ->
         check "r9_wake_good" [] (wrun ~only:[ L.R9 ] [ fx "r9_wake_good.ml" ]));
+    case "R7 and R8 report configured roots missing from the call graph"
+      (fun () ->
+        let config =
+          {
+            W.r7_roots = [ "R7_good.range_add"; "R7_good.no_such_entry" ];
+            r8_roots = [ "R8_good.handle"; "R8_good.no_such_handler" ];
+          }
+        in
+        check "stale roots"
+          [ ("R7", "r7_good.ml", 1); ("R8", "r8_good.ml", 1) ]
+          (wrun ~config ~only:[ L.R7; L.R8 ]
+             [ fx "r7_good.ml"; fx "r8_good.ml" ]));
     case "line waivers silence R6-R9 findings" (fun () ->
         check "suppress_whole" []
           (wrun

@@ -1,16 +1,5 @@
 open Dsp_core
 
-(* A naive reference profile for differential testing. *)
-let naive_profile width ops =
-  let a = Array.make width 0 in
-  List.iter
-    (fun (start, len, h) ->
-      for x = start to start + len - 1 do
-        a.(x) <- a.(x) + h
-      done)
-    ops;
-  a
-
 let ops_arb =
   QCheck.make
     ~print:(fun (w, ops) ->
@@ -33,11 +22,6 @@ let apply_profile width ops =
   let p = Profile.create width in
   List.iter (fun (s, l, h) -> Profile.add p ~start:s ~len:l ~height:h) ops;
   p
-
-let apply_segtree width ops =
-  let t = Segtree.create width in
-  List.iter (fun (s, l, h) -> Segtree.range_add t ~lo:s ~hi:(s + l) h) ops;
-  t
 
 let profile_tests =
   [
@@ -65,7 +49,7 @@ let profile_tests =
            with Invalid_argument _ -> true));
     Helpers.qtest "matches naive reference" ops_arb (fun (width, ops) ->
         let p = apply_profile width ops in
-        Profile.to_array p = naive_profile width ops);
+        Profile.to_array p = snd (Helpers.build width ops));
     Helpers.qtest "of_starts equals manual adds"
       (Helpers.instance_arb ~max_width:12 ~max_n:8 ()) (fun inst ->
         let starts =
@@ -81,31 +65,27 @@ let profile_tests =
 let segtree_tests =
   [
     Helpers.qtest "segtree matches flat profile" ops_arb (fun (width, ops) ->
-        let t = apply_segtree width ops in
-        Segtree.to_array t = naive_profile width ops);
+        let t, a = Helpers.build width ops in
+        Segtree.to_array t = a);
     Helpers.qtest "range_max matches naive windows" ops_arb (fun (width, ops) ->
-        let t = apply_segtree width ops in
-        let a = naive_profile width ops in
+        let t, a = Helpers.build width ops in
         let ok = ref true in
         for lo = 0 to width - 1 do
           for hi = lo + 1 to width do
-            let naive = ref min_int in
-            for x = lo to hi - 1 do
-              if a.(x) > !naive then naive := a.(x)
-            done;
-            if Segtree.range_max t ~lo ~hi <> !naive then ok := false
+            if Segtree.range_max t ~lo ~hi <> Helpers.window_max a lo (hi - lo)
+            then ok := false
           done
         done;
         !ok);
-    Alcotest.test_case "min_peak_start finds the first fit" `Quick (fun () ->
+    Alcotest.test_case "first_fit_from finds the first fit" `Quick (fun () ->
         let t = Segtree.create 6 in
         Segtree.range_add t ~lo:0 ~hi:3 5;
         Segtree.range_add t ~lo:4 ~hi:6 2;
         (* len 2, height 3, limit 5: [3,5) has loads 0,2 -> fits at 3. *)
         Alcotest.check (Alcotest.option Alcotest.int) "start" (Some 3)
-          (Segtree.min_peak_start t ~len:2 ~height:3 ~limit:5);
+          (Segtree.first_fit_from t ~from:0 ~len:2 ~height:3 ~limit:5);
         Alcotest.check (Alcotest.option Alcotest.int) "impossible" None
-          (Segtree.min_peak_start t ~len:6 ~height:1 ~limit:5));
+          (Segtree.first_fit_from t ~from:0 ~len:6 ~height:1 ~limit:5));
     Alcotest.test_case "accumulation near max_int raises, never wraps" `Quick
       (fun () ->
         (* Segtree-backed path: the O(1) root guard fires on the add

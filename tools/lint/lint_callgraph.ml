@@ -9,8 +9,8 @@
       carries the wrapper library: Dsp_util.Instr.bump vs the
       definition Instr.bump);
    3. the name with *inner* module components peeled (a bare call
-      inside Segtree.Boxed was qualified with the full stack, but the
-      binding may live at Segtree's top level);
+      inside a submodule [U.M] is qualified with the full stack, but
+      the binding may live at [U]'s top level);
    4. failing all that, a unique suffix match on the final component.
    Unresolved calls are externals (stdlib, Unix, ...) — the rules
    match those against their own vocabularies. *)

@@ -256,10 +256,7 @@ let project_config ~root =
         ( "lib/core/segtree.ml",
           Only
             [
-              (* boxed kernel *)
-              "add_rec";
               "range_add";
-              (* flat kernel hot paths (range_add is shared by name) *)
               "apply_add";
               "apply_range";
               "pull";
@@ -512,10 +509,23 @@ let r1_check cfg src emit =
             in
             Ast_iterator.default_iterator.expr it e
       in
+      let bindings = top_bindings src.structure in
       List.iter
         (fun (name, vb) ->
           if r1_designated target name then scan vb.P.pvb_expr)
-        (top_bindings src.structure)
+        bindings;
+      (* A configured name with no binding here is a stale scope entry:
+         report it, since it would otherwise audit nothing. *)
+      let named = match target with All -> [] | Only ns | Except ns -> ns in
+      List.iter
+        (fun name ->
+          if not (List.mem_assoc name bindings) then
+            emit R1 1 0
+              (Printf.sprintf
+                 "R1 scope names `%s`, but this file has no top-level \
+                  binding of that name; fix or drop the stale entry"
+                 name))
+        named
 
 (* ----- R2: domain-safety ---------------------------------------------- *)
 

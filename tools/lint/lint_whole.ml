@@ -94,17 +94,53 @@ let cache_put ~cache_dir ~key ~digest (s : Ir.summary) =
 
 (* ----- rule evaluation ------------------------------------------------- *)
 
+(* A configured root the call graph does not define leaves its rule
+   nothing to check, so it is reported rather than skipped.  The
+   finding sits on line 1 of the root's unit when that unit was
+   loaded. *)
+let stale_roots summaries cg rule roots =
+  List.filter_map
+    (fun root ->
+      if Lint_callgraph.find cg root <> None then None
+      else
+        let unit = List.hd (String.split_on_char '.' root) in
+        let file =
+          match
+            List.find_opt (fun (s : Ir.summary) -> s.Ir.unit_name = unit)
+              summaries
+          with
+          | Some s -> s.Ir.src_file
+          | None -> root
+        in
+        Some
+          {
+            Lint_core.rule;
+            file;
+            line = 1;
+            col = 0;
+            msg =
+              Printf.sprintf
+                "configured %s root `%s` is not defined in the call graph, \
+                 so the rule checks nothing from it; fix or drop the stale \
+                 root"
+                (Lint_core.rule_name rule) root;
+          })
+    roots
+
 let analyze ?(only = Lint_core.whole_program_rules) ~config summaries =
   let cg = Lint_callgraph.build summaries in
   let active r = List.mem r only in
   let f6 = if active Lint_core.R6 then Lint_r6_locks.check cg else [] in
   let f7 =
     if active Lint_core.R7 then
-      Lint_r7_alloc.check cg ~roots:config.r7_roots
+      stale_roots summaries cg Lint_core.R7 config.r7_roots
+      @ Lint_r7_alloc.check cg ~roots:config.r7_roots
     else []
   in
   let f8 =
-    if active Lint_core.R8 then Lint_r8_wal.check cg ~roots:config.r8_roots
+    if active Lint_core.R8 then
+      stale_roots summaries cg Lint_core.R8 config.r8_roots
+      @ Lint_r8_wal.check cg ~roots:config.r8_roots
     else []
   in
   let f9 = if active Lint_core.R9 then Lint_r9_block.check cg else [] in
