@@ -1,7 +1,7 @@
 (* dsp — command-line front end for the Demand Strip Packing library.
 
-   Subcommands: list, generate, solve, compare, tune, exact, gap,
-   transform, smartgrid, trace, online.  Instances travel as the plain-text
+   Subcommands: list, generate, solve, compare, exact, gap, transform,
+   rotate, stats, smartgrid, trace, online.  Instances travel as the plain-text
    format of {!Dsp_instance.Io}; event traces as the format of
    {!Dsp_instance.Trace}.  Every algorithm the CLI knows about comes
    from the central solver registry ({!Dsp_engine.Registry}): solvers
@@ -56,10 +56,20 @@ let seed_arg =
     & info [ "seed" ]
         ~doc:"Random seed; equal seeds replay generators bit-identically.")
 
+(* Budgets and deadlines are counts: a negative one is a usage error
+   (exit 124), not an internal one. *)
+let non_negative_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 -> Error (`Msg (Printf.sprintf "must be >= 0, got %d" n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let budget_nodes_arg =
   Arg.(
     value
-    & opt int Solver.default_node_budget
+    & opt non_negative_int Solver.default_node_budget
     & info [ "budget-nodes" ]
         ~doc:
           "Node cap for exponential (exact) solvers; 0 excludes them \
@@ -68,7 +78,7 @@ let budget_nodes_arg =
 let timeout_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some non_negative_int) None
     & info [ "timeout-ms" ]
         ~doc:
           "Wall-clock deadline per solve, in milliseconds (cooperative \
@@ -91,18 +101,6 @@ let apply_jobs jobs =
     exit 2
   end
   else if jobs > 0 then Dsp_util.Pool.set_default_jobs jobs
-
-let autotune_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "autotune" ]
-        ~doc:
-          "Pick the solver chain and per-stage deadline split from instance \
-           features (the portfolio tuner; inspect its choice with $(b,dsp \
-           tune)).  With $(b,--race), races the tuned chain under the shared \
-           deadline instead.  Set DSP_TUNER_FEEDBACK to a file to let \
-           recorded outcomes sharpen future plans.")
 
 let race_arg =
   Arg.(
@@ -218,15 +216,10 @@ let solve_cmd =
     print_report show stats res.Runner.report
   in
   let run solver path show stats budget_nodes timeout_ms fallback jobs race
-      autotune inject =
+      inject =
     let inst = read_instance path in
     apply_jobs jobs;
-    if autotune && fallback <> None then begin
-      Printf.eprintf
-        "error: --autotune picks the chain itself; drop --fallback\n";
-      exit 2
-    end;
-    let explicit_chain () =
+    let explicit_chain =
       Option.map
         (fun spec ->
           match Runner.parse_chain spec with
@@ -236,47 +229,12 @@ let solve_cmd =
           | Ok chain -> chain)
         fallback
     in
-    let tuned () =
-      let plan = Dsp_engine.Tuner.plan inst in
-      Printf.printf "autotune: bucket %s -> %s\n" plan.Dsp_engine.Tuner.bucket
-        (Runner.chain_to_string plan.Dsp_engine.Tuner.chain);
-      plan
-    in
-    (* Close the tuner's feedback loop: one line per stage of an
-       autotuned resolution (winner and fall-throughs alike), so the
-       next [Tuner.plan] for this bucket can re-rank on observed win
-       rates.  No-op unless DSP_TUNER_FEEDBACK is set. *)
-    let record_tuned (plan : Dsp_engine.Tuner.plan) (res : Runner.resolution) =
-      let bucket = plan.Dsp_engine.Tuner.bucket in
-      List.iter
-        (fun (f : Runner.failure) ->
-          Dsp_engine.Tuner.record_outcome
-            {
-              Dsp_engine.Tuner.bucket;
-              solver = f.Runner.solver;
-              won = false;
-              ms = f.Runner.seconds *. 1000.;
-            })
-        res.Runner.failures;
-      if not res.Runner.safety_net then
-        Dsp_engine.Tuner.record_outcome
-          {
-            Dsp_engine.Tuner.bucket;
-            solver = res.Runner.winner;
-            won = true;
-            ms = res.Runner.report.Report.seconds *. 1000.;
-          }
-    in
     with_injection inject (fun () ->
         if race then begin
-          let plan = if autotune then Some (tuned ()) else None in
           let chain =
-            match plan with
-            | Some p -> p.Dsp_engine.Tuner.chain
-            | None -> (
-                match explicit_chain () with
-                | Some c -> c
-                | None -> Runner.default_chain ())
+            match explicit_chain with
+            | Some c -> c
+            | None -> Runner.default_chain ()
           in
           (* One worker per racing stage unless --jobs caps it. *)
           let pool_jobs = if jobs > 0 then jobs else List.length chain in
@@ -287,21 +245,10 @@ let solve_cmd =
           in
           Printf.printf "race: winner %s of %s\n" res.Runner.winner
             (Runner.chain_to_string chain);
-          Option.iter (fun p -> record_tuned p res) plan;
           print_resolution ~label:"race" show stats res
         end
-        else if autotune then begin
-          let plan = tuned () in
-          let res =
-            Runner.solve ?timeout_ms ~node_budget:budget_nodes
-              ~chain:plan.Dsp_engine.Tuner.chain
-              ~weights:plan.Dsp_engine.Tuner.weights inst
-          in
-          record_tuned plan res;
-          print_resolution ~label:"autotune" show stats res
-        end
         else
-          match explicit_chain () with
+          match explicit_chain with
           | Some chain ->
               let res =
                 Runner.solve ?timeout_ms ~node_budget:budget_nodes ~chain inst
@@ -343,31 +290,19 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Solve a DSP instance with one algorithm")
     Term.(
       const run $ solver $ path $ show $ stats $ budget_nodes_arg $ timeout_arg
-      $ fallback $ jobs_arg $ race_arg $ autotune_arg $ inject_arg)
+      $ fallback $ jobs_arg $ race_arg $ inject_arg)
 
 (* compare *)
 
 let compare_cmd =
-  let run path stats budget_nodes timeout_ms jobs race autotune inject =
+  let run path stats budget_nodes timeout_ms jobs race inject =
     let inst = read_instance path in
     apply_jobs jobs;
     let solvers =
-      (* --autotune narrows the comparison to the tuner's chain for
-         this instance; the default is the whole registry. *)
-      let all =
-        if autotune then begin
-          let plan = Dsp_engine.Tuner.plan inst in
-          Printf.printf "autotune: bucket %s -> %s\n"
-            plan.Dsp_engine.Tuner.bucket
-            (Runner.chain_to_string plan.Dsp_engine.Tuner.chain);
-          plan.Dsp_engine.Tuner.chain
-        end
-        else Registry.all ()
-      in
       List.filter
         (fun (s : Solver.t) ->
           budget_nodes > 0 || s.Solver.complexity <> Solver.Exponential)
-        all
+        (Registry.all ())
     in
     if race then begin
       (* Race the whole eligible set: one shared deadline, first
@@ -472,61 +407,10 @@ let compare_cmd =
          "Run every registered solver on an instance (exact solvers under the \
           --budget-nodes cap; per-solver --timeout-ms deadline; --jobs runs \
           the solvers concurrently, --race returns only the first validated \
-          report, --autotune narrows the set to the tuner's chain)")
+          report)")
     Term.(
       const run $ path $ stats $ budget_nodes_arg $ timeout_arg $ jobs_arg
-      $ race_arg $ autotune_arg $ inject_arg)
-
-(* tune *)
-
-let tune_cmd =
-  let run path timeout_ms =
-    let inst = read_instance path in
-    let plan = Dsp_engine.Tuner.plan inst in
-    Format.printf "%a@." Dsp_engine.Tuner.pp_plan plan;
-    (match timeout_ms with
-    | None -> ()
-    | Some ms ->
-        (* The nominal split of --timeout-ms under Runner.solve's
-           weighted remaining-deadline policy, assuming every stage
-           burns its whole slice (in reality an early finisher donates
-           its leftover downstream). *)
-        Printf.printf "nominal split of %dms:\n" ms;
-        let remaining = ref (float_of_int ms) in
-        let rec go chain weights =
-          match (chain, weights) with
-          | (s : Solver.t) :: rest, w :: rest_ws ->
-              let total = List.fold_left ( +. ) w rest_ws in
-              let slice = !remaining *. w /. total in
-              Printf.printf "  %-14s %6.0fms\n" s.Solver.name slice;
-              remaining := !remaining -. slice;
-              go rest rest_ws
-          | _ -> ()
-        in
-        go plan.Dsp_engine.Tuner.chain plan.Dsp_engine.Tuner.weights);
-    match Dsp_engine.Tuner.default_feedback_path () with
-    | None -> ()
-    | Some p ->
-        let outcomes = Dsp_engine.Tuner.load_feedback p in
-        let in_bucket =
-          List.length
-            (List.filter
-               (fun (o : Dsp_engine.Tuner.outcome) ->
-                 o.Dsp_engine.Tuner.bucket = plan.Dsp_engine.Tuner.bucket)
-               outcomes)
-        in
-        Printf.printf "feedback: %s (%d outcomes, %d in this bucket)\n" p
-          (List.length outcomes) in_bucket
-  in
-  let path = Arg.(value & pos 0 string "-" & info [] ~docv:"FILE") in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:
-         "Show the portfolio tuner's view of an instance: extracted \
-          features, bucket, chosen solver chain, per-stage deadline weights \
-          (and the nominal split of --timeout-ms), plus the state of the \
-          DSP_TUNER_FEEDBACK outcome store")
-    Term.(const run $ path $ timeout_arg)
+      $ race_arg $ inject_arg)
 
 (* exact *)
 
@@ -541,7 +425,8 @@ let exact_cmd =
   in
   let path = Arg.(value & pos 0 string "-" & info [] ~docv:"FILE") in
   let nodes =
-    Arg.(value & opt int 20_000_000 & info [ "nodes" ] ~doc:"node budget")
+    Arg.(
+      value & opt non_negative_int 20_000_000 & info [ "nodes" ] ~doc:"node budget")
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Exact branch-and-bound optimum (small instances)")
@@ -851,7 +736,6 @@ let () =
             generate_cmd;
             solve_cmd;
             compare_cmd;
-            tune_cmd;
             exact_cmd;
             gap_cmd;
             transform_cmd;

@@ -39,7 +39,6 @@ let scale_heights k t =
   { t with items = Array.map (Item.scale_height k) t.items }
 
 let map_items f t = make ~width:t.width (Array.map f t.items)
-let sub_instance t items = make ~width:t.width (Array.of_list items)
 
 let equal a b =
   a.width = b.width

@@ -41,8 +41,5 @@ val map_items : (Item.t -> Item.t) -> t -> t
 (** Applies [f] to every item; the results are re-ided to their array
     positions (which [f] must not rely on changing). *)
 
-val sub_instance : t -> Item.t list -> t
-(** New re-ided instance with the given items and the same width. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -30,7 +30,6 @@ let start t i = t.starts.(i)
 let starts t = Array.copy t.starts
 let profile t = Profile.of_starts t.instance t.starts
 let height t = Profile.peak (profile t)
-let is_valid inst starts = feasibility_error inst starts = None
 
 let validate t =
   match feasibility_error t.instance t.starts with

@@ -18,9 +18,6 @@ val profile : t -> Profile.t
 val height : t -> int
 (** Peak of the demand profile — the DSP objective. *)
 
-val is_valid : Instance.t -> int array -> bool
-(** Check feasibility without constructing. *)
-
 val validate : t -> (unit, string) result
 (** Re-checks all invariants, for tests and for packings produced by
     transformation pipelines. *)

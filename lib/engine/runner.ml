@@ -129,41 +129,24 @@ let safety_net_resolution failures inst =
       failwith
         (Format.asprintf "Runner: safety net failed: %a" pp_failure f)
 
-let solve ?timeout_ms ?node_budget ?chain ?weights inst =
+let solve ?timeout_ms ?node_budget ?chain inst =
   let chain = match chain with Some c -> c | None -> default_chain () in
   if chain = [] then invalid_arg "Runner.solve: empty chain";
-  let weights =
-    match weights with
-    | None -> List.map (fun _ -> 1.0) chain
-    | Some ws ->
-        if List.length ws <> List.length chain then
-          invalid_arg "Runner.solve: one weight per chain stage required";
-        if List.exists (fun w -> not (Float.is_finite w) || w <= 0.) ws then
-          invalid_arg "Runner.solve: weights must be finite and positive";
-        ws
-  in
   let overall = Dsp_util.Budget.create ?timeout_ms () in
-  (* Weighted slices of the remaining deadline: with the stages still
-     to run carrying weights w :: rest, the next stage gets the
-     fraction w / (w + sum rest) of whatever is left, so time a stage
-     leaves unused flows to the stages after it.  The default weights
-     are all-equal, reproducing the historic remaining/(k-i) split;
-     the tuner supplies uneven ones.  (This slicing is only correct
-     because the stages run one after another — the racing path below
-     shares the single wall-clock deadline instead.) *)
-  let stage_timeout w rest_ws =
-    match Dsp_util.Budget.remaining_ms overall with
-    | None -> None
-    | Some ms ->
-        let total = List.fold_left ( +. ) w rest_ws in
-        Some (max 1 (int_of_float (ms *. w /. total)))
-  in
-  let rec go failures chain weights =
-    match (chain, weights) with
-    | [], _ | _, [] -> safety_net_resolution (List.rev failures) inst
-    | s :: rest, w :: rest_ws ->
-        let timeout_ms = stage_timeout w rest_ws in
-        (match run_one ?timeout_ms ?node_budget s inst with
+  (* Equal slices of the remaining deadline, so time a stage leaves
+     unused flows to the stages after it.  (This slicing is only
+     correct because the stages run one after another — the racing
+     path below shares the single wall-clock deadline instead.) *)
+  let rec go failures = function
+    | [] -> safety_net_resolution (List.rev failures) inst
+    | s :: rest -> (
+        let stages = float_of_int (1 + List.length rest) in
+        let timeout_ms =
+          Option.map
+            (fun ms -> max 1 (int_of_float (ms /. stages)))
+            (Dsp_util.Budget.remaining_ms overall)
+        in
+        match run_one ?timeout_ms ?node_budget s inst with
         | Ok report ->
             {
               report;
@@ -171,9 +154,9 @@ let solve ?timeout_ms ?node_budget ?chain ?weights inst =
               failures = List.rev failures;
               safety_net = false;
             }
-        | Error f -> go (f :: failures) rest rest_ws)
+        | Error f -> go (f :: failures) rest)
   in
-  go [] chain weights
+  go [] chain
 
 let race ?timeout_ms ?node_budget ?chain ~pool inst =
   let chain = match chain with Some c -> c | None -> default_chain () in

@@ -75,23 +75,17 @@ val solve :
   ?timeout_ms:int ->
   ?node_budget:int ->
   ?chain:Solver.t list ->
-  ?weights:float list ->
   Instance.t ->
   resolution
 (** Run the fallback chain (default {!default_chain}) sequentially
-    under one overall deadline.  Each stage gets a share of whatever
-    deadline remains, proportional to its weight among the stages
-    still to run (so an early finisher donates its unused time
-    downstream — a policy that is only correct because the stages run
-    one after another; the concurrent path is {!race}).  [weights]
-    defaults to all-equal, i.e. the historic [remaining/(k - i)]
-    split; {!Tuner.plan} supplies feature-driven uneven ones.  If
-    every stage fails, a last-resort un-budgeted ["bfd-height"] solve
-    (polynomial, checkpoint-free — it cannot time out) makes the
-    function total.
-    @raise Invalid_argument on an empty [chain], or when [weights] is
-    given with a different length than [chain] or a non-positive
-    entry. *)
+    under one overall deadline.  Stage [i] of [k] (from 0) gets an
+    equal slice [remaining/(k - i)] of whatever deadline remains, so
+    an early finisher donates its unused time downstream — a policy
+    that is only correct because the stages run one after another;
+    the concurrent path is {!race}.  If every stage fails, a
+    last-resort un-budgeted ["bfd-height"] solve (polynomial,
+    checkpoint-free — it cannot time out) makes the function total.
+    @raise Invalid_argument on an empty [chain]. *)
 
 val race :
   ?timeout_ms:int ->

@@ -100,6 +100,13 @@ let opt f name json =
       | Some x -> Some x
       | None -> bad "field %S has the wrong type" name)
 
+(* A negative deadline is the client's input error, answered before it
+   reaches [Budget.create] (which would raise [Invalid_argument]). *)
+let timeout_field json =
+  match opt Json.to_int "timeout_ms" json with
+  | Some ms when ms < 0 -> bad "field \"timeout_ms\" must be >= 0"
+  | t -> t
+
 let session_field json =
   let s = str_field "session" json in
   if s = "" then bad "field \"session\" must be non-empty";
@@ -158,7 +165,7 @@ let decode json =
                 {
                   width;
                   items = items_field ~width json;
-                  timeout_ms = opt Json.to_int "timeout_ms" json;
+                  timeout_ms = timeout_field json;
                   chain = opt Json.to_str "fallback" json;
                 }
           | "compare" ->
@@ -179,7 +186,7 @@ let decode json =
                 {
                   width;
                   items = items_field ~width json;
-                  timeout_ms = opt Json.to_int "timeout_ms" json;
+                  timeout_ms = timeout_field json;
                   solvers;
                 }
           | "open" ->

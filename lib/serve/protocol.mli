@@ -26,13 +26,13 @@ type request =
   | Solve of {
       width : int;
       items : (int * int) list;
-      timeout_ms : int option;
+      timeout_ms : int option;  (** >= 0; a negative one is [Bad_request] *)
       chain : string option;  (** comma-separated solver names *)
     }
   | Compare of {
       width : int;
       items : (int * int) list;
-      timeout_ms : int option;
+      timeout_ms : int option;  (** >= 0; a negative one is [Bad_request] *)
       solvers : string list option;  (** default: every registered solver *)
     }
   | Open of {

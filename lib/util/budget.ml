@@ -105,5 +105,3 @@ let reason_name = function
   | Deadline -> "deadline"
   | Nodes -> "nodes"
   | Cancelled -> "cancelled"
-
-let pp_reason fmt r = Format.pp_print_string fmt (reason_name r)

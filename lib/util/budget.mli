@@ -95,5 +95,3 @@ val clock_interval : int
 
 val reason_name : reason -> string
 (** ["deadline"] / ["nodes"] / ["cancelled"]. *)
-
-val pp_reason : Format.formatter -> reason -> unit

@@ -45,11 +45,6 @@ module Sites = struct
   let bb_steals = "bb.steals"
   let bb_steal_fails = "bb.steal_fails"
 
-  (* Portfolio autotuner (lib/engine/tuner.ml): plans computed from
-     instance features, and outcomes appended to the feedback file. *)
-  let tuner_plans = "tuner.plans"
-  let tuner_feedback = "tuner.feedback"
-
   (* Tableau pivots, both simplex phases (lib/lp/simplex.ml). *)
   let simplex_pivots = "simplex.pivots"
 
@@ -94,8 +89,6 @@ module Sites = struct
       bb_steal_fails;
       sp_bb_nodes;
       three_partition_nodes;
-      tuner_plans;
-      tuner_feedback;
       simplex_pivots;
       approx54_guesses;
       approx54_attempts;

@@ -48,8 +48,6 @@ module Sites : sig
   val bb_steal_fails : string
   val sp_bb_nodes : string
   val three_partition_nodes : string
-  val tuner_plans : string
-  val tuner_feedback : string
   val simplex_pivots : string
   val approx54_guesses : string
   val approx54_attempts : string

@@ -23,7 +23,6 @@ let make n d =
 let of_int n = { n; d = 1 }
 let zero = of_int 0
 let one = of_int 1
-let minus_one = of_int (-1)
 let num t = t.n
 let den t = t.d
 

@@ -26,7 +26,6 @@ val make : int -> int -> t
 val of_int : int -> t
 val zero : t
 val one : t
-val minus_one : t
 
 val num : t -> int
 (** Numerator of the canonical representation. *)

@@ -83,6 +83,22 @@ expect_injected_failure approx54    "approx54.attempts:raise"
 expect_injected_failure exact-bb    "bb.nodes:corrupt:5"
 expect_injected_failure pts-duality "segtree.range_add:raise"
 
+# A negative budget is a usage error (cmdliner's exit 124), not an
+# uncaught exception (125).
+expect_usage_error() {
+  local status=0
+  timeout 60 dune exec bin/dsp_cli.exe -- "$@" "$inst" >/dev/null 2>&1 \
+    || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "FAIL: dsp $* exited $status (want usage error 124)" >&2
+    exit 1
+  fi
+  echo "ok: dsp $* is a usage error"
+}
+
+expect_usage_error solve --timeout-ms=-5
+expect_usage_error exact --nodes=-1
+
 # And the fallback chain must absorb the same fault and still answer.
 timeout 60 dune exec bin/dsp_cli.exe -- \
   solve --fallback exact-bb,approx54,bfd-height \
@@ -209,11 +225,18 @@ timeout 60 dune exec bin/dsp_cli.exe -- \
   || { echo "FAIL: --race --jobs 2 did not report a winner" >&2; exit 1; }
 echo "ok: raced fallback chain returns a validated winner (--jobs 2)"
 
-# Parallel B&B kernel: the root-split search on 2 domains must agree
-# with the optimum the race path just certified (exact-bb-par shares
+# Parallel B&B kernel: the root-split search on 2 domains must print
+# the same optimal peak as the serial exact-bb (exact-bb-par shares
 # its node budget across workers, so this also exercises the shared
 # atomic accounting).
-timeout 60 dune exec bin/dsp_cli.exe -- \
-  solve --algo exact-bb-par --jobs 2 --timeout-ms 5000 "$inst" >/dev/null \
+serial_peak=$(timeout 60 dune exec bin/dsp_cli.exe -- \
+  solve --algo exact-bb --timeout-ms 5000 "$inst" | grep '^peak:') \
+  || { echo "FAIL: exact-bb smoke failed" >&2; exit 1; }
+par_peak=$(timeout 60 dune exec bin/dsp_cli.exe -- \
+  solve --algo exact-bb-par --jobs 2 --timeout-ms 5000 "$inst" | grep '^peak:') \
   || { echo "FAIL: exact-bb-par --jobs 2 smoke failed" >&2; exit 1; }
-echo "ok: exact-bb-par solves on a 2-domain pool"
+if [ "$serial_peak" != "$par_peak" ]; then
+  echo "FAIL: exact-bb-par --jobs 2 ($par_peak) disagrees with exact-bb ($serial_peak)" >&2
+  exit 1
+fi
+echo "ok: exact-bb-par on a 2-domain pool agrees with exact-bb ($par_peak)"

@@ -133,6 +133,26 @@ let chain_tests =
         in
         Alcotest.(check bool) "got a report" true
           (res.Runner.report.Report.peak > 0));
+    Alcotest.test_case "stages split the remaining deadline equally" `Quick
+      (fun () ->
+        (* 600 ms over three stages: each exact-bb stage times out after
+           its 200 ms slice (0.6/3, then 0.4/2), and bfd-height answers.
+           The upper bound leaves 80 ms of scheduler slack. *)
+        let res =
+          Runner.solve ~timeout_ms:600
+            ~chain:[ find "exact-bb"; find "exact-bb"; find "bfd-height" ]
+            (hard_instance ())
+        in
+        Alcotest.(check string) "winner" "bfd-height" res.Runner.winner;
+        Alcotest.(check (list string))
+          "two timeouts" [ "timeout"; "timeout" ]
+          (List.map (fun f -> Runner.kind_name f.Runner.kind) res.Runner.failures);
+        List.iteri
+          (fun i f ->
+            if f.Runner.seconds < 0.19 || f.Runner.seconds > 0.28 then
+              Alcotest.failf "stage %d ran %.3f s, want a 0.2 s slice" (i + 1)
+                f.Runner.seconds)
+          res.Runner.failures);
     Alcotest.test_case "empty chain rejected" `Quick (fun () ->
         Alcotest.(check bool) "raises" true
           (try

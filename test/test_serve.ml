@@ -261,7 +261,16 @@ let semantics_tests =
             (req t {|{"op":"solve","width":9,"items":[[3,2]],"fallback":"no-such"}|})
         in
         Alcotest.(check string) "bad chain kind" "bad_request"
-          (Protocol.kind_name bad));
+          (Protocol.kind_name bad);
+        let negative =
+          expect_error "negative timeout"
+            (req t {|{"op":"solve","width":4,"items":[[1,1],[2,2]],"timeout_ms":-5}|})
+        in
+        Alcotest.(check string) "negative timeout kind" "bad_request"
+          (Protocol.kind_name negative);
+        Alcotest.(check string) "negative timeout message"
+          {|field "timeout_ms" must be >= 0|}
+          (Protocol.error_message negative));
     case "compare answers per solver" (fun () ->
         let t = Server.create Server.default_config in
         let r =
@@ -269,9 +278,13 @@ let semantics_tests =
             (req t
                {|{"op":"compare","width":9,"items":[[3,2],[4,1]],"solvers":["bfd-height","lpt-width"]}|})
         in
-        match Option.bind (Json.member "results" r) Json.to_list with
+        (match Option.bind (Json.member "results" r) Json.to_list with
         | Some [ _; _ ] -> ()
         | _ -> Alcotest.fail "expected two per-solver entries");
+        Alcotest.(check string) "negative timeout kind" "bad_request"
+          (Protocol.kind_name
+             (expect_error "negative timeout"
+                (req t {|{"op":"compare","width":4,"items":[[1,1]],"timeout_ms":-1}|}))));
     case "request ids are echoed verbatim" (fun () ->
         let t = Server.create Server.default_config in
         let resp = decode (req t {|{"id":{"n":7},"op":"ping"}|}) in
