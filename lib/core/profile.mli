@@ -56,9 +56,10 @@ val commit : t -> int -> unit
 (** Keep every update since the matching {!checkpoint} and close it;
     see {!Segtree.commit}. *)
 
-val peak_column : t -> int option
-(** A column attaining the peak (the rightmost one), or [None] when
-    the profile has no positive load.  O(log width). *)
+val peak_span : t -> (int * int) option
+(** [(first, last)]: the leftmost and rightmost columns attaining the
+    peak, or [None] when the profile has no positive load.
+    O(log{^2} width). *)
 
 val first_fit_start : t -> len:int -> height:int -> budget:int -> int option
 (** [first_fit_start t ~len ~height ~budget] is the leftmost start [s]
@@ -70,7 +71,9 @@ val first_fit_start : t -> len:int -> height:int -> budget:int -> int option
 val best_start : t -> len:int -> (int * int) option
 (** [best_start t ~len] is [(s, peak)] for the leftmost start [s]
     minimizing the window peak, together with that peak; [None] when
-    [len] exceeds the strip width.  O(width) sliding-window maximum. *)
+    [len] exceeds the strip width.  A sliding-window maximum over the
+    profile's runs, after one O(width) scan for them; see
+    {!Segtree.best_start}. *)
 
 val of_starts : Instance.t -> int array -> t
 (** Profile of the packing that starts item [i] at [starts.(i)]. *)

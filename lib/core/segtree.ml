@@ -6,11 +6,13 @@
    and [2v+1] (pending add for the whole subtree).  All traversals are
    iterative: bottom-up leaf-interval climbs for updates (boundary
    root paths rebuilt in one merged climb above their common
-   ancestor), top-down boundary-path descents for queries, and a
-   dirty-tracked flatten for [best_start] / [to_array] — updates log
-   which subtrees took a pending add and which column span they cover,
-   so a flatten pushes lazies down just those subtrees and re-reads
-   just that span, instead of sweeping all O(n) nodes per call.
+   ancestor), and top-down boundary-path descents for queries, which
+   fold the pending adds in on the way down — no query needs the
+   leaves materialized.  Beside the tree sits a difference array
+   ([diff.(x) = load x - load (x-1)]), two writes per update: the
+   profile is a step function with far fewer runs than columns, and
+   [best_start] / [to_array] read those runs from it in one in-order
+   scan.
    Local [ref] cursors compile to mutable stack variables
    (Simplif.eliminate_ref), so the steady-state ops — [range_add],
    [range_max], [first_fit_from_i], [find_last_above_i] — allocate
@@ -47,13 +49,10 @@ type t = {
   size : int; (* smallest power of two >= n *)
   cells : (int, Bigarray.int_elt, Bigarray.c_layout) A1.t;
       (* 4*size interleaved node cells; see the header comment *)
-  flat : int array; (* per-column flatten buffer (best_start) *)
-  deque : int array; (* monotone deque (best_start) *)
-  dirty : int array; (* nodes given a pending add since the last flatten *)
-  mutable dirty_n : int; (* entries in [dirty]; -1 = overflowed, full sweep *)
-  mutable dirty_lo : int; (* column span touched since the last flatten: *)
-  mutable dirty_hi : int; (* [dirty_lo, dirty_hi), empty when lo >= hi *)
-  pstack : int array; (* push-down DFS scratch (max one path per level) *)
+  diff : int array;
+      (* diff.(x) = load x - load (x-1), load (-1) = 0; the length is n
+         rounded up to a multiple of 8, and the padding stays 0 *)
+  mutable runs : int array; (* best_start scratch, grown on demand *)
   mutable jrn : int array; (* checkpoint journal: (lo, hi, value) triples *)
   mutable jrn_n : int; (* used cells in [jrn] (always a multiple of 3) *)
   mutable jrn_depth : int; (* outstanding checkpoints; 0 = journal off *)
@@ -79,13 +78,8 @@ let create n =
     n;
     size = !size;
     cells;
-    flat = Array.make n 0; (* all-zero: consistent with the empty tree *)
-    deque = Array.make n 0;
-    dirty = Array.make 256 0;
-    dirty_n = 0;
-    dirty_lo = n;
-    dirty_hi = 0;
-    pstack = Array.make 128 0;
+    diff = Array.make ((n + 7) land lnot 7) 0;
+    runs = [||]; (* grown on first best_start *)
     jrn = [||]; (* grown on first journaled update *)
     jrn_n = 0;
     jrn_depth = 0;
@@ -96,19 +90,10 @@ let size t = t.n
 let copy t =
   let cells = A1.create Bigarray.int Bigarray.c_layout (A1.dim t.cells) in
   A1.blit t.cells cells;
-  (* [flat] and the dirty state carry over: entries outside the dirty
-     span are valid flatten results for the copied tree too.  The
-     checkpoint journal carries over as well, so a copy taken inside a
-     checkpointed region can itself be rolled back. *)
-  {
-    t with
-    cells;
-    flat = Array.copy t.flat;
-    deque = Array.make t.n 0;
-    dirty = Array.copy t.dirty;
-    pstack = Array.make 128 0;
-    jrn = Array.copy t.jrn;
-  }
+  (* The checkpoint journal carries over, so a copy taken inside a
+     checkpointed region can itself be rolled back.  The scratch does
+     not: a fork may run on another domain. *)
+  { t with cells; diff = Array.copy t.diff; runs = [||]; jrn = Array.copy t.jrn }
 
 (* Add [value] to node [v]'s whole subtree: both the subtree max and
    the pending-add cell move together (the max cell is inclusive of
@@ -116,18 +101,6 @@ let copy t =
 let apply_add t v value =
   tset t v (tget t v + value); (* lint: ok R1 — root guard *)
   lset t v (lget t v + value) (* lint: ok R1 — same root guard *)
-
-(* Remember that node [v] holds a pending add, so the next flatten can
-   push down just the touched subtrees instead of sweeping every
-   node.  Leaves carry no pushable lazy; on overflow the list degrades
-   to a full-sweep marker, never to wrong answers. *)
-let mark_dirty t v =
-  if v < t.size && t.dirty_n >= 0 then
-    if t.dirty_n < Array.length t.dirty then begin
-      t.dirty.(t.dirty_n) <- v;
-      t.dirty_n <- t.dirty_n + 1
-    end
-    else t.dirty_n <- -1
 
 (* Recompute one node's max from its (already correct) children,
    re-applying the node's own lazy. *)
@@ -142,6 +115,11 @@ let pull t v =
    are exactly the earlier (guarded) states in reverse. *)
 let apply_range t lo hi value =
   if lo < hi then begin
+    (* Keep [diff] in step with the tree.  Each entry is a difference
+       of two guarded loads; it may wrap, but it is only ever summed
+       back into loads, and the wrapped sum is the exact load. *)
+    t.diff.(lo) <- t.diff.(lo) + value; (* lint: ok R1 — difference of guarded loads *)
+    if hi < t.n then t.diff.(hi) <- t.diff.(hi) - value; (* lint: ok R1 — same *)
     (* Bottom-up over the leaf interval [lo+size, hi+size): apply to
        the O(log n) maximal covered nodes, then rebuild the two
        boundary root paths — merged into one climb above their lowest
@@ -153,19 +131,15 @@ let apply_range t lo hi value =
     while !l < !r do
       if !l land 1 = 1 then begin
         apply_add t !l value;
-        mark_dirty t !l;
         l := !l + 1
       end;
       if !r land 1 = 1 then begin
         r := !r - 1;
-        apply_add t !r value;
-        mark_dirty t !r
+        apply_add t !r value
       end;
       l := !l lsr 1;
       r := !r lsr 1
     done;
-    if lo < t.dirty_lo then t.dirty_lo <- lo;
-    if hi > t.dirty_hi then t.dirty_hi <- hi;
     let x = ref (l0 lsr 1) and y = ref (r0 lsr 1) in
     while !x <> !y do
       pull t !x;
@@ -239,10 +213,7 @@ let commit t mark =
 
 let reset t =
   A1.fill t.cells 0;
-  Array.fill t.flat 0 t.n 0;
-  t.dirty_n <- 0;
-  t.dirty_lo <- t.n;
-  t.dirty_hi <- 0;
+  Array.fill t.diff 0 (Array.length t.diff) 0;
   t.jrn_n <- 0;
   t.jrn_depth <- 0
 
@@ -485,134 +456,98 @@ let first_fit_from t ~from ~len ~height ~limit =
   let r = first_fit_from_i t ~from ~len ~height ~limit in
   if r < 0 then None else Some r
 
-(* O(n) flatten into the preallocated buffer, by destructive lazy
-   push-down: moving every pending add one level toward the leaves
-   preserves the represented profile exactly (the parent's tree cell
-   already included its lazy; the children absorb it into both their
-   cells), after which the leaf cells hold final values and the whole
-   pass is two sequential sweeps.  Processing nodes in increasing
-   index order pushes ancestors before descendants, and a node whose
-   lazy is already 0 costs one read — so back-to-back flattens (the
-   best-fit placement loop) touch only the O(log n) lazies the
-   interleaved updates re-introduced.  Leaf lazy cells are never read
-   by any query, so the leaf level needs no lazy bookkeeping. *)
-let push_down_sweep t =
-  let a = t.cells and half = t.size / 2 in
-  for v = 1 to half - 1 do
-    let lz = A1.unsafe_get a ((2 * v) + 1) in
-    if lz <> 0 then begin
-      let l = 4 * v and r = (4 * v) + 2 in
-      A1.unsafe_set a l (A1.unsafe_get a l + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a (l + 1) (A1.unsafe_get a (l + 1) + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a r (A1.unsafe_get a r + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a (r + 1) (A1.unsafe_get a (r + 1) + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a ((2 * v) + 1) 0
-    end
-  done;
-  (* Deepest internal level: children are leaves, whose lazy cells no
-     query reads, so only the tree cells absorb the push.  (max 1
-     guards the size = 1 tree, which has no internal nodes.) *)
-  for v = max 1 half to t.size - 1 do
-    let lz = A1.unsafe_get a ((2 * v) + 1) in
-    if lz <> 0 then begin
-      let l = 4 * v and r = (4 * v) + 2 in
-      A1.unsafe_set a l (A1.unsafe_get a l + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a r (A1.unsafe_get a r + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a ((2 * v) + 1) 0
-    end
-  done
-
-(* Push node [v0]'s pending add all the way to its leaves, iteratively
-   on the preallocated scratch stack.  The cascade stops wherever a
-   lazy cancels to zero, so the work is O(nodes holding or receiving
-   a pending add), not O(subtree): deferring one sibling per level
-   bounds the stack by the tree height (pstack is sized well past
-   62-bit depth). *)
-let push_subtree t v0 =
-  let a = t.cells and stack = t.pstack and half = t.size / 2 in
-  stack.(0) <- v0;
-  let top = ref 1 in
-  while !top > 0 do
-    top := !top - 1;
-    let u = stack.(!top) in
-    let lz = A1.unsafe_get a ((2 * u) + 1) in
-    if lz <> 0 then begin
-      A1.unsafe_set a ((2 * u) + 1) 0;
-      let l = 4 * u and r = (4 * u) + 2 in
-      A1.unsafe_set a l (A1.unsafe_get a l + lz); (* lint: ok R1 — root guard *)
-      A1.unsafe_set a r (A1.unsafe_get a r + lz); (* lint: ok R1 — root guard *)
-      if u < half then begin
-        (* internal children: lazies absorb the push and cascade *)
-        A1.unsafe_set a (l + 1) (A1.unsafe_get a (l + 1) + lz); (* lint: ok R1 — root guard *)
-        A1.unsafe_set a (r + 1) (A1.unsafe_get a (r + 1) + lz); (* lint: ok R1 — root guard *)
-        stack.(!top) <- 2 * u;
-        stack.(!top + 1) <- (2 * u) + 1;
-        top := !top + 2
-      end
-    end
-  done
-
-(* Resolve every pending add down to the leaf cells.  The common case
-   walks just the subtrees dirtied since the last flatten (a few
-   range_adds between best-fit placements); an overflowed dirty list
-   degrades to the full sweep. *)
-let push_down t =
-  if t.dirty_n < 0 then push_down_sweep t
-  else
-    for k = 0 to t.dirty_n - 1 do
-      push_subtree t t.dirty.(k)
-    done;
-  t.dirty_n <- 0
-
-(* After [push_down], column [i]'s final value sits in its leaf cell. *)
-let leaf_get t i = A1.unsafe_get t.cells (2 * (t.size + i))
-
-(* Refresh [t.flat]: columns outside the dirty span kept their values
-   from the previous flatten, so only the touched span is re-read. *)
-let flatten_into t =
-  push_down t;
-  for i = t.dirty_lo to t.dirty_hi - 1 do
-    t.flat.(i) <- leaf_get t i
-  done;
-  t.dirty_lo <- t.n;
-  t.dirty_hi <- 0
-
 let to_array t =
-  flatten_into t;
-  Array.sub t.flat 0 t.n
+  let a = Array.make t.n 0 and load = ref 0 in
+  for x = 0 to t.n - 1 do
+    load := !load + t.diff.(x); (* lint: ok R1 — prefix sum of differences: the guarded load *)
+    a.(x) <- !load
+  done;
+  a
 
-(* Sliding-window maximum (monotonic deque) over the preallocated
-   flatten: all window peaks in O(n) with no per-call buffers.  The
-   deque compares against the [t.flat] copy rather than the leaf
-   cells directly: a Bigarray element read is two dependent loads
-   (header, then data), so one sequential copy pass plus plain-array
-   comparisons beats re-reading leaves inside the loop (measured). *)
+(* Grow [t.runs] to at least [need] cells, keeping its first [keep];
+   doubling, so a session's scans stop allocating once it has seen
+   its largest run count. *)
+let ensure_runs t need keep =
+  if Array.length t.runs < need then begin
+    let grown = Array.make (max need (2 * Array.length t.runs)) 0 in
+    Array.blit t.runs 0 grown 0 keep;
+    t.runs <- grown
+  end
+
+(* Scan [diff] into the profile's maximal constant runs, written as
+   (start, value) pairs to [t.runs.(2j)], [t.runs.(2j+1)]; returns the
+   run count.  Run 0 starts at column 0; every later run starts at a
+   nonzero difference.  The scan skips each 8-entry block whose [lor]
+   is 0 (the padding past [n] is never written, so it stays 0 and
+   never starts a run), which makes a sparse profile cost about one
+   load per column. *)
+let scan_runs t =
+  let d = t.diff in
+  let m = ref 1 and load = ref d.(0) in
+  ensure_runs t 64 0;
+  t.runs.(0) <- 0;
+  t.runs.(1) <- !load;
+  let b = ref 0 in
+  while !b < Array.length d do
+    let x = !b in
+    if
+      d.(x) lor d.(x + 1) lor d.(x + 2) lor d.(x + 3) lor d.(x + 4)
+      lor d.(x + 5) lor d.(x + 6) lor d.(x + 7)
+      <> 0
+    then
+      for y = max x 1 to x + 7 do
+        let dv = d.(y) in
+        if dv <> 0 then begin
+          load := !load + dv; (* lint: ok R1 — prefix sum of differences: the guarded load *)
+          ensure_runs t ((2 * !m) + 2) (2 * !m);
+          t.runs.(2 * !m) <- y;
+          t.runs.((2 * !m) + 1) <- !load;
+          m := !m + 1
+        end
+      done;
+    b := x + 8
+  done;
+  !m
+
+(* Sliding-window maximum (monotone deque) over the runs, not the
+   columns.  Only run starts are candidates: if [s > 0] lies inside a
+   run, the window at [s - 1] gains a column equal to [load s] and
+   loses one, so its max is no larger — the leftmost optimum starts at
+   a run start (column 0 is run 0's).  Run [e] enters the window of
+   candidate [s] once it starts before [s + len]; the deque holds run
+   indices with decreasing values, in [runs] past the 2m pair cells.
+   The strict [<] keeps the leftmost best window. *)
 let best_start t ~len =
   Dsp_util.Instr.bump c_best_start;
   if len < 1 || len > t.n then None
   else begin
-    flatten_into t;
-    let loads = t.flat and dq = t.deque in
-    let n = t.n in
-    let head = ref 0 and tail = ref 0 in
+    let m = scan_runs t in
+    ensure_runs t (3 * m) (2 * m);
+    let r = t.runs in
+    let head = ref (2 * m) and tail = ref (2 * m) and e = ref 0 in
     let best_s = ref 0 and best_peak = ref max_int in
-    for x = 0 to n - 1 do
-      while !tail > !head && loads.(dq.(!tail - 1)) <= loads.(x) do
-        tail := !tail - 1
-      done;
-      dq.(!tail) <- x;
-      tail := !tail + 1;
-      let s = x + 1 - len in (* lint: ok R1 — window index < n *)
-      if s >= 0 then begin
-        while dq.(!head) < s do
-          head := !head + 1
+    let j = ref 0 in
+    while !j < m && r.(2 * !j) + len <= t.n do (* lint: ok R1 — start, len <= n *)
+      let s = r.(2 * !j) in
+      let stop = s + len in (* lint: ok R1 — s + len <= n *)
+      while !e < m && r.(2 * !e) < stop do
+        let v = r.((2 * !e) + 1) in
+        while !tail > !head && r.((2 * r.(!tail - 1)) + 1) <= v do
+          tail := !tail - 1
         done;
-        let wmax = loads.(dq.(!head)) in
-        if wmax < !best_peak then begin
-          best_peak := wmax;
-          best_s := s
-        end
-      end
+        r.(!tail) <- !e;
+        tail := !tail + 1;
+        e := !e + 1
+      done;
+      while r.(!head) < !j do
+        head := !head + 1
+      done;
+      let wmax = r.((2 * r.(!head)) + 1) in
+      if wmax < !best_peak then begin
+        best_peak := wmax;
+        best_s := s
+      end;
+      j := !j + 1
     done;
     Some (!best_s, !best_peak)
   end

@@ -12,9 +12,13 @@
     {!Profile.Naive} and writes the result to [BENCH.json].
 
     The kernel is flat and implicit-layout, over a single native-[int]
-    [Bigarray]: iterative traversals with preallocated scratch, so the
+    [Bigarray]: iterative traversals with no scratch, so the
     steady-state operations ({!range_add}, {!range_max},
-    {!find_last_above_i}, {!first_fit_from_i}) allocate nothing. *)
+    {!find_last_above_i}, {!first_fit_from_i}) allocate nothing.
+    Beside the tree sits a difference array (load of each column minus
+    the load of the one before), two writes per update: the profile is
+    a step function with far fewer runs than columns, and {!best_start}
+    and {!to_array} read its runs from that array in order. *)
 
 type t
 
@@ -61,8 +65,8 @@ val max_all : t -> int
 val get : t -> int -> int
 
 val to_array : t -> int array
-(** Flatten to per-column values: one O(n) dirty-tracked push-down
-    pass, not n point queries. *)
+(** Per-column values: the prefix sums of the difference array, one
+    O(n) pass, not n point queries. *)
 
 val find_last_above : t -> lo:int -> hi:int -> int -> int option
 (** [find_last_above t ~lo ~hi threshold] is the rightmost column in
@@ -88,5 +92,9 @@ val first_fit_from_i : t -> from:int -> len:int -> height:int -> limit:int -> in
 val best_start : t -> len:int -> (int * int) option
 (** [best_start t ~len] is [(s, peak)] where [s] is the leftmost start
     minimizing the window peak [range_max t s (s+len)] and [peak] that
-    minimum; [None] when no window of length [len] fits.  O(n) via a
-    sliding-window maximum over a flattened snapshot. *)
+    minimum; [None] when no window of length [len] fits.  O(n): one
+    in-order scan of the difference array, which skips 8-column blocks
+    with no change, collects the profile's runs; a sliding-window
+    maximum over the runs then tries only run starts as candidates.
+    Allocates its [Some] result, and grows its run scratch when the
+    profile has more runs than ever before. *)

@@ -42,7 +42,8 @@ val first_fit : state -> Item.t -> budget:int -> bool
 val best_fit : state -> Item.t -> budget:int -> bool
 (** Place at the start minimizing the window peak (ties to the left);
     false if even the best start exceeds [budget].  O(width) via the
-    kernel's sliding-window maximum ({!Dsp_core.Profile.best_start}). *)
+    kernel's sliding-window maximum over the profile's runs
+    ({!Dsp_core.Profile.best_start}). *)
 
 val place_all_best_fit :
   state -> Item.t list -> budget:int -> order:(Item.t -> Item.t -> int) -> bool

@@ -110,14 +110,16 @@ let best_fit =
     place = best_fit_place;
   }
 
-(* Live items whose span covers [col], the tallest first: removing a
-   tall culprit from the peak column is the move most likely to lower
-   the global peak. *)
-let covering t col =
+(* Live items whose span covers every peak column, i.e. all of
+   [first, last], the tallest first (ties by id): removing a tall
+   culprit is the move most likely to lower the global peak.  No other
+   item can: one that misses a peak column leaves it at the peak, so
+   its trial would always roll back. *)
+let covering t ~first ~last =
   let acc = ref [] in
   for id = t.n_arrived - 1 downto 0 do
     match t.slots.(id) with
-    | Live (it, s) when s <= col && col < s + it.Item.w ->
+    | Live (it, s) when s <= first && last < s + it.Item.w ->
         acc := (id, it, s) :: !acc
     | _ -> ()
   done;
@@ -125,16 +127,16 @@ let covering t col =
     (fun (_, (a : Item.t), _) (_, (b : Item.t), _) -> compare b.h a.h)
     !acc
 
-(* One repair move: find a live item under the peak column that can be
-   re-placed first-fit with its window peak under [pk - 1], and keep
+(* One repair move: find a live item over every peak column that can
+   be re-placed first-fit with its window peak under [pk - 1], and keep
    the move iff the global peak strictly drops.  Trials are
    transactional (kernel checkpoint), so a rejected candidate costs
    only its own updates. *)
 let try_repair t pk =
   let p = t.sprofile in
-  match Profile.peak_column p with
+  match Profile.peak_span p with
   | None -> None
-  | Some col ->
+  | Some (first, last) ->
       let rec attempt = function
         | [] -> None
         | (id, (it : Item.t), cur) :: rest -> (
@@ -158,7 +160,7 @@ let try_repair t pk =
                 Profile.rollback p mark;
                 attempt rest)
       in
-      attempt (covering t col)
+      attempt (covering t ~first ~last)
 
 let bounded_migration ~k =
   if k < 0 then invalid_arg "Session.bounded_migration: k must be >= 0";

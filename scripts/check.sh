@@ -124,6 +124,24 @@ BENCH_JSON=none DSP_BENCH_RESULTS=none \
   timeout 120 dune exec bench/main.exe -- online-smoke >/dev/null
 echo "ok: online-smoke bench experiment completes"
 
+# Wide migrate replay: a churn trace on a 32,768-column strip under
+# migrate k=2 must reproduce its pinned migrations and peaks.  The
+# golden lines are exact outputs of the deterministic replay, so any
+# change to best-fit, first-fit or the repair loop that moves a
+# placement shows here.
+wide=$(mktemp -t online-wide.XXXXXX.trace)
+trap 'rm -f "$inst" "$trc" "$wide"' EXIT
+dune exec bin/dsp_cli.exe -- trace --kind churn -n 400 --width 32768 --seed 7 > "$wide"
+wide_out=$(timeout 60 dune exec bin/dsp_cli.exe -- \
+  online --trace "$wide" --policy migrate --migration-k 2)
+for line in "migrations: 479" "final peak: 1201" "max peak: 1209" \
+            "bfd-height   peak 1167"; do
+  printf '%s\n' "$wide_out" | grep -qF "$line" \
+    || { echo "FAIL: wide migrate replay lacks '$line':" >&2
+         echo "$wide_out" >&2; exit 1; }
+done
+echo "ok: wide migrate replay matches its pinned placements"
+
 # --- service daemon crash-recovery smoke -----------------------------
 # The serve path end to end, the hard way: start the daemon on a
 # socket with a WAL directory, drive a durable session through the
@@ -135,7 +153,7 @@ srv_dir=$(mktemp -d -t serve-smoke.XXXXXX)
 daemon_pid=""
 cleanup_serve() {
   [ -n "$daemon_pid" ] && kill -9 "$daemon_pid" 2>/dev/null || true
-  rm -f "$inst" "$trc"
+  rm -f "$inst" "$trc" "$wide"
   rm -rf "$srv_dir"
 }
 trap cleanup_serve EXIT

@@ -423,21 +423,20 @@ let overflow_guard_cases () =
     "min_int threshold finds the last column" (Some 7)
     (Segtree.find_last_above t ~lo:0 ~hi:8 min_int)
 
-(* ---- copy interleaved with flattens ---- *)
+(* ---- copy interleaved with best_start ---- *)
 
-(* The flat kernel's flatten is dirty-tracked (only columns touched
-   since the last flatten are re-read into the buffer), and [copy]
-   carries that state over.  Interleave flattens, copies, and
-   post-copy updates on both sides of the fork to pin the
-   bookkeeping. *)
-let copy_flatten_interleaving () =
+(* [copy] carries the difference array over and gives the fork its own
+   run scratch.  Interleave best_start, copies, and post-copy updates
+   on both sides of the fork to pin that neither side sees the
+   other. *)
+let copy_best_start_interleaving () =
   let w = 97 in
   let t = Segtree.create w in
   let reference = Array.make w 0 in
   let add t lo hi v = Segtree.range_add t ~lo ~hi v in
   add t 10 40 5;
   add t 30 90 2;
-  (* flatten once so the buffer holds stale-but-valid columns *)
+  (* fill the run scratch before the fork *)
   ignore (Segtree.best_start t ~len:12);
   add t 0 20 7;
   let c = Segtree.copy t in
@@ -467,6 +466,58 @@ let copy_flatten_interleaving () =
     (scan_best_start expect_c ~len:9)
     (Segtree.best_start c ~len:9)
 
+(* ---- runs that merge and split ---- *)
+
+(* best_start and to_array read the profile's runs from the difference
+   array.  Tile a span with abutting pieces of one height, which merge
+   into one run, then remove a piece, which splits it again — inside a
+   checkpoint, so the split is also rolled back — on widths around the
+   8-column scan blocks.  After every step, best_start for every
+   length and to_array must match scans of a plain array. *)
+let runs_merge_and_split () =
+  List.iter
+    (fun width ->
+      let rng = Rng.create (71_000 + width) in
+      let t = Segtree.create width and a = Array.make width 0 in
+      let add lo hi h =
+        Segtree.range_add t ~lo ~hi h;
+        Helpers.add_loads a ~lo ~hi h
+      in
+      let check ctx =
+        if Segtree.to_array t <> a then
+          Alcotest.failf "width %d, %s: to_array differs" width ctx;
+        for len = 1 to width do
+          if Segtree.best_start t ~len <> scan_best_start a ~len then
+            Alcotest.failf "width %d, %s: best_start ~len:%d differs" width ctx len
+        done
+      in
+      check "empty";
+      for round = 1 to 30 do
+        let lo = Rng.int rng width in
+        let hi = lo + 1 + Rng.int rng (width - lo) in
+        let h = Rng.int_in rng 1 4 in
+        let pieces = ref [] and x = ref lo in
+        while !x < hi do
+          let y = min hi (!x + 1 + Rng.int rng 4) in
+          add !x y h;
+          pieces := (!x, y) :: !pieces;
+          x := y
+        done;
+        check (Printf.sprintf "round %d merged" round);
+        let p, q = List.nth !pieces (Rng.int rng (List.length !pieces)) in
+        let m = Segtree.checkpoint t in
+        add p q (-h);
+        check (Printf.sprintf "round %d split" round);
+        Segtree.rollback t m;
+        Helpers.add_loads a ~lo:p ~hi:q h;
+        check (Printf.sprintf "round %d rolled back" round);
+        if Rng.int rng 2 = 0 then begin
+          add p q (-h);
+          check (Printf.sprintf "round %d split kept" round)
+        end
+      done)
+    [ 1; 7; 9; 63; 65 ]
+
 let suite =
   [
     Alcotest.test_case "profile ops match naive (24 instances x 1200 ops)" `Quick
@@ -483,8 +534,10 @@ let suite =
       checkpoint_discipline;
     Alcotest.test_case "overflow guards and int-boundary thresholds" `Quick
       overflow_guard_cases;
-    Alcotest.test_case "copy interleaved with dirty-tracked flattens" `Quick
-      copy_flatten_interleaving;
+    Alcotest.test_case "copy interleaved with best_start" `Quick
+      copy_best_start_interleaving;
+    Alcotest.test_case "runs that merge and split (widths 1-65)" `Quick
+      runs_merge_and_split;
     Alcotest.test_case "of_starts matches naive (20 instances)" `Quick
       of_starts_differential;
     Helpers.qtest ~count:300 "first_fit_from matches linear scan" query_arb
@@ -510,17 +563,19 @@ let suite =
           go 0
         in
         Profile.first_fit_start p ~len ~height ~budget = reference);
-    Helpers.qtest ~count:300 "profile peak_column is the rightmost peak"
+    Helpers.qtest ~count:300 "profile peak_span is the outermost peaks"
       loads_arb
       (fun (width, ops) ->
         let p, q = profiles width ops in
         (* Naive.peak clamps at 0, so a zero peak means no column
            carries positive load and the reference stays None. *)
-        let pk = Profile.Naive.peak q and col = ref None in
+        let pk = Profile.Naive.peak q and span = ref None in
         Array.iteri
-          (fun x v -> if pk > 0 && v = pk then col := Some x)
+          (fun x v ->
+            if pk > 0 && v = pk then
+              span := Some (match !span with None -> (x, x) | Some (f, _) -> (f, x)))
           (Profile.Naive.to_array q);
-        Profile.peak_column p = !col);
+        Profile.peak_span p = !span);
     Helpers.qtest ~count:300 "best_start matches argmin of window maxima"
       query_arb
       (fun ((width, ops), (_, len, _, _)) ->

@@ -227,6 +227,110 @@ let migration_budget_respected () =
       done)
     [ 0; 1; 3 ]
 
+(* ---- migrate-k against a reference repair loop ---- *)
+
+(* The migrate-k policy written out on the flat-array Profile.Naive
+   with linear scans: best-fit, then up to k repairs, each trying
+   every earlier live item over the rightmost peak column, tallest
+   first (ties by id); the arriving item itself stays put.  A try
+   removes the item, re-places it at the leftmost start whose window
+   stays under pk - 1, and is kept iff the peak drops.  Returns the
+   session log and the final peak. *)
+let reference_migrate ~k (tr : Trace.t) =
+  let width = tr.Trace.width and q = Profile.Naive.create tr.Trace.width in
+  let live = ref [] (* (id, w, h, start) in id order *) and log = ref [] and next = ref 0 in
+  let add (_, w, h, s) sign = Profile.Naive.add q ~start:s ~len:w ~height:(sign * h) in
+  let window s w = Profile.Naive.peak_in q ~start:s ~len:w in
+  let rec leftmost w ok s =
+    if s + w > width then None else if ok s then Some s else leftmost w ok (s + 1)
+  in
+  let rec repair ~h n migs =
+    let pk = Profile.Naive.peak q in
+    if n = k || pk <= h then List.rev migs
+    else begin
+      let col = ref 0 in
+      Array.iteri (fun x v -> if v = pk then col := x) (Profile.Naive.to_array q);
+      let over = List.filter (fun (_, w, _, s) -> s <= !col && !col < s + w) !live in
+      let rec attempt = function
+        | [] -> List.rev migs
+        | ((id, w, h', _) as it) :: rest -> (
+            add it (-1);
+            let dest = leftmost w (fun d -> window d w + h' <= pk - 1) 0 in
+            Option.iter (fun d -> add (id, w, h', d) 1) dest;
+            match dest with
+            | Some d when Profile.Naive.peak q < pk ->
+                live :=
+                  List.map (fun ((j, _, _, _) as x) -> if j = id then (id, w, h', d) else x) !live;
+                repair ~h (n + 1) ((id, d) :: migs)
+            | _ ->
+                Option.iter (fun d -> add (id, w, h', d) (-1)) dest;
+                add it 1;
+                attempt rest)
+      in
+      attempt (List.stable_sort (fun (_, _, a, _) (_, _, b, _) -> compare b a) over)
+    end
+  in
+  List.iter
+    (function
+      | Trace.Arrive { w; h } ->
+          let id = !next in
+          incr next;
+          let best = ref 0 in
+          for s = 1 to width - w do
+            if window s w < window !best w then best := s
+          done;
+          add (id, w, h, !best) 1;
+          let migrations = repair ~h 0 [] in
+          live := !live @ [ (id, w, h, !best) ];
+          log := Session.Arrived { id; start = !best; migrations } :: !log
+      | Trace.Depart { arrival } ->
+          let ((_, _, _, s) as it) = List.find (fun (j, _, _, _) -> j = arrival) !live in
+          add it (-1);
+          live := List.filter (fun (j, _, _, _) -> j <> arrival) !live;
+          log := Session.Departed { id = arrival; start = s } :: !log)
+    tr.Trace.events;
+  (List.rev !log, Profile.Naive.peak q)
+
+(* Two item heights and many narrow items on a wide strip: the peak
+   often sits in several disjoint places at once. *)
+let tied_trace rng ~width ~n =
+  let events = ref [] and live = ref [] in
+  for a = 0 to n - 1 do
+    let w = Rng.int_in rng 1 (max 1 (width / 4)) in
+    events := Trace.Arrive { w; h = Rng.int_in rng 1 2 } :: !events;
+    live := a :: !live;
+    if Rng.int rng 4 = 0 then begin
+      let victim = List.nth !live (Rng.int rng (List.length !live)) in
+      live := List.filter (fun j -> j <> victim) !live;
+      events := Trace.Depart { arrival = victim } :: !events
+    end
+  done;
+  { Trace.width; events = List.rev !events }
+
+let migrate_matches_reference () =
+  let moves = ref 0 in
+  for i = 1 to 90 do
+    let rng = Rng.create (67_000 + i) in
+    let width =
+      match i mod 3 with
+      | 0 -> Rng.int_in rng 1 12
+      | 1 -> Rng.int_in rng 20 96
+      | _ -> Rng.int_in rng 300 520
+    in
+    let n = Rng.int_in rng 5 40 in
+    let tr = if i mod 2 = 0 then Trace.churn rng ~width ~n else tied_trace rng ~width ~n in
+    let k = Rng.int_in rng 1 3 in
+    let s = Session.replay ~policy:(Session.bounded_migration ~k) tr in
+    let log, pk = reference_migrate ~k tr in
+    if Session.log s <> log then
+      Alcotest.failf "trace %d (width %d, k %d): log differs from the reference" i width k;
+    if Session.peak s <> pk then
+      Alcotest.failf "trace %d: peak %d <> reference %d" i (Session.peak s) pk;
+    moves := !moves + (Session.stats s).Session.migrations
+  done;
+  (* The comparison has power only if repairs actually happen. *)
+  Alcotest.(check bool) "the traces migrate items" true (!moves > 100)
+
 let arrive_rejects_bad_dims () =
   let s = Session.create ~width:10 () in
   let rejects f =
@@ -330,6 +434,8 @@ let suite =
       migrate0_equals_best_fit;
     Alcotest.test_case "migration budget and log replay" `Quick
       migration_budget_respected;
+    Alcotest.test_case "migrate-k matches a reference repair loop" `Quick
+      migrate_matches_reference;
     Alcotest.test_case "arrive mirrors Io's dimension checks" `Quick
       arrive_rejects_bad_dims;
     Alcotest.test_case "depart_result types stale departures" `Quick

@@ -264,8 +264,9 @@ let project_config ~root =
               "descend_above";
               "last_above";
               "first_fit_from_i";
-              "push_down_sweep";
-              "push_subtree";
+              "to_array";
+              "scan_runs";
+              "best_start";
             ] );
         ("lib/core/profile.ml", Except [ "render"; "pp" ]);
       ];
