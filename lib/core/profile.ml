@@ -83,23 +83,15 @@ let checkpoint t = Segtree.checkpoint t.tree
 let rollback t mark = Segtree.rollback t.tree mark
 let commit t mark = Segtree.commit t.tree mark
 
-(* The outermost columns attaining the (positive) peak.  The rightmost
-   is the last column strictly above peak - 1; the leftmost is found by
-   bisecting on the prefix maximum [range_max ~lo:0], which is
-   monotone in its end. *)
+(* The outermost columns attaining the (positive) peak: the first and
+   the last column strictly above peak - 1, one descent each. *)
 let peak_span t =
   let pk = Segtree.max_all t.tree in
   if pk <= 0 then None
-  else begin
-    let last = Segtree.find_last_above_i t.tree ~lo:0 ~hi:(width t) (pk - 1) in
-    let a = ref 0 and b = ref last in
-    while !a < !b do
-      let mid = (!a + !b) / 2 in (* lint: ok R1 — column indices < width *)
-      if Segtree.range_max t.tree ~lo:0 ~hi:(mid + 1) >= pk then b := mid
-      else a := mid + 1
-    done;
-    Some (!a, last)
-  end
+  else
+    Some
+      ( Segtree.first_above t.tree (pk - 1),
+        Segtree.find_last_above_i t.tree ~lo:0 ~hi:(width t) (pk - 1) )
 
 let first_fit_start t ~len ~height ~budget =
   Segtree.first_fit_from t.tree ~from:0 ~len ~height ~limit:budget

@@ -59,7 +59,7 @@ val commit : t -> int -> unit
 val peak_span : t -> (int * int) option
 (** [(first, last)]: the leftmost and rightmost columns attaining the
     peak, or [None] when the profile has no positive load.
-    O(log{^2} width). *)
+    O(log width). *)
 
 val first_fit_start : t -> len:int -> height:int -> budget:int -> int option
 (** [first_fit_start t ~len ~height ~budget] is the leftmost start [s]

@@ -42,6 +42,7 @@ let c_range_add = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_range_add
 let c_range_max = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_range_max
 let c_first_fit = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_first_fit
 let c_last_above = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_find_last_above
+let c_first_above = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_first_above
 let c_best_start = Dsp_util.Instr.counter Dsp_util.Instr.Sites.segtree_best_start
 
 type t = {
@@ -320,6 +321,26 @@ let descend_above t v0 acc0 thr =
     else v := 2 * !v
   done;
   !v - t.size (* lint: ok R1 — leaf index < 2*size *)
+
+(* Leftmost column of the whole strip strictly above [thr], or -1: the
+   mirror of [descend_above], one root-to-leaf pass preferring the left
+   child.  Padding leaves past [n] hold 0 and lie right of every
+   column, so one answers only when no column does; that is reported
+   as -1 too. *)
+let first_above t thr =
+  Dsp_util.Instr.bump c_first_above;
+  if tget t 1 <= thr then -1
+  else begin
+    let v = ref 1 and acc = ref 0 in
+    while !v < t.size do
+      acc := Dsp_util.Xutil.checked_add !acc (lget t !v);
+      if Dsp_util.Xutil.checked_add !acc (tget t (2 * !v)) > thr
+      then v := 2 * !v
+      else v := (2 * !v) + 1
+    done;
+    let x = Dsp_util.Xutil.checked_add !v (-t.size) in
+    if x < t.n then x else -1
+  end
 
 (* Core of find_last_above, shared with the first-fit skip-ahead (no
    counter bump, no bounds check): rightmost column of [lo, hi) whose

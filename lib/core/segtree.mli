@@ -14,7 +14,8 @@
     The kernel is flat and implicit-layout, over a single native-[int]
     [Bigarray]: iterative traversals with no scratch, so the
     steady-state operations ({!range_add}, {!range_max},
-    {!find_last_above_i}, {!first_fit_from_i}) allocate nothing.
+    {!find_last_above_i}, {!first_above}, {!first_fit_from_i})
+    allocate nothing.
     Beside the tree sits a difference array (load of each column minus
     the load of the one before), two writes per update: the profile is
     a step function with far fewer runs than columns, and {!best_start}
@@ -77,6 +78,11 @@ val find_last_above : t -> lo:int -> hi:int -> int -> int option
 val find_last_above_i : t -> lo:int -> hi:int -> int -> int
 (** {!find_last_above} with a [-1] sentinel instead of [None] — the
     allocation-free form for hot loops (an option result boxes). *)
+
+val first_above : t -> int -> int
+(** [first_above t threshold] is the leftmost column of the whole
+    tree whose value is strictly greater than [threshold], or [-1].
+    One O(log n) root-to-leaf descent, allocation-free. *)
 
 val first_fit_from : t -> from:int -> len:int -> height:int -> limit:int -> int option
 (** [first_fit_from t ~from ~len ~height ~limit] is the smallest start

@@ -20,10 +20,6 @@ let c_trials =
 
 type slot = Empty | Live of Item.t * int | Gone
 
-type entry =
-  | Arrived of { id : int; start : int; migrations : (int * int) list }
-  | Departed of { id : int; start : int }
-
 type t = {
   swidth : int;
   sprofile : Profile.t;
@@ -32,7 +28,6 @@ type t = {
   mutable n_live : int;
   mutable n_departed : int;
   mutable n_migrations : int;
-  mutable entries : entry list; (* newest first *)
   mutable spolicy : policy;
 }
 
@@ -210,7 +205,6 @@ let create ?(policy = best_fit) ~width () =
     n_live = 0;
     n_departed = 0;
     n_migrations = 0;
-    entries = [];
     spolicy = policy;
   }
 
@@ -220,8 +214,7 @@ let reset t =
   t.n_arrived <- 0;
   t.n_live <- 0;
   t.n_departed <- 0;
-  t.n_migrations <- 0;
-  t.entries <- []
+  t.n_migrations <- 0
 
 let ensure_capacity t n =
   let cap = Array.length t.slots in
@@ -249,8 +242,6 @@ let arrive ?budget t ~w ~h =
   t.n_arrived <- id + 1;
   t.n_live <- t.n_live + 1;
   t.n_migrations <- t.n_migrations + List.length pl.migrations;
-  t.entries <-
-    Arrived { id; start = pl.start; migrations = pl.migrations } :: t.entries;
   Dsp_util.Instr.bump c_arrivals;
   id
 
@@ -271,7 +262,6 @@ let depart_result t id =
         t.slots.(id) <- Gone;
         t.n_live <- t.n_live - 1;
         t.n_departed <- t.n_departed + 1;
-        t.entries <- Departed { id; start = s } :: t.entries;
         Dsp_util.Instr.bump c_departures;
         Ok s
     | Gone -> Error (Already_departed id)
@@ -303,7 +293,7 @@ let replay ?policy ?budget (tr : Dsp_instance.Trace.t) =
    records): explicit placements bypass the policy, so the restored
    profile is bit-identical to the snapshotted one no matter which
    policy produced it.  Ids below [n_arrived] that are not listed live
-   are marked departed; the event log restarts empty. *)
+   are marked departed. *)
 let restore ?(policy = best_fit) ~width ~n_arrived ~n_migrations ~live () =
   if width < 1 then invalid_arg "Session.restore: width must be >= 1";
   if n_arrived < 0 then invalid_arg "Session.restore: n_arrived must be >= 0";
@@ -342,8 +332,6 @@ let restore ?(policy = best_fit) ~width ~n_arrived ~n_migrations ~live () =
   t.n_departed <- n_arrived - t.n_live;
   t.n_migrations <- n_migrations;
   t
-
-let log t = List.rev t.entries
 
 type stats = {
   arrivals : int;

@@ -1,8 +1,8 @@
 (** Incremental solve sessions: online DSP with pluggable placement
     policies and bounded migration.
 
-    A session owns a live {!Dsp_core.Profile} over a strip, the set of
-    currently-placed items, and an event log.  Items {!arrive} one at
+    A session owns a live {!Dsp_core.Profile} over a strip and the set
+    of currently-placed items.  Items {!arrive} one at
     a time and are placed immediately by the session's policy — the
     online setting: no knowledge of future events — and may later
     {!depart}, freeing their demand.  The objective is the peak the
@@ -32,7 +32,9 @@ type placement = { start : int; migrations : (int * int) list }
     [profile session] equal to its pre-call state plus [item] placed
     at the returned start and each listed migration applied, moving
     migrated items in the item table as it goes ({!set_start}); the
-    session itself only records the new item and the log entry.
+    session itself only records the new item.  A policy is also the
+    place to observe placements: wrap [place] to record each
+    arrival's start and migrations.
     Policies may explore transactionally via
     {!Dsp_core.Profile.checkpoint} / [rollback], and long repair loops
     must poll [budget]. *)
@@ -71,8 +73,8 @@ val create : ?policy:policy -> width:int -> unit -> t
 (** Fresh empty session ([policy] defaults to {!best_fit}). *)
 
 val reset : t -> unit
-(** Forget every item and event, reusing the allocated profile
-    storage ({!Dsp_core.Profile.reset}). *)
+(** Forget every item, reusing the allocated profile storage
+    ({!Dsp_core.Profile.reset}). *)
 
 val width : t -> int
 val policy : t -> policy
@@ -144,19 +146,11 @@ val restore :
     [live] lists [(id, w, h, start)] for every live item; placements
     are applied verbatim (no policy involved), so the restored profile
     equals the snapshotted one exactly.  Ids in [\[0, n_arrived)] not
-    listed live are marked departed; the event log restarts empty.
+    listed live are marked departed.
     Raises [Invalid_argument] on out-of-range ids, duplicate ids,
     non-positive dimensions, or a placement overflowing the strip. *)
 
 (** {2 Introspection} *)
-
-type entry =
-  | Arrived of { id : int; start : int; migrations : (int * int) list }
-  | Departed of { id : int; start : int }
-
-val log : t -> entry list
-(** Chronological event log, including the migrations each arrival
-    triggered. *)
 
 type stats = {
   arrivals : int;

@@ -6,8 +6,8 @@ exception Out_of_nodes
 
 (* Global node counter (Dsp_util.Instr): consumers that used to ask
    [solve_with_stats] for the node count now read the "bb.nodes"
-   counter delta from a solve's report instead.  The local [nodes] ref
-   below survives only to enforce the per-call budget. *)
+   counter delta from a solve's report instead.  The local ref in
+   [counting] below survives only to enforce the per-call budget. *)
 let c_nodes = Dsp_util.Instr.counter Dsp_util.Instr.Sites.bb_nodes
 
 (* Greedy best-fit by descending height: place each item at the start
@@ -31,106 +31,128 @@ let greedy_packing (inst : Instance.t) =
 
 let greedy_height inst = Packing.height (greedy_packing inst)
 
-let decide_internal ~nodes ~node_limit ~budget (inst : Instance.t) ~height =
-  let width = inst.Instance.width in
-  let n = Instance.n_items inst in
-  if Instance.total_area inst > height * width then Infeasible
-  else if Instance.max_height inst > height then Infeasible
-  else begin
-    let order = Array.copy inst.Instance.items in
-    Array.sort Item.compare_by_area_desc order;
-    (* Load profile on the segment-tree kernel: place/unplace are
-       O(log W) range adds (incremental undo on backtrack), and start
-       enumeration skips infeasible columns via the kernel's
-       first-fit descent instead of stepping one column at a time. *)
-    let loads = Segtree.create width in
-    let starts = Array.make n (-1) in
-    (* remaining.(k) = total area of items order.(k..). *)
-    let remaining = Array.make (n + 1) 0 in
-    for k = n - 1 downto 0 do
-      remaining.(k) <- remaining.(k + 1) + Item.area order.(k)
-    done;
-    let free_capacity = ref (height * width) in
-    let place (it : Item.t) s =
-      Segtree.range_add loads ~lo:s ~hi:(s + it.w) it.h;
-      free_capacity := !free_capacity - Item.area it;
-      starts.(it.id) <- s
-    in
-    let unplace (it : Item.t) s =
-      Segtree.range_add loads ~lo:s ~hi:(s + it.w) (-it.h);
-      free_capacity := !free_capacity + Item.area it;
-      starts.(it.id) <- -1
-    in
-    let rec go k =
-      incr nodes;
-      Dsp_util.Instr.bump c_nodes;
-      if !nodes > node_limit then raise Out_of_nodes;
-      (* Cooperative cancellation: the native node limit above keeps
-         its first-class error, the budget adds the wall-clock
-         deadline (and a node cap for engine-driven solves). *)
-      Dsp_util.Budget.check_opt budget;
-      if k = n then true
-      else begin
-        let it = order.(k) in
-        if remaining.(k) > !free_capacity then false
+(* ----- the search ---------------------------------------------------- *)
+
+let place loads starts (it : Item.t) s =
+  Segtree.range_add loads ~lo:s ~hi:(s + it.w) it.h;
+  starts.(it.id) <- s
+
+let unplace loads starts (it : Item.t) s =
+  Segtree.range_add loads ~lo:s ~hi:(s + it.w) (-it.h);
+  starts.(it.id) <- -1
+
+(* The one expansion routine, shared by [find] and the stealing
+   worker: depth-first from the prefix [order.(0..k-1)] already placed
+   in [loads]/[starts], over the canonical start vectors of [order]
+   (the items in area-descending order).  The caller supplies
+   - [visit k], its node accounting: it runs first at every node, may
+     raise to abort, and answers whether to expand the node;
+   - [bound ()], the peak limit, re-read before each candidate start;
+   - [leaf starts], its action on a complete vector, answering [true]
+     to stop the search (the vector then stays placed);
+   - [hand_off k s], offered each child "order.(k) at s" at depth
+     k + 1 <= [shallow], which may take it away (as a stealable unit)
+     by answering [true]; otherwise the child is placed, searched
+     inline and unplaced.
+   Start enumeration jumps straight to the next feasible start with
+   the kernel's first-fit descent, so infeasible gaps cost O(log W)
+   and every feasible start is still visited in increasing order. *)
+let expand ~budget ~visit ~bound ~leaf ~shallow ~hand_off order loads starts k
+    =
+  let n = Array.length order and width = Segtree.size loads in
+  let rec go k =
+    let open_ = visit k in
+    Dsp_util.Budget.check_opt budget;
+    if not open_ then false
+    else if k = n then leaf starts
+    else begin
+      let (it : Item.t) = order.(k) in
+      (* Mirror symmetry: the first item starts in the left half. *)
+      let max_start = if k = 0 then (width - it.w) / 2 else width - it.w in
+      (* Identical items in non-decreasing start order. *)
+      let min_start =
+        if k > 0 && order.(k - 1).Item.w = it.w && order.(k - 1).Item.h = it.h
+        then starts.(order.(k - 1).Item.id)
+        else 0
+      in
+      let rec try_start s =
+        let s =
+          Segtree.first_fit_from_i loads ~from:s ~len:it.w ~height:it.h
+            ~limit:(bound ())
+        in
+        if s < 0 || s > max_start then false
+        else if k < shallow && hand_off k s then try_start (s + 1)
         else begin
-          let max_start =
-            (* Mirror symmetry: confine the first item to the left
-               half of the strip. *)
-            if k = 0 then (width - it.w) / 2 else width - it.w
-          in
-          let min_start =
-            (* Identical items in non-decreasing start order. *)
-            if k > 0 && order.(k - 1).Item.w = it.w && order.(k - 1).Item.h = it.h
-            then starts.(order.(k - 1).Item.id)
-            else 0
-          in
-          (* Jump straight to the next feasible start at or after [s];
-             the enumeration still visits every feasible start in
-             increasing order, so the search tree (and node count) is
-             unchanged — only the infeasible gaps between candidates
-             are skipped in O(log W). *)
-          let rec try_start s =
-            let s' =
-              Segtree.first_fit_from_i loads ~from:s ~len:it.w ~height:it.h
-                ~limit:height
-            in
-            if s' < 0 || s' > max_start then false
-            else begin
-              place it s';
-              if go (k + 1) then true
-              else begin
-                unplace it s';
-                try_start (s' + 1)
-              end
-            end
-          in
-          try_start (max 0 min_start)
+          place loads starts it s;
+          if go (k + 1) then true
+          else begin
+            unplace loads starts it s;
+            try_start (s + 1)
+          end
         end
-      end
-    in
-    match go 0 with
-    | true -> Feasible (Packing.make inst starts)
-    | false -> Infeasible
-    | exception Out_of_nodes -> Node_budget_exhausted
+      in
+      try_start min_start
+    end
+  in
+  go k
+
+let by_area_desc (inst : Instance.t) =
+  let order = Array.copy inst.Instance.items in
+  Array.sort Item.compare_by_area_desc order;
+  order
+
+(* The root's area check is the whole area prune (see dsp_bb.mli). *)
+let find ?budget ~node ~leaf (inst : Instance.t) ~height =
+  let width = inst.Instance.width in
+  if
+    Instance.total_area inst > height * width
+    || Instance.max_height inst > height
+  then None
+  else begin
+    let starts = Array.make (Instance.n_items inst) (-1) in
+    if
+      expand ~budget
+        ~visit:(fun _ ->
+          node ();
+          true)
+        ~bound:(fun () -> height)
+        ~leaf ~shallow:0
+        ~hand_off:(fun _ _ -> false)
+        (by_area_desc inst) (Segtree.create width) starts 0
+    then Some starts
+    else None
   end
 
 let default_node_limit = 20_000_000
 
-let decide ?(node_limit = default_node_limit) ?budget inst ~height =
+(* Node accounting of one serial solve: [Out_of_nodes] past the cap,
+   which the binary search's decisions share. *)
+let counting ~node_limit =
   let nodes = ref 0 in
-  decide_internal ~nodes ~node_limit ~budget inst ~height
+  fun () ->
+    incr nodes;
+    Dsp_util.Instr.bump c_nodes;
+    if !nodes > node_limit then raise Out_of_nodes
+
+let decide_with ~node ?budget inst ~height =
+  match find ?budget ~node ~leaf:(fun _ -> true) inst ~height with
+  | Some starts -> Feasible (Packing.make inst starts)
+  | None -> Infeasible
+  | exception Out_of_nodes -> Node_budget_exhausted
+
+let decide ?(node_limit = default_node_limit) ?budget inst ~height =
+  decide_with ~node:(counting ~node_limit) ?budget inst ~height
 
 let solve ?(node_limit = default_node_limit) ?budget inst =
   let lo = Instance.lower_bound inst and hi = greedy_height inst in
-  let nodes = ref 0 in
+  let node = counting ~node_limit in
   let best = ref None in
   (* Binary search on the peak: decision is monotone in [height]. *)
   let rec search lo hi =
     if lo > hi then true
     else
       let mid = lo + ((hi - lo) / 2) in
-      match decide_internal ~nodes ~node_limit ~budget inst ~height:mid with
+      match decide_with ~node ?budget inst ~height:mid with
       | Feasible pk ->
           best := Some pk;
           search lo (mid - 1)
@@ -146,8 +168,8 @@ let optimal_height ?node_limit ?budget inst =
 
 (* ----- parallel search -------------------------------------------- *)
 
-(* The parallel solver keeps the serial search's move generator and
-   symmetry reductions but swaps the binary search on the height for
+(* The parallel solver runs the serial search's expansion routine
+   ([expand]) but swaps the binary search on the height for
    incumbent-driven minimization: the greedy packing seeds a shared
    atomic incumbent and every worker enumerates completions that beat
    the *current* incumbent ([limit = incumbent - 1], re-read at every
@@ -160,16 +182,17 @@ let optimal_height ?node_limit ?budget inst =
    Scheduling: work-stealing over per-domain {!Dsp_util.Wsdeque}s of
    search-frontier units.  A unit is the flat int record
    [depth; start of order.(0); ...; start of order.(depth-1)] — a
-   prefix of placements identifying one subtree.  The root start
-   columns (confined to the left half by mirror symmetry) are dealt
-   round-robin as depth-1 seed units; from there each worker pops its
-   own deque LIFO (depth-first, cache-warm) and runs one expansion
-   routine at every depth: children at depth <= [split_depth] are
-   pushed back as new units, deeper ones are expanded inline with
-   plain recursion.  An idle worker steals FIFO from a random victim,
-   taking the victim's {e shallowest} — largest — subtree, which is
-   what re-balances a skewed tree whose root has a single subtree.  A
-   full deque never blocks: the child is expanded inline instead.
+   prefix of placements identifying one subtree.  The root's children
+   (the routine's own root enumeration, mirror rule included) are
+   dealt round-robin as depth-1 seed units; from there each worker
+   pops its own deque LIFO (depth-first, cache-warm) and runs
+   [expand] on it, whose hand-off pushes children at depth <=
+   [split_depth] back as new units, while deeper ones are expanded
+   inline with plain recursion.  An idle worker steals FIFO from a
+   random victim, taking the victim's {e shallowest} — largest —
+   subtree, which is what re-balances a skewed tree whose root has a
+   single subtree.  A full deque never blocks: the child is expanded
+   inline instead.
 
    Termination detection: [pending] counts units that exist (queued in
    any deque or being expanded), incremented {e before} each push and
@@ -249,14 +272,9 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
     end
     else begin
       let jobs = resolve_jobs ~pool ~jobs in
-      let order = Array.copy inst.Instance.items in
-      Array.sort Item.compare_by_area_desc order;
-      (* remaining.(k) = total area of items order.(k..); read-only. *)
-      let remaining = Array.make (n + 1) 0 in
-      for k = n - 1 downto 0 do
-        remaining.(k) <- remaining.(k + 1) + Item.area order.(k)
-      done;
+      let order = by_area_desc inst in
       let incumbent = Atomic.make (Packing.height seed) in
+      let bound () = Atomic.get incumbent - 1 in
       let best_m = Mutex.create () in
       let best = ref seed in
       let stop = Atomic.make false in
@@ -273,16 +291,31 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
         end;
         Mutex.unlock best_m
       in
-      let it0 = order.(0) in
-      let max0 = (width - it0.w) / 2 in
+      (* The root's children — the first item's starts, confined to
+         the left half by the routine's mirror rule — become the
+         depth-1 seed units.  Every one fits: the strip is empty and
+         the item is no taller than [lb < incumbent]. *)
+      let roots = ref [] in
+      ignore
+        (expand ~budget:None
+           ~visit:(fun _ -> true)
+           ~bound
+           ~leaf:(fun _ -> false)
+           ~shallow:1
+           ~hand_off:(fun _ s ->
+             roots := s :: !roots;
+             true)
+           order (Segtree.create width) (Array.make n (-1)) 0);
+      let roots = List.rev !roots in
       (* Frontier units are [depth; starts...]: n + 1 ints. *)
       let rw = n + 1 in
-      (* Shallow nodes become stealable units; deeper subtrees are
-         expanded by plain recursion.  Depth 3 gives up to
-         (roots * branching^2) units — ample balance granularity
+      (* Shallow nodes become stealable units; leaves and deeper
+         subtrees are expanded by plain recursion.  Depth 3 gives up
+         to (roots * branching^2) units — ample balance granularity
          without paying replay cost in the deep tree. *)
-      let split_depth = min n 3 in
-      let slots = max 256 ((max0 / jobs) + 8) in
+      let split_depth = min (n - 1) 3 in
+      (* Room for a deque's share of the roots, and headroom. *)
+      let slots = max 256 (((List.length roots - 1) / jobs) + 8) in
       let deques =
         Array.init jobs (fun _ -> Dsp_util.Wsdeque.create ~slots ~record_width:rw)
       in
@@ -292,23 +325,23 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
       let dom_steal_fails = Array.make jobs 0 in
       let dom_units = Array.make jobs 0 in
       (* Seed the deques before any worker starts (the pool's task
-         handoff is the synchronization point): the root start columns
-         as depth-1 units, dealt round-robin — stealing repairs
-         whatever imbalance the deal hides. *)
+         handoff is the synchronization point): the root units dealt
+         round-robin — stealing repairs whatever imbalance the deal
+         hides. *)
       let seed_buf = Array.make rw 0 in
-      for s = 0 to max0 do
-        seed_buf.(0) <- 1;
-        seed_buf.(1) <- s;
-        Atomic.incr pending;
-        if not (Dsp_util.Wsdeque.push deques.(s mod jobs) seed_buf) then
-          (* Unreachable: [slots] is sized to hold every seed. *)
-          invalid_arg "Dsp_bb.solve_par: seed overflow"
-      done;
+      List.iteri
+        (fun i s ->
+          seed_buf.(0) <- 1;
+          seed_buf.(1) <- s;
+          Atomic.incr pending;
+          if not (Dsp_util.Wsdeque.push deques.(i mod jobs) seed_buf) then
+            (* Unreachable: [slots] is sized to hold every seed. *)
+            invalid_arg "Dsp_bb.solve_par: seed overflow")
+        roots;
       let work wid () =
         let wbudget = Option.map Dsp_util.Budget.child budget in
         let loads = Segtree.create width in
         let starts = Array.make n (-1) in
-        let used = ref 0 in
         (* [cur] is the prefix of the unit being expanded, which
            [loads] returns to after each inline child; [unit_buf]
            receives popped/stolen units; [child_buf] stages pushes.
@@ -318,17 +351,12 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
         let child_buf = Array.make rw 0 in
         let rng = Dsp_util.Rng.create (0x57ea1 + wid) in
         let my_dq = deques.(wid) in
-        let place (it : Item.t) s =
-          Segtree.range_add loads ~lo:s ~hi:(s + it.w) it.h;
-          used := !used + Item.area it;
-          starts.(it.id) <- s
-        in
-        let unplace (it : Item.t) s =
-          Segtree.range_add loads ~lo:s ~hi:(s + it.w) (-it.h);
-          used := !used - Item.area it;
-          starts.(it.id) <- -1
-        in
-        let node () =
+        (* Node accounting against the shared cap and stop flag, then
+           the moving-incumbent prune: the profile may have been legal
+           when its items were placed and still be cut here after some
+           worker improved.  A leaf is always visited; [record]
+           rejects a peak that does not beat the incumbent. *)
+        let visit k =
           Dsp_util.Instr.bump c_nodes;
           dom_nodes.(wid) <- dom_nodes.(wid) + 1;
           if 1 + Atomic.fetch_and_add total_nodes 1 > node_limit then begin
@@ -336,7 +364,11 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
             Atomic.set stop true
           end;
           if Atomic.get stop then raise Stop_search;
-          Dsp_util.Budget.check_opt wbudget
+          k = n || Segtree.max_all loads <= bound ()
+        in
+        let leaf starts =
+          record (Segtree.max_all loads) starts;
+          false
         in
         (* Offer the child [prefix of depth k; s] as a stealable unit.
            The prefix comes from [starts], which holds the whole
@@ -357,71 +389,26 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
             false
           end
         in
-        (* The one expansion routine, at every depth: visit the node,
-           prune, then enumerate the next item's feasible starts.  A
-           child at depth <= [split_depth] (and < n) is pushed as a
-           unit when the deque has room; every other child recurses
-           inline. *)
-        let rec go k =
-          node ();
-          let limit = Atomic.get incumbent - 1 in
-          if k = n then record (Segtree.max_all loads) starts
-          else begin
-            let it = order.(k) in
-            (* Both prunes are against the *current* incumbent: the
-               profile may have been legal when its items were placed
-               and still be cut here after another worker improved. *)
-            if
-              remaining.(k) > (limit * width) - !used
-              || Segtree.max_all loads > limit
-            then ()
-            else begin
-              let min_start =
-                (* Identical items in non-decreasing start order (for
-                   k = 1 this chains off the root placement). *)
-                if order.(k - 1).Item.w = it.w && order.(k - 1).Item.h = it.h
-                then starts.(order.(k - 1).Item.id)
-                else 0
-              in
-              let rec try_start s =
-                let limit = Atomic.get incumbent - 1 in
-                let s' =
-                  Segtree.first_fit_from_i loads ~from:s ~len:it.w ~height:it.h
-                    ~limit
-                in
-                if s' < 0 || s' > width - it.w then ()
-                else begin
-                  if not (k + 1 <= split_depth && k + 1 < n && push_child k s')
-                  then begin
-                    place it s';
-                    go (k + 1);
-                    unplace it s'
-                  end;
-                  try_start (s' + 1)
-                end
-              in
-              try_start (max 0 min_start)
-            end
-          end
-        in
         (* Swap the placed prefix from [cur] to the unit in
            [unit_buf]: unplace the old prefix, replay the new one.
            Prefixes are shallow (depth <= split_depth), so the replay
            is a handful of O(log W) range-adds. *)
         let load_unit () =
           for j = cur.(0) - 1 downto 0 do
-            unplace order.(j) cur.(1 + j)
+            unplace loads starts order.(j) cur.(1 + j)
           done;
           let k = unit_buf.(0) in
           for j = 0 to k - 1 do
-            place order.(j) unit_buf.(1 + j)
+            place loads starts order.(j) unit_buf.(1 + j)
           done;
           Array.blit unit_buf 0 cur 0 (k + 1);
           k
         in
         let execute () =
           dom_units.(wid) <- dom_units.(wid) + 1;
-          go (load_unit ())
+          ignore
+            (expand ~budget:wbudget ~visit ~bound ~leaf ~shallow:split_depth
+               ~hand_off:push_child order loads starts (load_unit ()))
         in
         (* Steal FIFO from random victims: the oldest unit in a deque
            is the shallowest subtree the victim owns — the biggest

@@ -2,15 +2,21 @@
 
     Items are placed in descending area order; each node extends the
     partial packing by all start columns of the next item that keep
-    the profile peak within the current budget.  Pruning:
+    the profile peak within the current budget.  One expansion routine
+    does this for the serial search ({!find}, {!decide}, {!solve}), the
+    stealing workers of {!solve_par} and the x-phase of
+    {!Sp_exact}.  Pruning:
 
     - peak budget: a placement is cut when the window peak would
       exceed the decision bound;
-    - area: remaining item area must fit into the free capacity below
-      the bound;
     - duplicate items: items with equal dimensions are forced into
       non-decreasing start order;
     - mirror symmetry: the first item is confined to the left half.
+
+    There is no area prune below the root: the remaining area plus the
+    placed area is always the total, so "the remaining area does not
+    fit under the bound" holds at some node only if the root check
+    [total area > height · W] already rejected the height.
 
     Exact search is exponential — the paper proves the problem
     strongly NP-hard — so all entry points accept a node budget and
@@ -19,6 +25,28 @@
 open Dsp_core
 
 type outcome = Feasible of Packing.t | Infeasible | Node_budget_exhausted
+
+val find :
+  ?budget:Dsp_util.Budget.t ->
+  node:(unit -> unit) ->
+  leaf:(int array -> bool) ->
+  Instance.t ->
+  height:int ->
+  int array option
+(** The search itself.  [find ~node ~leaf inst ~height] visits, depth
+    first, every canonical start vector of [inst] with peak at most
+    [height], and returns [Some starts] (indexed by item id) for the
+    first one on which [leaf] answers [true], or [None] when none
+    does.  A vector is canonical when, in
+    {!Dsp_core.Item.compare_by_area_desc} order, the first item starts
+    at or before [(W - w) / 2] and adjacent identical items (equal
+    width and height) start in non-decreasing order; every packing has
+    a canonical mirror image or permutation with the same peak.
+    [node ()] runs first at every search node and may raise to abort
+    (a caller's node cap); [budget] adds one checkpoint per node.
+    [leaf] sees the search's own array: copy it to keep it.  Answers
+    [None] at once when the total area exceeds [height · W] or an item
+    is taller than [height]. *)
 
 val default_node_limit : int
 (** Node cap applied when the caller gives none (20,000,000). *)

@@ -1,13 +1,20 @@
 open Dsp_core
 
-type outcome = Feasible of Rect_packing.t | Infeasible | Node_budget_exhausted
-
 exception Out_of_nodes
 
 (* Shared counter vocabulary (Dsp_util.Instr): x-enumeration and
    y-feasibility nodes both count as classical-strip-packing search
    nodes. *)
 let c_nodes = Dsp_util.Instr.counter Dsp_util.Instr.Sites.sp_bb_nodes
+
+(* Node accounting of one solve, shared by both phases: [Out_of_nodes]
+   past the cap. *)
+let counting ~node_limit =
+  let nodes = ref 0 in
+  fun () ->
+    incr nodes;
+    Dsp_util.Instr.bump c_nodes;
+    if !nodes > node_limit then raise Out_of_nodes
 
 let x_overlap (a : Item.t) sa (b : Item.t) sb =
   sa < sb + b.w && sb < sa + a.w
@@ -19,7 +26,7 @@ let x_overlap (a : Item.t) sa (b : Item.t) sb =
    arrangement items can be pushed down until each rests on the floor
    or on another item, and placing in ascending order of resulting y
    visits exactly such configurations. *)
-let y_search ~nodes ~node_limit ~budget (inst : Instance.t) ~starts ~height =
+let y_search ~node ~budget (inst : Instance.t) ~starts ~height =
   let n = Instance.n_items inst in
   let ys = Array.make n (-1) in
   let placed = Array.make n false in
@@ -42,9 +49,7 @@ let y_search ~nodes ~node_limit ~budget (inst : Instance.t) ~starts ~height =
     List.sort_uniq compare (List.filter (fun y -> y + a.h <= height) !cs)
   in
   let rec go k =
-    incr nodes;
-    Dsp_util.Instr.bump c_nodes;
-    if !nodes > node_limit then raise Out_of_nodes;
+    node ();
     Dsp_util.Budget.check_opt budget;
     if k = n then true
     else begin
@@ -89,103 +94,49 @@ let y_search ~nodes ~node_limit ~budget (inst : Instance.t) ~starts ~height =
   if go 0 then Some ys else None
 
 let y_feasible ?(node_limit = 5_000_000) ?budget inst ~starts ~height =
-  let nodes = ref 0 in
-  try y_search ~nodes ~node_limit ~budget inst ~starts ~height
+  try y_search ~node:(counting ~node_limit) ~budget inst ~starts ~height
   with Out_of_nodes -> None
 
-let decide_internal ~nodes ~node_limit ~budget (inst : Instance.t) ~height =
-  let width = inst.Instance.width in
-  let n = Instance.n_items inst in
-  if Instance.total_area inst > height * width then Infeasible
-  else if Instance.max_height inst > height then Infeasible
-  else begin
-    let order = Array.copy inst.Instance.items in
-    Array.sort Item.compare_by_area_desc order;
-    let loads = Array.make width 0 in
-    let starts = Array.make n (-1) in
-    let result = ref None in
-    let fits (it : Item.t) s =
-      let ok = ref true in
-      for x = s to s + it.w - 1 do
-        if loads.(x) + it.h > height then ok := false
-      done;
-      !ok
-    in
-    let rec go k =
-      incr nodes;
-      Dsp_util.Instr.bump c_nodes;
-      if !nodes > node_limit then raise Out_of_nodes;
-      Dsp_util.Budget.check_opt budget;
-      if k = n then begin
-        match y_search ~nodes ~node_limit ~budget inst ~starts ~height with
-        | Some ys ->
-            result :=
-              Some
-                (Rect_packing.make inst
-                   (Array.mapi (fun i y -> { Rect_packing.x = starts.(i); y }) ys));
-            true
-        | None -> false
-      end
-      else begin
-        let it = order.(k) in
-        let max_start = if k = 0 then (width - it.w) / 2 else width - it.w in
-        let min_start =
-          if k > 0 && order.(k - 1).Item.w = it.w && order.(k - 1).Item.h = it.h
-          then starts.(order.(k - 1).Item.id)
-          else 0
-        in
-        let rec try_start s =
-          if s > max_start then false
-          else if fits it s then begin
-            for x = s to s + it.w - 1 do
-              loads.(x) <- loads.(x) + it.h
-            done;
-            starts.(it.id) <- s;
-            if go (k + 1) then true
-            else begin
-              for x = s to s + it.w - 1 do
-                loads.(x) <- loads.(x) - it.h
-              done;
-              starts.(it.id) <- -1;
-              try_start (s + 1)
-            end
-          end
-          else try_start (s + 1)
-        in
-        try_start (max 0 min_start)
-      end
-    in
-    match go 0 with
-    | true -> ( match !result with Some pk -> Feasible pk | None -> Infeasible)
-    | false -> Infeasible
-    | exception Out_of_nodes -> Node_budget_exhausted
-  end
+(* The x-phase is the DSP search under the same height: an SP packing's
+   x-projection is a DSP packing with no greater peak, so every SP
+   packing's start vector has a canonical form among [Dsp_bb.find]'s
+   leaves.  Each leaf runs the y-phase; the first that succeeds is the
+   witness. *)
+let decide ~node ?budget inst ~height =
+  let found = ref None in
+  let leaf starts =
+    match y_search ~node ~budget inst ~starts ~height with
+    | Some ys ->
+        found :=
+          Some
+            (Rect_packing.make inst
+               (Array.mapi (fun i y -> { Rect_packing.x = starts.(i); y }) ys));
+        true
+    | None -> false
+  in
+  ignore (Dsp_bb.find ?budget ~node ~leaf inst ~height);
+  !found
 
 let default_node_limit = 20_000_000
-
-let decide ?(node_limit = default_node_limit) ?budget inst ~height =
-  let nodes = ref 0 in
-  decide_internal ~nodes ~node_limit ~budget inst ~height
 
 let solve ?(node_limit = default_node_limit) ?budget inst =
   if Instance.n_items inst = 0 then Some (Rect_packing.make inst [||])
   else begin
     let lo = Instance.lower_bound inst in
     let hi = Instance.total_area inst (* trivially enough: stack everything *) in
-    let nodes = ref 0 in
+    let node = counting ~node_limit in
     let best = ref None in
     let rec search lo hi =
-      if lo > hi then true
-      else
+      if lo <= hi then begin
         let mid = lo + ((hi - lo) / 2) in
-        match decide_internal ~nodes ~node_limit ~budget inst ~height:mid with
-        | Feasible pk ->
+        match decide ~node ?budget inst ~height:mid with
+        | Some pk ->
             best := Some pk;
             search lo (mid - 1)
-        | Infeasible -> search (mid + 1) hi
-        | Node_budget_exhausted -> false
+        | None -> search (mid + 1) hi
+      end
     in
-    if search lo hi then !best else None
+    match search lo hi with () -> !best | exception Out_of_nodes -> None
   end
 
 let optimal_height ?node_limit ?budget inst =

@@ -1,21 +1,17 @@
 (** Exact classical (unsliced) Strip Packing for small instances.
 
     Used by the integrality-gap experiments (E1, E12) to compute
-    OPT_SP exactly.  The search runs in two phases: an outer branch
-    and bound assigns start columns (pruned by the sliced peak, which
-    lower-bounds the unsliced height), and a complete backtracking
-    check decides whether rectangles with fixed x-intervals admit a
-    non-overlapping vertical arrangement within the height budget
-    (gravity-normalized candidate y positions: the floor or the top of
-    an already-placed item).  Strictly exponential; intended for
-    n ≤ 10. *)
+    OPT_SP exactly.  The search runs in two phases.  The x-phase is
+    the DSP search under the height ({!Dsp_bb.find}): an SP packing's
+    x-projection is a DSP packing with no greater peak, so every SP
+    packing has a canonical start vector among its leaves.  At each
+    leaf a complete backtracking check decides whether rectangles with
+    those fixed x-intervals admit a non-overlapping vertical
+    arrangement within the height (gravity-normalized candidate y
+    positions: the floor or the top of an already-placed item).
+    Strictly exponential; intended for n ≤ 10. *)
 
 open Dsp_core
-
-type outcome = Feasible of Rect_packing.t | Infeasible | Node_budget_exhausted
-
-val decide :
-  ?node_limit:int -> ?budget:Dsp_util.Budget.t -> Instance.t -> height:int -> outcome
 
 val solve :
   ?node_limit:int -> ?budget:Dsp_util.Budget.t -> Instance.t -> Rect_packing.t option

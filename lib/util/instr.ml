@@ -26,6 +26,7 @@ module Sites = struct
   let segtree_range_max = "segtree.range_max"
   let segtree_first_fit = "segtree.first_fit"
   let segtree_find_last_above = "segtree.find_last_above"
+  let segtree_first_above = "segtree.first_above"
   let segtree_best_start = "segtree.best_start"
 
   (* Placement probes of the budgeted fitters (lib/dsp/budget_fit.ml). *)
@@ -81,6 +82,7 @@ module Sites = struct
       segtree_range_max;
       segtree_first_fit;
       segtree_find_last_above;
+      segtree_first_above;
       segtree_best_start;
       budget_fit_first_fit_probes;
       budget_fit_best_fit_probes;

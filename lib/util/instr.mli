@@ -40,6 +40,7 @@ module Sites : sig
   val segtree_range_max : string
   val segtree_first_fit : string
   val segtree_find_last_above : string
+  val segtree_first_above : string
   val segtree_best_start : string
   val budget_fit_first_fit_probes : string
   val budget_fit_best_fit_probes : string

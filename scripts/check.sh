@@ -258,3 +258,19 @@ if [ "$serial_peak" != "$par_peak" ]; then
   exit 1
 fi
 echo "ok: exact-bb-par on a 2-domain pool agrees with exact-bb ($par_peak)"
+
+# Serial B&B search order: exact-bb on a fixed perfect-fit instance
+# must prove its optimum in exactly the pinned number of nodes.  The
+# node count is a deterministic output of the search, so a change to
+# its branching, pruning or symmetry rules shows here; a change that
+# moves it on purpose updates the line and says why.
+perfect=$(mktemp -t exact-pin.XXXXXX.dsp)
+trap 'rm -f "$perfect"; cleanup_serve' EXIT
+dune exec bin/dsp_cli.exe -- generate --kind perfect -n 20 --width 50 --seed 11 > "$perfect"
+exact_out=$(timeout 60 dune exec bin/dsp_cli.exe -- exact "$perfect")
+if [ "$exact_out" != "optimal peak: 20 (explored 112751 nodes)" ]; then
+  echo "FAIL: dsp exact on perfect n=20 W=50 seed 11 printed:" >&2
+  echo "$exact_out" >&2
+  exit 1
+fi
+echo "ok: dsp exact reproduces its pinned node count ($exact_out)"

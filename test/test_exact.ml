@@ -55,6 +55,108 @@ let dsp_bb_tests =
           (Dsp_exact.Dsp_bb.optimal_height inst));
   ]
 
+(* The contract Sp_exact's x-phase relies on: with a leaf that never
+   stops, [find] visits exactly the canonical start vectors under the
+   height — peak <= height; in area-descending order, the first item
+   starts at or before (W - w) / 2 and adjacent identical items do not
+   decrease.  Brute force over every start vector, pruned only on the
+   height. *)
+let canonical_vectors inst ~height =
+  let n = Instance.n_items inst and width = inst.Instance.width in
+  let order = Array.copy inst.Instance.items in
+  Array.sort Item.compare_by_area_desc order;
+  let loads = Array.make width 0 and starts = Array.make n (-1) in
+  let acc = ref [] in
+  let canonical () =
+    let first = order.(0) in
+    let ok = ref (starts.(first.Item.id) <= (width - first.Item.w) / 2) in
+    for k = 1 to n - 1 do
+      let a = order.(k - 1) and b = order.(k) in
+      if
+        a.Item.w = b.Item.w && a.Item.h = b.Item.h
+        && starts.(a.Item.id) > starts.(b.Item.id)
+      then ok := false
+    done;
+    !ok
+  in
+  let rec go k =
+    if k = n then begin
+      if canonical () then acc := Array.copy starts :: !acc
+    end
+    else begin
+      let (it : Item.t) = order.(k) in
+      for s = 0 to width - it.w do
+        let fits = ref true in
+        for x = s to s + it.w - 1 do
+          if loads.(x) + it.h > height then fits := false
+        done;
+        if !fits then begin
+          for x = s to s + it.w - 1 do
+            loads.(x) <- loads.(x) + it.h
+          done;
+          starts.(it.id) <- s;
+          go (k + 1);
+          for x = s to s + it.w - 1 do
+            loads.(x) <- loads.(x) - it.h
+          done
+        end
+      done
+    end
+  in
+  go 0;
+  List.sort compare !acc
+
+let find_leaves inst ~height =
+  let acc = ref [] in
+  let stopped =
+    Dsp_exact.Dsp_bb.find ~node:ignore
+      ~leaf:(fun starts ->
+        acc := Array.copy starts :: !acc;
+        false)
+      inst ~height
+  in
+  if stopped <> None then Alcotest.fail "find stopped on a leaf that never accepts";
+  List.sort compare !acc
+
+(* Every multiset of 1-4 item types (w <= W, h <= 3) for W = 1..5. *)
+let find_visits_canonical_vectors () =
+  let cases = ref 0 and leaves = ref 0 in
+  for width = 1 to 5 do
+    let types = Array.init (3 * width) (fun t -> ((t / 3) + 1, (t mod 3) + 1)) in
+    let rec multisets n from dims =
+      if n = 0 then begin
+        let inst = Instance.of_dims ~width dims in
+        let lb = Instance.lower_bound inst in
+        List.iter
+          (fun height ->
+            incr cases;
+            let want = canonical_vectors inst ~height in
+            leaves := !leaves + List.length want;
+            if find_leaves inst ~height <> want then
+              Alcotest.failf "W=%d items %s height %d: find's leaves differ" width
+                (String.concat " "
+                   (List.map (fun (w, h) -> Printf.sprintf "%dx%d" w h) dims))
+                height)
+          [ lb; lb + 1 ]
+      end
+      else
+        for t = from to Array.length types - 1 do
+          multisets (n - 1) t (types.(t) :: dims)
+        done
+    in
+    for n = 1 to 4 do
+      multisets n 0 []
+    done
+  done;
+  Alcotest.(check int) "cases" 13_302 !cases;
+  Alcotest.(check bool) "vectors visited" true (!leaves > 100_000)
+
+let find_tests =
+  [
+    Alcotest.test_case "find visits exactly the canonical start vectors" `Quick
+      find_visits_canonical_vectors;
+  ]
+
 let sp_exact_tests =
   [
     Helpers.qtest ~count:40 "sp optimum >= dsp optimum"
@@ -155,5 +257,5 @@ let gap_tests =
   ]
 
 let suite =
-  dsp_bb_tests @ sp_exact_tests @ three_partition_tests @ pts_exact_tests
+  dsp_bb_tests @ find_tests @ sp_exact_tests @ three_partition_tests @ pts_exact_tests
   @ gap_tests

@@ -1,8 +1,8 @@
 (* Differential tests for the segment-tree packing kernel: the
    segtree-backed Profile must agree with the flat-array
    Profile.Naive reference on every operation, and the kernel's own
-   queries (range_max / first_fit_from / best_start / find_last_above
-   and their sentinel forms) must agree with direct linear scans over
+   queries (range_max / first_fit_from / best_start / find_last_above /
+   first_above and their sentinel forms) must agree with direct linear scans over
    a plain load array. *)
 
 open Dsp_core
@@ -185,7 +185,14 @@ let flat_vs_scans_stream () =
             Alcotest.failf "instance %d op %d: find_last_above differs" i op;
           if Segtree.find_last_above_i t ~lo ~hi thr
              <> Option.value x ~default:(-1)
-          then Alcotest.failf "instance %d op %d: _i sentinel differs" i op
+          then Alcotest.failf "instance %d op %d: _i sentinel differs" i op;
+          (* The whole-strip leftmost form, on the same threshold. *)
+          let first = ref (-1) in
+          for x = width - 1 downto 0 do
+            if a.(x) > thr then first := x
+          done;
+          if Segtree.first_above t thr <> !first then
+            Alcotest.failf "instance %d op %d: first_above differs" i op
       | 3 ->
           let from = Rng.int rng (width + 1) in
           let len = 1 + Rng.int rng width in
@@ -207,7 +214,13 @@ let flat_vs_scans_stream () =
     done;
     if Segtree.to_array t <> a then
       Alcotest.failf "instance %d: final arrays differ" i
-  done
+  done;
+  (* The leaves past a width that is not a power of two hold 0: with
+     every column under a negative threshold, none may answer. *)
+  let t = Segtree.create 5 in
+  Segtree.range_add t ~lo:0 ~hi:5 (-3);
+  Alcotest.(check int) "first_above ignores the padding" (-1)
+    (Segtree.first_above t (-2))
 
 (* ---- add/remove inverses across kernels ---- *)
 

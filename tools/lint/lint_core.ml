@@ -262,6 +262,7 @@ let project_config ~root =
               "pull";
               "range_max";
               "descend_above";
+              "first_above";
               "last_above";
               "first_fit_from_i";
               "to_array";

@@ -29,6 +29,7 @@ let project_config =
         "Segtree.range_max";
         "Segtree.first_fit_from_i";
         "Segtree.find_last_above_i";
+        "Segtree.first_above";
       ];
     r8_roots = [ "Server.handle" ];
   }
