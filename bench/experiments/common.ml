@@ -5,6 +5,7 @@
 module Registry = Dsp_engine.Registry
 module Solver = Dsp_engine.Solver
 module Report = Dsp_engine.Report
+module Runner = Dsp_engine.Runner
 
 let section id title = Printf.printf "\n=== %s: %s ===\n" id title
 
@@ -12,19 +13,14 @@ let heuristics = Registry.heuristics
 
 (* Run a registered solver and return its validated report; heuristics
    never exhaust a budget, so a failure here is a harness bug. *)
-let report ?node_budget (s : Solver.t) inst =
-  match Solver.run ?node_budget s inst with
+let report (s : Solver.t) inst =
+  match Runner.run_one s inst with
   | Ok r -> r
-  | Error msg -> failwith (Printf.sprintf "bench: solver %s: %s" s.Solver.name msg)
+  | Error f -> failwith (Format.asprintf "bench: %a" Runner.pp_failure f)
 
-let packing_of ?node_budget (s : Solver.t) inst =
-  (report ?node_budget s inst).Report.packing
-
-let height_of ?node_budget (s : Solver.t) inst =
-  (report ?node_budget s inst).Report.peak
-
-let height_by_name ?node_budget name inst =
-  height_of ?node_budget (Registry.find_exn name) inst
+let packing_of (s : Solver.t) inst = (report s inst).Report.packing
+let height_of (s : Solver.t) inst = (report s inst).Report.peak
+let height_by_name name inst = height_of (Registry.find_exn name) inst
 
 let scheduler_of name =
   let s = Registry.find_exn name in

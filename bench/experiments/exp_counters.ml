@@ -1,7 +1,7 @@
 (* counters: the standard instrumentation experiment.  Every
    registered solver runs over a fixed instance set; the per-solve
-   Instr counter deltas (already attributed by Solver.run) are summed
-   per solver and emitted into BENCH.json under the dotted
+   Instr counter deltas (already attributed by Runner.run_one) are
+   summed per solver and emitted into BENCH.json under the dotted
    "<solver>.<counter>" keys of schema dsp-bench/2.  The set includes
    a tall-and-flat instance (drives approx53/approx54 through the
    configuration LP, so simplex pivots show up) and a tiny instance
@@ -10,6 +10,7 @@
 module Registry = Dsp_engine.Registry
 module Solver = Dsp_engine.Solver
 module Report = Dsp_engine.Report
+module Runner = Dsp_engine.Runner
 module Rng = Dsp_util.Rng
 
 let standard_set () =
@@ -60,7 +61,7 @@ let counters () =
         Dsp_util.Xutil.timeit_gc (fun () ->
             List.iter
               (fun (_, inst) ->
-                match Solver.run ~node_budget:2_000_000 s inst with
+                match Runner.run_one ~node_budget:2_000_000 s inst with
                 | Ok r ->
                     incr solved;
                     List.iter

@@ -5,8 +5,8 @@
    per-solve counter reports ("bb.nodes"). *)
 
 module Registry = Dsp_engine.Registry
-module Solver = Dsp_engine.Solver
 module Report = Dsp_engine.Report
+module Runner = Dsp_engine.Runner
 module Rng = Dsp_util.Rng
 
 let e4 () =
@@ -23,7 +23,7 @@ let e4 () =
     in
     let budget = 50_000_000 in
     let opt_str, bb_nodes =
-      match Solver.run ~node_budget:budget exact dsp with
+      match Runner.run_one ~node_budget:budget exact dsp with
       | Ok r -> (string_of_int r.Report.peak, Report.counter r "bb.nodes")
       | Error _ -> ("?", budget)
     in

@@ -5,11 +5,10 @@
    each experiment fault-tolerantly, and writes BENCH.json.
 
    Usage:
-     dune exec bench/main.exe                 # all experiments + kernel + micro
+     dune exec bench/main.exe                 # all experiments + kernel
      dune exec bench/main.exe -- E8 E10       # a subset
      dune exec bench/main.exe -- kernel       # packing-kernel ablation only
      dune exec bench/main.exe -- kernel-smoke # tiny kernel run for CI
-     dune exec bench/main.exe -- micro        # bechamel micro-benchmarks only
      dune exec bench/main.exe -- counters     # per-solver Instr counters only
      dune exec bench/main.exe -- faults       # fault-injection robustness matrix
      dune exec bench/main.exe -- faults-smoke # CI-sized fault matrix
@@ -67,21 +66,20 @@ let experiments =
   @ Exp_augment.experiments @ Exp_ratios.experiments @ Exp_scaling.experiments
   @ Exp_smartgrid.experiments @ Exp_steinberg.experiments
   @ Exp_ablation.experiments @ Exp_extensions.experiments
-  @ Exp_structure.experiments @ Exp_kernel.experiments @ Exp_micro.experiments
+  @ Exp_structure.experiments @ Exp_kernel.experiments
   @ Exp_counters.experiments @ Exp_faults.experiments @ Exp_parallel.experiments
   @ Exp_online.experiments @ Exp_serve.experiments
 
 (* Experiments that must not share the process with concurrent load:
-   micro/kernel timings and the parallel experiment's serial-vs-pool
+   kernel timings and the parallel experiment's serial-vs-pool
    comparison would be skewed, the counters experiment asserts exact
    Instr deltas for a single solve at a time, the fault matrix arms
    process-global fault plans, and the online and serve experiments
    report per-event / per-request latency percentiles (serve also
    spawns its own daemon domain). *)
 let serial_only =
-  [ "kernel"; "kernel-smoke"; "micro"; "counters"; "faults"; "faults-smoke";
-    "parallel"; "parallel-smoke"; "online"; "online-smoke"; "serve";
-    "serve-smoke" ]
+  [ "kernel"; "kernel-smoke"; "counters"; "faults"; "faults-smoke"; "parallel";
+    "parallel-smoke"; "online"; "online-smoke"; "serve"; "serve-smoke" ]
 
 (* None when BENCH_JSON=none: the bench/results/ archive is the
    canonical record; the root BENCH.json is a convenience copy that

@@ -417,11 +417,15 @@ let compare_cmd =
 let exact_cmd =
   let run path nodes =
     let inst = read_instance path in
-    match Solver.run ~node_budget:nodes (Registry.find_exn "exact-bb") inst with
+    match Runner.run_one ~node_budget:nodes (Registry.find_exn "exact-bb") inst with
     | Ok r ->
         Printf.printf "optimal peak: %d (explored %d nodes)\n" r.Report.peak
           (Report.counter r "bb.nodes")
-    | Error _ -> Printf.printf "node budget exhausted (limit %d)\n" nodes
+    | Error { Runner.kind = Runner.Budget_exhausted _; _ } ->
+        Printf.printf "node budget exhausted (limit %d)\n" nodes
+    | Error f ->
+        Printf.eprintf "error: %s\n" (Format.asprintf "%a" Runner.pp_failure f);
+        exit 3
   in
   let path = Arg.(value & pos 0 string "-" & info [] ~docv:"FILE") in
   let nodes =
@@ -667,12 +671,13 @@ let online_cmd =
         (Instance.lower_bound live_inst);
       List.iter
         (fun name ->
-          let solver = Registry.find_exn name in
-          let pk = Packing.height (solver.Solver.solve
-                                     ~budget:(Dsp_util.Budget.unlimited ())
-                                     live_inst) in
-          Printf.printf "  %-12s peak %4d  ratio %.3f\n" name pk
-            (float_of_int s.Dsp_engine.Session.peak_now /. float_of_int (max 1 pk)))
+          match Runner.run_one (Registry.find_exn name) live_inst with
+          | Ok r ->
+              Printf.printf "  %-12s peak %4d  ratio %.3f\n" name r.Report.peak
+                (float_of_int s.Dsp_engine.Session.peak_now
+                /. float_of_int (max 1 r.Report.peak))
+          | Error f ->
+              Printf.printf "  %s\n" (Format.asprintf "%a" Runner.pp_failure f))
         [ "bfd-height"; "approx54" ]
     end;
     let sorted = Array.copy lats in

@@ -7,7 +7,7 @@
     peak stays under a budget?".  All three are O(log width) here
     versus O(width) on a flat load array; {!first_fit_from} further
     skips past the column that caused a violation instead of advancing
-    one start at a time.  The kernel micro-experiment
+    one start at a time.  The kernel experiment
     ([bench/main.exe -- kernel]) measures it against the flat-array
     {!Profile.Naive} and writes the result to [BENCH.json].
 

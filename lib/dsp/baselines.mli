@@ -25,5 +25,5 @@ val lpt : Instance.t -> Packing.t
 
 (** The old [all] table of named algorithms is gone: the solver
     registry ([Dsp_engine.Registry], [lib/engine]) is the single
-    source of named solvers; [Registry.filter ~family:Baseline ()] is
-    the equivalent view. *)
+    source of named solvers; the baselines are its entries of family
+    [Baseline]. *)

@@ -32,13 +32,6 @@ let find_exn name =
 
 let names () = List.map (fun (s : Solver.t) -> s.Solver.name) (all ())
 
-let filter ?family ?complexity () =
-  List.filter
-    (fun (s : Solver.t) ->
-      (match family with None -> true | Some f -> s.Solver.family = f)
-      && match complexity with None -> true | Some c -> s.Solver.complexity = c)
-    (all ())
-
 let heuristics () =
   List.filter (fun (s : Solver.t) -> s.Solver.complexity <> Solver.Exponential) (all ())
 
@@ -67,7 +60,7 @@ let pts_duality (inst : Instance.t) =
     in
     let best = ref None in
     let ok m =
-      let pts = Dsp_instance.Generators.pts_of_dsp inst ~height:m in
+      let pts = Dsp_transform.Transform.dsp_to_pts_instance inst ~machines:m in
       let sched =
         Dsp_pts.List_scheduling.schedule
           ~order:Dsp_pts.List_scheduling.Longest_first pts
@@ -87,40 +80,29 @@ let pts_duality (inst : Instance.t) =
     Option.get !best
   end
 
-let exact_bb ~budget inst =
-  (* The budget's node cap doubles as the native node limit; native
-     accounting fires first (its checkpoint precedes the budget's in
-     the search loop), keeping the classic exhaustion message, while
-     the budget adds the wall-clock deadline. *)
-  let node_limit =
-    Option.value
-      (Dsp_util.Budget.node_cap budget)
-      ~default:Dsp_exact.Dsp_bb.default_node_limit
-  in
-  match Dsp_exact.Dsp_bb.solve ~node_limit ~budget inst with
-  | Some pk -> pk
-  | None ->
-      raise
-        (Solver.Budget_exhausted
-           (Printf.sprintf "exact-bb: node budget %d exhausted" node_limit))
+(* Both exact wrappers pass the budget's node cap to Dsp_bb as its
+   native node limit (E4 runs past Dsp_bb's own 20M default), and
+   report the search's [None] as the budget's own exhaustion, so
+   Runner.run_one has one branch for a node cap running out. *)
+let native_node_limit budget =
+  Option.value
+    (Dsp_util.Budget.node_cap budget)
+    ~default:Dsp_exact.Dsp_bb.default_node_limit
 
-let exact_bb_par ~budget inst =
-  (* Same budget contract as exact-bb, fanned out across
-     Pool.default_jobs domains; the node cap is shared across the
-     workers, so k domains never multiply the budget by k. *)
-  let node_limit =
-    Option.value
-      (Dsp_util.Budget.node_cap budget)
-      ~default:Dsp_exact.Dsp_bb.default_node_limit
-  in
-  let jobs = Dsp_util.Pool.default_jobs () in
-  match Dsp_exact.Dsp_bb.solve_par ~node_limit ~budget ~jobs inst with
+let or_out_of_nodes = function
   | Some pk -> pk
-  | None ->
-      raise
-        (Solver.Budget_exhausted
-           (Printf.sprintf "exact-bb-par: node budget %d exhausted (%d domains)"
-              node_limit jobs))
+  | None -> raise (Dsp_util.Budget.Expired Dsp_util.Budget.Nodes)
+
+let exact_bb ~budget inst =
+  or_out_of_nodes
+    (Dsp_exact.Dsp_bb.solve ~node_limit:(native_node_limit budget) ~budget inst)
+
+(* Fanned out across Pool.default_jobs domains; the node cap is shared
+   across the workers, so k domains never multiply the budget by k. *)
+let exact_bb_par ~budget inst =
+  or_out_of_nodes
+    (Dsp_exact.Dsp_bb.solve_par ~node_limit:(native_node_limit budget) ~budget
+       ~jobs:(Dsp_util.Pool.default_jobs ()) inst)
 
 let () =
   List.iter register

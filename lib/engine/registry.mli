@@ -24,9 +24,6 @@ val find : string -> Solver.t option
 val find_exn : string -> Solver.t
 val names : unit -> string list
 
-val filter :
-  ?family:Solver.family -> ?complexity:Solver.complexity -> unit -> Solver.t list
-
 val heuristics : unit -> Solver.t list
 (** Solvers that always terminate quickly: everything not tagged
     [Exponential].  The replacement for the deprecated

@@ -45,15 +45,5 @@ let make ~solver ~instance ~packing ~seconds ~counters =
           counters = List.sort (fun (a, _) (b, _) -> String.compare a b) counters;
         }
 
-let make_exn ~solver ~instance ~packing ~seconds ~counters =
-  match make ~solver ~instance ~packing ~seconds ~counters with
-  | Ok r -> r
-  | Error e -> invalid_arg ("Report.make: " ^ e)
-
 let counter t name = Option.value (List.assoc_opt name t.counters) ~default:0
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%s: peak=%d lb=%d ratio=%.3f time=%.4fs" t.solver
-    t.peak t.lower_bound t.ratio t.seconds;
-  List.iter (fun (k, v) -> Format.fprintf fmt "@,  %-28s %d" k v) t.counters;
-  Format.fprintf fmt "@]"

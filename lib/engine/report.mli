@@ -1,11 +1,13 @@
 (** Validated solve reports.
 
     A [Report.t] is the one result type every solver pipeline —
-    CLI, benchmarks, tests — produces and consumes.  Construction
-    re-validates the packing ({!Dsp_core.Packing.validate}) and checks
-    it answers the instance that was actually posed, so an invalid
-    packing escaping any algorithm fails loudly at the engine boundary
-    instead of silently scoring. *)
+    CLI, benchmarks, tests — produces and consumes, and
+    {!Dsp_engine.Runner.run_one} is the one place that builds it.
+    Construction re-validates the packing
+    ({!Dsp_core.Packing.validate}) and checks it answers the instance
+    that was actually posed, so an invalid packing escaping any
+    algorithm becomes a typed failure at the engine boundary instead
+    of silently scoring. *)
 
 open Dsp_core
 
@@ -35,19 +37,6 @@ val make :
     {!Dsp_core.Packing.validate}.  The [Error] carries a descriptive
     message naming the solver and the violated invariant. *)
 
-val make_exn :
-  solver:string ->
-  instance:Instance.t ->
-  packing:Packing.t ->
-  seconds:float ->
-  counters:(string * int) list ->
-  t
-(** {!make}, raising [Invalid_argument] on validation failure — the
-    fail-loudly entry used by {!Solver.run}. *)
-
 val counter : t -> string -> int
 (** Value of one counter delta; 0 when absent. *)
 
-val pp : Format.formatter -> t -> unit
-(** Multi-line human-readable rendering (peak, bound, ratio, time,
-    then counters). *)

@@ -81,7 +81,6 @@ let run_one ?timeout_ms ?(node_budget = Solver.default_node_budget) ?cancel
   | exception Dsp_util.Budget.Expired Dsp_util.Budget.Nodes ->
       fail (Budget_exhausted (Printf.sprintf "budget node cap %d" node_budget))
   | exception Dsp_util.Budget.Expired Dsp_util.Budget.Cancelled -> fail Cancelled
-  | exception Solver.Budget_exhausted msg -> fail (Budget_exhausted msg)
   | exception Dsp_util.Fault.Injected msg -> fail (Solver_error msg)
   | exception e -> fail (Solver_error (Printexc.to_string e))
 

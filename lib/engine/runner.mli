@@ -1,14 +1,14 @@
 (** Fault-tolerant solver execution: typed outcomes, declarative
     fallback chains, and parallel racing over the {!Registry}.
 
-    {!Solver.run} answers "what did this solver produce"; [Runner]
-    answers the operational question "get me a validated packing
-    within this deadline, no matter what".  {!run_one} classifies
-    every way a solve can go wrong — deadline, node budget,
-    cooperative cancellation, escaped exception (including
-    {!Dsp_util.Fault.Injected} faults), invalid result — into a typed
-    {!failure} that still carries the partial {!Dsp_util.Instr} deltas
-    and elapsed time, so crashed solves remain observable.  {!solve}
+    {!run_one} is the one way to run a solver: every caller — CLI,
+    daemon, benchmarks, tests — goes through it, and it alone builds
+    a {!Report.t}.  It classifies every way a solve can go wrong —
+    deadline, node budget, cooperative cancellation, escaped exception
+    (including {!Dsp_util.Fault.Injected} faults), invalid result —
+    into a typed {!failure} that still carries the partial
+    {!Dsp_util.Instr} deltas and elapsed time, so crashed solves
+    remain observable.  {!solve}
     runs a fallback chain (e.g. [exact-bb -> approx54 -> bfd-height])
     sequentially, giving each stage a slice of the remaining deadline;
     {!race} runs the same chain concurrently on a domain pool under
@@ -23,7 +23,9 @@ open Dsp_core
 
 type failure_kind =
   | Timeout  (** cooperative deadline cancellation fired *)
-  | Budget_exhausted of string  (** node budget ran out (native or budget cap) *)
+  | Budget_exhausted of string
+      (** the node cap ran out ({!Dsp_util.Budget.Expired} [Nodes]);
+          the detail reads ["budget node cap N"] *)
   | Solver_error of string  (** an exception escaped the solver *)
   | Invalid_result of string  (** {!Report.make} rejected the packing *)
   | Cancelled
@@ -52,15 +54,19 @@ val run_one :
   Solver.t ->
   Instance.t ->
   outcome
-(** One budgeted solve with the full outcome taxonomy.  Never raises
-    for solver-induced reasons: {!Dsp_util.Budget.Expired},
-    {!Solver.Budget_exhausted}, and arbitrary solver exceptions all
-    map to [Error].  A pending {!Dsp_util.Fault} corruption is applied
-    to the returned packing before validation, which then rejects it
-    ([Invalid_result]) — proving the validation boundary holds.  The
-    optional [cancel] flag threads into the solve's budget: flipping
-    it (from any domain) surfaces as a [Cancelled] failure at the next
-    checkpoint — this is how {!race} reels in its losers. *)
+(** One budgeted solve with the full outcome taxonomy: it creates
+    the budget (node cap [node_budget], default
+    {!Solver.default_node_budget}; deadline [timeout_ms], default
+    none), times the solve, attributes the {!Dsp_util.Instr} counter
+    deltas and validates the packing.  Never raises for
+    solver-induced reasons: {!Dsp_util.Budget.Expired} and arbitrary
+    solver exceptions all map to [Error].  A pending {!Dsp_util.Fault}
+    corruption is applied to the returned packing before validation,
+    which then rejects it ([Invalid_result]) — proving the validation
+    boundary holds.  The optional [cancel] flag threads into the
+    solve's budget: flipping it (from any domain) surfaces as a
+    [Cancelled] failure at the next checkpoint — this is how {!race}
+    reels in its losers. *)
 
 type resolution = {
   report : Report.t;

@@ -112,10 +112,13 @@ val profile : t -> Profile.t
 
 val snapshot : t -> Packing.t
 (** A validated packing of the currently-live items (ids re-numbered
-    densely in arrival order).  O(live items). *)
+    densely in arrival order).  O(arrivals so far): it walks every
+    arrival id ever issued, as {!live_items} does. *)
 
 val live_items : t -> (int * Item.t * int) list
-(** [(id, item, start)] for every live item, in arrival order. *)
+(** [(id, item, start)] for every live item, in arrival order.
+    O(arrivals so far), not O(live items): it walks every arrival id
+    ever issued. *)
 
 val start_of : t -> int -> int option
 (** Start of a live item, [None] once departed / never arrived. *)

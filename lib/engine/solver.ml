@@ -3,8 +3,6 @@ open Dsp_core
 type family = Baseline | Approx | Exact | Pts
 type complexity = Poly | Pseudo_poly | Exponential
 
-exception Budget_exhausted of string
-
 type t = {
   name : string;
   family : family;
@@ -25,19 +23,3 @@ let complexity_name = function
   | Exponential -> "exponential"
 
 let default_node_budget = 2_000_000
-
-let run ?timeout_ms ?(node_budget = default_node_budget) t inst =
-  let budget = Dsp_util.Budget.create ?timeout_ms ~nodes:node_budget () in
-  let before = Dsp_util.Instr.snapshot () in
-  match Dsp_util.Xutil.timeit (fun () -> t.solve ~budget inst) with
-  | packing, seconds ->
-      let counters =
-        Dsp_util.Instr.delta ~before ~after:(Dsp_util.Instr.snapshot ())
-      in
-      Ok (Report.make_exn ~solver:t.name ~instance:inst ~packing ~seconds ~counters)
-  | exception Budget_exhausted msg -> Error msg
-  | exception Dsp_util.Budget.Expired reason ->
-      Error
-        (Printf.sprintf "%s: budget expired (%s) after %.0f ms" t.name
-           (Dsp_util.Budget.reason_name reason)
-           (Dsp_util.Budget.elapsed budget *. 1000.))

@@ -1,10 +1,10 @@
-(** Solver descriptions and the instrumented solve wrapper.
+(** Solver descriptions.
 
-    A solver is a named, tagged packing algorithm.  {!run} is the only
-    sanctioned way to execute one: it snapshots the {!Dsp_util.Instr}
-    counters, times the solve, and builds a validated {!Report.t}, so
-    every pipeline gets validation-by-default and per-solve counters
-    for free. *)
+    A solver is a named, tagged packing algorithm.  Its [solve] field
+    is the raw algorithm; {!Dsp_engine.Runner.run_one} is the one way
+    to execute it: it creates the budget, snapshots the
+    {!Dsp_util.Instr} counters, validates the packing and builds the
+    {!Report.t}, or classifies the failure. *)
 
 open Dsp_core
 
@@ -16,11 +16,6 @@ type family =
 
 type complexity = Poly | Pseudo_poly | Exponential
 
-exception Budget_exhausted of string
-(** Raised by a solver whose search budget (e.g. branch-and-bound
-    nodes) ran out before an answer was found.  {!run} converts it
-    into [Error]. *)
-
 type t = {
   name : string;
   family : family;
@@ -28,29 +23,18 @@ type t = {
   doc : string;  (** one-line description for [dsp list] *)
   solve : budget:Dsp_util.Budget.t -> Instance.t -> Packing.t;
       (** [budget] carries the wall-clock deadline and node cap.
-          Exponential solvers read {!Dsp_util.Budget.node_cap} as
-          their native node limit (raising {!Budget_exhausted} when it
-          runs out) and thread the budget into their hot loops, whose
-          checkpoints raise {!Dsp_util.Budget.Expired} past the
-          deadline; polynomial solvers may ignore it (they terminate
-          fast regardless). *)
+          Exponential solvers thread it into their hot loops, whose
+          checkpoints raise {!Dsp_util.Budget.Expired} when it runs
+          out; a solver with its own node accounting reads
+          {!Dsp_util.Budget.node_cap} as its native limit and raises
+          [Expired Nodes] when that runs out.  Polynomial solvers may
+          ignore it (they terminate fast regardless). *)
 }
 
 val family_name : family -> string
 val complexity_name : complexity -> string
 
 val default_node_budget : int
-(** Node cap {!run} applies when the caller gives none (2,000,000 —
-    small enough to return promptly on small instances, large enough
-    to solve them). *)
-
-val run :
-  ?timeout_ms:int -> ?node_budget:int -> t -> Instance.t -> (Report.t, string) result
-(** Execute the solver on the instance: time it, attribute
-    {!Dsp_util.Instr} counter deltas, validate the packing, and build
-    the report.  [Error] carries the budget-exhaustion message when
-    the solver gave up (native node budget or the [timeout_ms]
-    deadline); an {e invalid} packing instead raises
-    [Invalid_argument] — that is a bug in the solver, not a result.
-    For a typed outcome and fallback chains use
-    {!Dsp_engine.Runner}. *)
+(** Node cap {!Dsp_engine.Runner.run_one} applies when the caller
+    gives none (2,000,000 — small enough to return promptly on small
+    instances, large enough to solve them). *)

@@ -91,19 +91,3 @@ let uniform_pts rng ~n ~machines ~max_p =
         Pts.Job.make ~id ~p:(Rng.int_in rng 1 max_p) ~q:(Rng.int_in rng 1 machines))
   in
   Pts.Inst.make ~machines jobs
-
-let pts_of_dsp (inst : Instance.t) ~height =
-  let jobs =
-    Array.map
-      (fun (it : Item.t) -> Pts.Job.make ~id:it.Item.id ~p:it.Item.w ~q:it.Item.h)
-      inst.Instance.items
-  in
-  Pts.Inst.make ~machines:height jobs
-
-let dsp_of_pts (inst : Pts.Inst.t) ~horizon =
-  let items =
-    Array.map
-      (fun (j : Pts.Job.t) -> Item.make ~id:j.Pts.Job.id ~w:j.Pts.Job.p ~h:j.Pts.Job.q)
-      inst.Pts.Inst.jobs
-  in
-  Instance.make ~width:horizon items

@@ -37,12 +37,3 @@ val uniform_pts :
   Dsp_util.Rng.t -> n:int -> machines:int -> max_p:int -> Pts.Inst.t
 (** Random PTS instance: processing times in [1, max_p], machine
     requirements in [1, machines]. *)
-
-val pts_of_dsp : Instance.t -> height:int -> Pts.Inst.t
-(** The paper's instance transformation DSP → PTS: item (w, h) becomes
-    job (p = w, q = h); the given strip height budget becomes the
-    machine count. *)
-
-val dsp_of_pts : Pts.Inst.t -> horizon:int -> Instance.t
-(** The reverse transformation: job (p, q) becomes item (w = p,
-    h = q); the makespan budget becomes the strip width. *)

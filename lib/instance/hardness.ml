@@ -73,7 +73,9 @@ let to_pts t =
   let numbers = Array.to_list (Array.map (fun a -> (a, 1)) t.numbers) in
   Pts.Inst.of_dims ~machines:4 (separators @ blockers @ numbers)
 
-let to_dsp t = Generators.dsp_of_pts (to_pts t) ~horizon:(target_makespan t)
+let to_dsp t =
+  Dsp_transform.Transform.pts_to_dsp_instance (to_pts t)
+    ~width:(target_makespan t)
 
 let schedule_of_partition t ~triples =
   if Array.length triples <> t.k then

@@ -2,17 +2,6 @@ open Dsp_core
 
 type stats = { events : int; repairs : int }
 
-let schedule_to_packing (sched : Pts.Schedule.t) =
-  let pts = sched.Pts.Schedule.inst in
-  let width = max 1 (Pts.Schedule.makespan sched) in
-  let items =
-    Array.map
-      (fun (j : Pts.Job.t) -> Item.make ~id:j.Pts.Job.id ~w:j.Pts.Job.p ~h:j.Pts.Job.q)
-      pts.Pts.Inst.jobs
-  in
-  let inst = Instance.make ~width items in
-  Packing.make inst sched.Pts.Schedule.sigma
-
 let dsp_to_pts_instance (inst : Instance.t) ~machines =
   let jobs =
     Array.map
@@ -28,6 +17,13 @@ let pts_to_dsp_instance (inst : Pts.Inst.t) ~width =
       inst.Pts.Inst.jobs
   in
   Instance.make ~width items
+
+let schedule_to_packing (sched : Pts.Schedule.t) =
+  let inst =
+    pts_to_dsp_instance sched.Pts.Schedule.inst
+      ~width:(max 1 (Pts.Schedule.makespan sched))
+  in
+  Packing.make inst sched.Pts.Schedule.sigma
 
 (* Contiguity of a sorted machine list. *)
 let rec contiguous = function

@@ -5,10 +5,10 @@
     The paper's exact solvers and the (5/4+ε) binary search are
     pseudo-polynomial or exponential; on the 3-Partition hardness
     families a solve can run effectively forever.  A [Budget.t] is
-    created once per solve (by {!Dsp_engine.Solver.run} or a
-    {!Dsp_engine.Runner} stage) and threaded into every hot loop, which
-    calls {!check} (search loops whose iterations are "nodes") or
-    {!poll} (loops with no node semantics, e.g. simplex pivots).  Both
+    created once per solve (by {!Dsp_engine.Runner.run_one}) and
+    threaded into every hot loop, which calls {!check} (search loops
+    whose iterations are "nodes") or {!poll} (loops with no node
+    semantics, e.g. simplex pivots).  Both
     raise {!Expired} when the budget runs out; the engine boundary
     converts the exception into a typed outcome.
 

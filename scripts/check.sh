@@ -274,3 +274,13 @@ if [ "$exact_out" != "optimal peak: 20 (explored 112751 nodes)" ]; then
   exit 1
 fi
 echo "ok: dsp exact reproduces its pinned node count ($exact_out)"
+
+# And a node cap the search cannot prove the optimum within must come
+# back as the typed budget exhaustion, not an error or a packing.
+capped_out=$(timeout 60 dune exec bin/dsp_cli.exe -- exact --nodes 1000 "$perfect")
+if [ "$capped_out" != "node budget exhausted (limit 1000)" ]; then
+  echo "FAIL: dsp exact --nodes 1000 on perfect seed 11 printed:" >&2
+  echo "$capped_out" >&2
+  exit 1
+fi
+echo "ok: dsp exact reports a spent node cap ($capped_out)"

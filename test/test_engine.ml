@@ -1,12 +1,13 @@
 (* Registry-wide property suite for the solver engine: every
    registered solver, on random instances, must produce a validated
    report whose numbers are recomputable, and a corrupted packing must
-   be rejected loudly at the Report boundary. *)
+   be rejected at the Report boundary as a typed failure. *)
 
 open Dsp_core
 module Solver = Dsp_engine.Solver
 module Registry = Dsp_engine.Registry
 module Report = Dsp_engine.Report
+module Runner = Dsp_engine.Runner
 
 let registry_tests =
   [
@@ -49,8 +50,8 @@ let solver_report_tests =
         (s.Solver.name ^ " reports validated packings with recomputable peaks")
         (Helpers.tiny_instance_arb ())
         (fun inst ->
-          match Solver.run ~node_budget:5_000_000 s inst with
-          | Error msg -> QCheck.Test.fail_reportf "run failed: %s" msg
+          match Runner.run_one ~node_budget:5_000_000 s inst with
+          | Error f -> QCheck.Test.fail_reportf "run failed: %a" Runner.pp_failure f
           | Ok r ->
               let recomputed =
                 Profile.peak
@@ -72,8 +73,8 @@ let counter_tests =
         let inst =
           Dsp_instance.Generators.uniform rng ~n:12 ~width:14 ~max_w:8 ~max_h:9
         in
-        match Solver.run (Registry.find_exn "approx54") inst with
-        | Error msg -> Alcotest.failf "approx54: %s" msg
+        match Runner.run_one (Registry.find_exn "approx54") inst with
+        | Error f -> Alcotest.failf "%a" Runner.pp_failure f
         | Ok r ->
             Alcotest.check Alcotest.bool "approx54.guesses > 0" true
               (Report.counter r "approx54.guesses" > 0);
@@ -86,16 +87,17 @@ let counter_tests =
           Dsp_instance.Generators.uniform rng ~n:6 ~width:8 ~max_w:5 ~max_h:6
         in
         let exact = Registry.find_exn "exact-bb" in
-        (match Solver.run ~node_budget:5_000_000 exact inst with
-        | Error msg -> Alcotest.failf "exact-bb: %s" msg
+        (match Runner.run_one ~node_budget:5_000_000 exact inst with
+        | Error f -> Alcotest.failf "%a" Runner.pp_failure f
         | Ok r ->
             Alcotest.check Alcotest.bool "bb.nodes > 0" true
               (Report.counter r "bb.nodes" > 0));
         (* A one-node budget cannot finish: the engine must surface the
-           exhaustion as Error, not as a bogus packing. *)
+           exhaustion as a budget failure, not as a bogus packing. *)
         let big = Dsp_instance.Generators.uniform rng ~n:14 ~width:12 ~max_w:6 ~max_h:8 in
-        match Solver.run ~node_budget:1 exact big with
-        | Error _ -> ()
+        match Runner.run_one ~node_budget:1 exact big with
+        | Error f ->
+            Alcotest.(check string) "kind" "budget" (Runner.kind_name f.Runner.kind)
         | Ok _ -> Alcotest.fail "expected budget exhaustion");
   ]
 
@@ -136,10 +138,15 @@ let corruption_tests =
           }
         in
         let inst = Instance.of_dims ~width:6 [ (2, 2); (4, 1) ] in
-        match Solver.run lying inst with
-        | exception Invalid_argument _ -> ()
-        | Ok _ -> Alcotest.fail "expected Invalid_argument"
-        | Error msg -> Alcotest.failf "expected a raise, got Error %s" msg);
+        match Runner.run_one lying inst with
+        | Error { Runner.kind = Runner.Invalid_result msg; solver; _ } ->
+            Alcotest.(check string) "solver" "lying-solver" solver;
+            Alcotest.check Alcotest.bool
+              (Printf.sprintf "message names the solver: %S" msg)
+              true
+              (contains_substring msg "lying-solver")
+        | Error f -> Alcotest.failf "expected Invalid_result, got %a" Runner.pp_failure f
+        | Ok _ -> Alcotest.fail "expected Invalid_result");
   ]
 
 let suite =

@@ -33,14 +33,6 @@ let generator_tests =
         match Dsp_exact.Dsp_bb.optimal_height ~node_limit:500_000 inst with
         | Some opt -> opt = 6
         | None -> true);
-    Helpers.qtest "dsp/pts instance maps are inverse" seed_arb (fun seed ->
-        let rng = Dsp_util.Rng.create seed in
-        let pts = Gen.uniform_pts rng ~n:10 ~machines:5 ~max_p:6 in
-        let dsp = Gen.dsp_of_pts pts ~horizon:10 in
-        let back = Gen.pts_of_dsp dsp ~height:5 in
-        Array.for_all2
-          (fun (a : Pts.Job.t) (b : Pts.Job.t) -> a.p = b.p && a.q = b.q)
-          pts.Pts.Inst.jobs back.Pts.Inst.jobs);
   ]
 
 let hardness_tests =

@@ -35,25 +35,6 @@ let shelf_tests =
         List.length placed + List.length leftover = List.length items);
   ]
 
-let bottom_left_tests =
-  [
-    Helpers.qtest "bottom-left packings are valid"
-      (Helpers.instance_arb ~max_width:15 ~max_n:12 ()) (fun inst ->
-        Result.is_ok (Rect_packing.validate (Dsp_sp.Bottom_left.pack inst)));
-    Helpers.qtest "bottom-left height between the bounds"
-      (Helpers.instance_arb ~max_width:15 ~max_n:12 ()) (fun inst ->
-        let h = Dsp_sp.Bottom_left.height inst in
-        h >= Instance.lower_bound inst
-        && h
-           <= Dsp_util.Xutil.sum_by
-                (fun (it : Item.t) -> it.Item.h)
-                (Array.to_list inst.Instance.items));
-    Helpers.qtest "forgetting y coordinates never raises the peak"
-      (Helpers.instance_arb ~max_width:15 ~max_n:12 ()) (fun inst ->
-        let pk = Dsp_sp.Bottom_left.pack inst in
-        Packing.height (Rect_packing.to_dsp pk) <= Rect_packing.height pk);
-  ]
-
 let steinberg_tests =
   [
     Alcotest.test_case "region bound formula" `Quick (fun () ->
@@ -64,6 +45,10 @@ let steinberg_tests =
     Helpers.qtest "steinberg packings are valid"
       (Helpers.instance_arb ~max_width:15 ~max_n:12 ()) (fun inst ->
         Result.is_ok (Rect_packing.validate (Dsp_sp.Steinberg.pack inst)));
+    Helpers.qtest "forgetting y coordinates never raises the peak"
+      (Helpers.instance_arb ~max_width:15 ~max_n:12 ()) (fun inst ->
+        let pk = Dsp_sp.Steinberg.pack inst in
+        Packing.height (Rect_packing.to_dsp pk) <= Rect_packing.height pk);
     Helpers.qtest "steinberg within the NFDH guarantee"
       (Helpers.instance_arb ~max_width:15 ~max_n:12 ()) (fun inst ->
         Dsp_sp.Steinberg.height inst <= Dsp_sp.Shelf.nfdh_height_bound inst);
@@ -91,4 +76,4 @@ let steinberg_tests =
             && List.length placements = Instance.n_items inst);
   ]
 
-let suite = shelf_tests @ bottom_left_tests @ steinberg_tests
+let suite = shelf_tests @ steinberg_tests
