@@ -16,8 +16,10 @@ let e12 () =
         ~max_w:4 ~max_h:6
     in
     match
-      ( Dsp_exact.Dsp_bb.optimal_height ~node_limit:1_000_000 inst,
-        Dsp_exact.Sp_exact.optimal_height ~node_limit:2_000_000 inst )
+      ( Dsp_util.Budget.within ~nodes:1_000_000 (fun budget ->
+            Dsp_exact.Dsp_bb.optimal_height ~budget inst),
+        Dsp_util.Budget.within ~nodes:2_000_000 (fun budget ->
+            Dsp_exact.Sp_exact.optimal_height ~budget inst) )
     with
     | Some d, Some s when d > 0 ->
         incr total;

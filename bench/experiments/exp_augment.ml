@@ -15,7 +15,10 @@ let e5 () =
         Dsp_instance.Generators.uniform rng ~n ~width:12 ~max_w:6 ~max_h:6
       in
       let r = Dsp_augment.Augment.dsp_with_width_augmentation inst in
-      let opt = Dsp_exact.Dsp_bb.optimal_height ~node_limit:5_000_000 inst in
+      let opt =
+        Dsp_util.Budget.within ~nodes:5_000_000 (fun budget ->
+            Dsp_exact.Dsp_bb.optimal_height ~budget inst)
+      in
       Printf.printf "%-8d %8d %8s %11.3f %10s\n" n r.Dsp_augment.Augment.height
         (match opt with Some o -> string_of_int o | None -> "?")
         r.Dsp_augment.Augment.width_factor
@@ -36,7 +39,10 @@ let e67 which name solver_result =
       let rng = Rng.create (Common.seed_for seed) in
       let pts = Dsp_instance.Generators.uniform_pts rng ~n ~machines:m ~max_p:6 in
       let r = solver_result pts in
-      let opt = Dsp_exact.Pts_exact.optimal_makespan ~node_limit:3_000_000 pts in
+      let opt =
+        Dsp_util.Budget.within ~nodes:3_000_000 (fun budget ->
+            Dsp_exact.Pts_exact.optimal_makespan ~budget pts)
+      in
       Printf.printf "%-10s %10d %8s %10.3f %10s\n"
         (Printf.sprintf "%d,%d" n m)
         r.Dsp_augment.Augment.makespan

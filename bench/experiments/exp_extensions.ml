@@ -14,7 +14,11 @@ let e13 () =
       let inst =
         Dsp_instance.Generators.uniform rng ~n:5 ~width:8 ~max_w:5 ~max_h:7
       in
-      match Dsp_algo.Rotations.rotation_gain ~node_limit:500_000 inst with
+      match
+        Option.join
+          (Dsp_util.Budget.within ~nodes:500_000 (fun budget ->
+               Dsp_algo.Rotations.rotation_gain ~budget inst))
+      with
       | Some (fixed, rotated) ->
           let greedy, _ = Dsp_algo.Rotations.best_fit_rotating inst in
           Printf.printf "%-8d %10d %12d %10d\n" seed fixed rotated
@@ -30,12 +34,19 @@ let e13 () =
       let t = Dsp_pts.Moldable.make_work_based ~machines:m ~work:works in
       let rigid = Dsp_pts.Moldable.allot t (Array.make (List.length works) 1) in
       let rigid_opt =
-        match Dsp_exact.Pts_exact.optimal_makespan ~node_limit:500_000 rigid with
+        match
+          Dsp_util.Budget.within ~nodes:500_000 (fun budget ->
+              Dsp_exact.Pts_exact.optimal_makespan ~budget rigid)
+        with
         | Some v -> string_of_int v
         | None -> "?"
       in
       let exact =
-        match Dsp_pts.Moldable.optimal_makespan ~node_limit:300_000 t with
+        match
+          Option.join
+            (Dsp_util.Budget.within ~nodes:300_000 (fun budget ->
+                 Dsp_pts.Moldable.optimal_makespan ~budget t))
+        with
         | Some (v, _) -> string_of_int v
         | None -> "?"
       in

@@ -7,9 +7,10 @@ let e1 () =
     "integrality gap: OPT_SP vs OPT_DSP (paper: family with gap 5/4)";
   Printf.printf "%-28s %8s %8s %8s\n" "instance" "OPT_DSP" "OPT_SP" "gap";
   let report name inst =
+    let within = Dsp_util.Budget.within ~nodes:30_000_000 in
     match
-      ( Dsp_exact.Dsp_bb.optimal_height ~node_limit:30_000_000 inst,
-        Dsp_exact.Sp_exact.optimal_height ~node_limit:30_000_000 inst )
+      ( within (fun budget -> Dsp_exact.Dsp_bb.optimal_height ~budget inst),
+        within (fun budget -> Dsp_exact.Sp_exact.optimal_height ~budget inst) )
     with
     | Some d, Some s ->
         Printf.printf "%-28s %8d %8d %8.4f\n" name d s

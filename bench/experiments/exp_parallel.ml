@@ -55,9 +55,7 @@ let skewed ~seed ~n ~width =
 let speedup serial par = if par > 0.0 then serial /. par else Float.nan
 
 let solve_par_height ~jobs ~stats inst =
-  match Bb.solve_par ~jobs ~stats inst with
-  | Some pk -> Packing.height pk
-  | None -> -1
+  Packing.height (Bb.solve_par ~jobs ~stats inst)
 
 let nodes_group (st : Bb.par_stats) =
   Array.to_list
@@ -91,9 +89,7 @@ let curve_point ~experiment ~name ~jobs inst =
    agreement ("<name>_curve_agree" = 1 iff every point matches the
    serial solver). *)
 let curve ~experiment ~name ~domain_counts inst =
-  let serial_opt =
-    match Bb.solve inst with Some pk -> Packing.height pk | None -> -1
-  in
+  let serial_opt = Bb.optimal_height inst in
   let points =
     List.map (fun jobs -> curve_point ~experiment ~name ~jobs inst) domain_counts
   in
@@ -121,9 +117,7 @@ let parallel () =
       (fun (n, seed) -> uniform ~seed ~n ~width:24)
       [ (22, 7); (24, 5); (26, 5); (26, 7) ]
   in
-  let peak inst =
-    match Bb.solve inst with Some pk -> Packing.height pk | None -> -1
-  in
+  let peak inst = Bb.optimal_height inst in
   let serial_peaks, sweep_serial = timeit (fun () -> List.map peak insts) in
   let par_peaks, sweep_par =
     timeit (fun () -> Pool.with_pool ~jobs (fun pool -> Pool.map pool peak insts))

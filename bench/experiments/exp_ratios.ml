@@ -44,7 +44,8 @@ let e8 () =
              (fun seed ->
                let inst = gen seed in
                match
-                 Dsp_exact.Dsp_bb.optimal_height ~node_limit:2_000_000 inst
+                 Dsp_util.Budget.within ~nodes:2_000_000 (fun budget ->
+                     Dsp_exact.Dsp_bb.optimal_height ~budget inst)
                with
                | Some opt when opt > 0 -> Some (inst, opt)
                | _ -> None)
@@ -80,7 +81,8 @@ let e8 () =
                    ~max_h:8
                in
                match
-                 Dsp_exact.Dsp_bb.optimal_height ~node_limit:2_000_000 inst
+                 Dsp_util.Budget.within ~nodes:2_000_000 (fun budget ->
+                     Dsp_exact.Dsp_bb.optimal_height ~budget inst)
                with
                | Some opt when opt > 0 ->
                    Some

@@ -24,7 +24,10 @@ let e14 () =
             (Rng.int_in rng 12 20, 1))
       in
       let inst = Instance.of_dims ~width:24 (tall @ flats) in
-      match Dsp_exact.Dsp_bb.solve ~node_limit:3_000_000 inst with
+      match
+        Dsp_util.Budget.within ~nodes:3_000_000 (fun budget ->
+            Dsp_exact.Dsp_bb.solve ~budget inst)
+      with
       | None -> Printf.printf "%-6d budget exhausted\n" seed
       | Some pk ->
           let target = Packing.height pk in

@@ -48,7 +48,9 @@
    as a degraded entry (status "crashed" plus the error) instead of
    aborting the run, and the file is checkpointed atomically after
    every experiment, so a killed harness leaves the last completed
-   state on disk, never a truncated file.
+   state on disk, never a truncated file.  Exit status: 1 when any
+   selected experiment crashed or a requested name is unknown (after
+   the results are written), 0 otherwise.
 
    Trending: each completed run is also archived under bench/results/
    as BENCH-<YYYYMMDD-HHMMSS>.json next to a refreshed latest.json
@@ -144,7 +146,8 @@ let run_experiment (name, f) =
       Bench_json.record ~experiment:name "seconds" (Bench_json.Float seconds);
       Common.record_seed ~experiment:name;
       Bench_json.record ~experiment:name "status" (Bench_json.String "ok");
-      checkpoint ()
+      checkpoint ();
+      true
   | exception e ->
       (* A crashed experiment degrades to a machine-readable entry;
          the rest of the run proceeds.  Fault injection must not leak
@@ -154,11 +157,13 @@ let run_experiment (name, f) =
       Printf.printf "\n[%s CRASHED: %s]\n" name msg;
       Bench_json.record ~experiment:name "status" (Bench_json.String "crashed");
       Bench_json.record ~experiment:name "error" (Bench_json.String msg);
-      checkpoint ()
+      checkpoint ();
+      false
 
 (* Coarse-grained scheduling: pooled experiments first (k at a time
    under DSP_JOBS=k), then the serial-only tail one by one.  With no
-   DSP_JOBS both lists run sequentially in registration order. *)
+   DSP_JOBS both lists run sequentially in registration order.  True
+   when every experiment finished without crashing. *)
 let run_selected selected =
   let jobs =
     match Option.bind (Sys.getenv_opt "DSP_JOBS") int_of_string_opt with
@@ -168,31 +173,36 @@ let run_selected selected =
   let pooled, serial =
     List.partition (fun (name, _) -> not (List.mem name serial_only)) selected
   in
-  (if jobs > 1 && List.length pooled > 1 then begin
-     Printf.printf
-       "[DSP_JOBS=%d: %d experiments on the pool; stdout may interleave, \
-        BENCH.json is authoritative]\n"
-       jobs (List.length pooled);
-     Dsp_util.Pool.with_pool
-       ~jobs:(min jobs (List.length pooled))
-       (fun pool -> ignore (Dsp_util.Pool.map pool run_experiment pooled))
-   end
-   else List.iter run_experiment pooled);
-  List.iter run_experiment serial
+  let pooled_ok =
+    if jobs > 1 && List.length pooled > 1 then begin
+      Printf.printf
+        "[DSP_JOBS=%d: %d experiments on the pool; stdout may interleave, \
+         BENCH.json is authoritative]\n"
+        jobs (List.length pooled);
+      Dsp_util.Pool.with_pool
+        ~jobs:(min jobs (List.length pooled))
+        (fun pool -> Dsp_util.Pool.map pool run_experiment pooled)
+    end
+    else List.map run_experiment pooled
+  in
+  let serial_ok = List.map run_experiment serial in
+  List.for_all Fun.id (pooled_ok @ serial_ok)
 
 let () =
-  let ran =
+  let ran, ok =
     match Array.to_list Sys.argv |> List.tl with
     | [] ->
         (* The *-smoke experiments are CI-sized variants of kernel,
            faults and online; skip them in a full run. *)
-        run_selected
-          (List.filter
-             (fun (name, _) ->
-               not (Filename.check_suffix name "-smoke"))
-             experiments);
+        let ok =
+          run_selected
+            (List.filter
+               (fun (name, _) ->
+                 not (Filename.check_suffix name "-smoke"))
+               experiments)
+        in
         print_newline ();
-        true
+        (true, ok)
     | names ->
         let selected =
           List.filter_map
@@ -204,8 +214,8 @@ let () =
                   None)
             names
         in
-        run_selected selected;
-        selected <> []
+        let ok = run_selected selected in
+        (selected <> [], ok && List.length selected = List.length names)
   in
   if ran then begin
     (match bench_path () with
@@ -214,4 +224,5 @@ let () =
         Printf.printf "\nwrote %s\n" path
     | None -> ());
     write_trend ()
-  end
+  end;
+  if not ok then exit 1

@@ -441,9 +441,10 @@ let exact_cmd =
 let gap_cmd =
   let run path =
     let inst = read_instance path in
+    let within = Dsp_util.Budget.within ~nodes:20_000_000 in
     match
-      ( Dsp_exact.Dsp_bb.optimal_height inst,
-        Dsp_exact.Sp_exact.optimal_height inst )
+      ( within (fun budget -> Dsp_exact.Dsp_bb.optimal_height ~budget inst),
+        within (fun budget -> Dsp_exact.Sp_exact.optimal_height ~budget inst) )
     with
     | Some dsp, Some sp ->
         Printf.printf "OPT_DSP=%d OPT_SP=%d gap=%.4f\n" dsp sp

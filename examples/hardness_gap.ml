@@ -31,7 +31,10 @@ let () =
   let dsp = Hardness.to_dsp tp in
   Printf.printf "as a DSP instance: width %d, %d items\n" dsp.Instance.width
     (Instance.n_items dsp);
-  (match Dsp_exact.Dsp_bb.optimal_height ~node_limit:5_000_000 dsp with
+  (match
+     Dsp_util.Budget.within ~nodes:5_000_000 (fun budget ->
+         Dsp_exact.Dsp_bb.optimal_height ~budget dsp)
+   with
   | Some h -> Printf.printf "exact optimal peak: %d (4 = yes-instance)\n\n" h
   | None -> print_endline "exact search exhausted its budget\n");
 
@@ -40,9 +43,10 @@ let () =
   let gap = Dsp_instance.Gap_family.instance ~scale:1 in
   Printf.printf "gap instance (width %d, %d items):\n" gap.Instance.width
     (Instance.n_items gap);
+  let within = Dsp_util.Budget.within ~nodes:20_000_000 in
   match
-    ( Dsp_exact.Dsp_bb.optimal_height gap,
-      Dsp_exact.Sp_exact.optimal_height gap )
+    ( within (fun budget -> Dsp_exact.Dsp_bb.optimal_height ~budget gap),
+      within (fun budget -> Dsp_exact.Sp_exact.optimal_height ~budget gap) )
   with
   | Some dsp_opt, Some sp_opt ->
       Printf.printf "OPT with slicing = %d, OPT without slicing = %d: gap %.4f\n"

@@ -29,6 +29,9 @@ let () =
   print_endline (Slice_layout.render (Slice_layout.stacked packing));
 
   (* Compare against the exact optimum (the instance is small). *)
-  match Dsp_exact.Dsp_bb.optimal_height inst with
+  match
+    Dsp_util.Budget.within ~nodes:20_000_000 (fun budget ->
+        Dsp_exact.Dsp_bb.optimal_height ~budget inst)
+  with
   | Some opt -> Printf.printf "\nexact optimum: %d\n" opt
   | None -> print_endline "\nexact optimum: (node budget exhausted)"

@@ -16,7 +16,10 @@ let () =
       @ List.init 4 (fun _ -> (14, 1)))
   in
   let pk =
-    match Dsp_exact.Dsp_bb.solve ~node_limit:5_000_000 inst with
+    match
+      Dsp_util.Budget.within ~nodes:5_000_000 (fun budget ->
+          Dsp_exact.Dsp_bb.solve ~budget inst)
+    with
     | Some pk -> pk
     | None -> Dsp_algo.Baselines.best_fit_decreasing inst
   in

@@ -36,10 +36,6 @@ let validate t =
   | Some msg -> Error msg
   | None -> Ok ()
 
-let ratio_to t ~lower_bound =
-  if lower_bound <= 0 then invalid_arg "Packing.ratio_to: bound must be positive";
-  float_of_int (height t) /. float_of_int lower_bound
-
 let shift t i s =
   let starts = Array.copy t.starts in
   starts.(i) <- s;

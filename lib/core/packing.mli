@@ -22,10 +22,6 @@ val validate : t -> (unit, string) result
 (** Re-checks all invariants, for tests and for packings produced by
     transformation pipelines. *)
 
-val ratio_to : t -> lower_bound:int -> float
-(** [height / lower_bound] as a float; [lower_bound] must be
-    positive. *)
-
 val shift : t -> int -> int -> t
 (** [shift p i s] re-places item [i] at start [s]. *)
 

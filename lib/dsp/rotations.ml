@@ -67,7 +67,7 @@ let best_fit_rotating (inst : Instance.t) =
   let oriented = apply inst orientations in
   (Packing.make oriented starts, orientations)
 
-let optimal_height ?(node_limit = 20_000_000) (inst : Instance.t) =
+let optimal_height ?budget (inst : Instance.t) =
   let n = Instance.n_items inst in
   (* Items whose two orientations genuinely differ and are both
      admissible. *)
@@ -82,13 +82,12 @@ let optimal_height ?(node_limit = 20_000_000) (inst : Instance.t) =
   let orientations = Array.make n Fixed in
   let rec go = function
     | [] -> (
-        let candidate = apply inst orientations in
-        match Dsp_exact.Dsp_bb.optimal_height ~node_limit candidate with
-        | Some h -> (
-            match !best with
-            | Some (bh, _) when bh <= h -> ()
-            | _ -> best := Some (h, Array.copy orientations))
-        | None -> ())
+        let h =
+          Dsp_exact.Dsp_bb.optimal_height ?budget (apply inst orientations)
+        in
+        match !best with
+        | Some (bh, _) when bh <= h -> ()
+        | _ -> best := Some (h, Array.copy orientations))
     | i :: rest ->
         orientations.(i) <- Fixed;
         go rest;
@@ -102,7 +101,7 @@ let optimal_height ?(node_limit = 20_000_000) (inst : Instance.t) =
     !best
   end
 
-let rotation_gain ?node_limit (inst : Instance.t) =
-  match (Dsp_exact.Dsp_bb.optimal_height ?node_limit inst, optimal_height ?node_limit inst) with
-  | Some fixed, Some (rotated, _) -> Some (fixed, rotated)
-  | _ -> None
+let rotation_gain ?budget (inst : Instance.t) =
+  Option.map
+    (fun (rotated, _) -> (Dsp_exact.Dsp_bb.optimal_height ?budget inst, rotated))
+    (optimal_height ?budget inst)

@@ -28,10 +28,16 @@ val best_fit_rotating : Instance.t -> Packing.t * orientation array
     better of its two admissible (orientation, best-fit position)
     pairs.  The returned packing is over {!apply}'s instance. *)
 
-val optimal_height : ?node_limit:int -> Instance.t -> (int * orientation array) option
+val optimal_height :
+  ?budget:Dsp_util.Budget.t -> Instance.t -> (int * orientation array) option
 (** Exact optimum over all orientation assignments (exponential in
-    the number of genuinely rotatable items; intended for n ≤ 10). *)
+    the number of genuinely rotatable items; intended for n ≤ 10), or
+    [None] when more than 12 items are rotatable.  Every assignment's
+    exact search checks the one [budget].
+    @raise Dsp_util.Budget.Expired when the optional [budget] runs
+    out. *)
 
-val rotation_gain : ?node_limit:int -> Instance.t -> (int * int) option
+val rotation_gain : ?budget:Dsp_util.Budget.t -> Instance.t -> (int * int) option
 (** [(fixed_opt, rotated_opt)] — how much rotations lower the exact
-    optimum. *)
+    optimum; [None] as for {!optimal_height}.  Both optima check the
+    one [budget].  @raise Dsp_util.Budget.Expired when it runs out. *)

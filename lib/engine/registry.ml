@@ -1,42 +1,5 @@
 open Dsp_core
 
-exception Duplicate of string
-
-(* Registration order is display order; the table is small, a list is
-   fine.  The cell is atomic, not a bare ref: registration happens at
-   module initialisation on the main domain, but Runner.race and the
-   pooled compare path read the table from worker domains (dsp_lint
-   rule R2 polices exactly this kind of toplevel mutable state). *)
-let solvers : Solver.t list Atomic.t = Atomic.make []
-
-let rec register (s : Solver.t) =
-  let cur = Atomic.get solvers in
-  if List.exists (fun (r : Solver.t) -> r.Solver.name = s.Solver.name) cur then
-    raise (Duplicate s.Solver.name);
-  (* CAS retry keeps concurrent registration sound without a lock. *)
-  if not (Atomic.compare_and_set solvers cur (cur @ [ s ])) then register s
-
-let all () = Atomic.get solvers
-
-let find name =
-  List.find_opt (fun (s : Solver.t) -> s.Solver.name = name) (all ())
-
-let find_exn name =
-  match find name with
-  | Some s -> s
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Registry.find_exn: unknown solver %S (known: %s)" name
-           (String.concat ", "
-              (List.map (fun (s : Solver.t) -> s.Solver.name) (all ()))))
-
-let names () = List.map (fun (s : Solver.t) -> s.Solver.name) (all ())
-
-let heuristics () =
-  List.filter (fun (s : Solver.t) -> s.Solver.complexity <> Solver.Exponential) (all ())
-
-(* Built-in solvers. *)
-
 let ignore_budget f ~budget inst =
   let _ = budget in
   f inst
@@ -80,109 +43,110 @@ let pts_duality (inst : Instance.t) =
     Option.get !best
   end
 
-(* Both exact wrappers pass the budget's node cap to Dsp_bb as its
-   native node limit (E4 runs past Dsp_bb's own 20M default), and
-   report the search's [None] as the budget's own exhaustion, so
-   Runner.run_one has one branch for a node cap running out. *)
-let native_node_limit budget =
-  Option.value
-    (Dsp_util.Budget.node_cap budget)
-    ~default:Dsp_exact.Dsp_bb.default_node_limit
-
-let or_out_of_nodes = function
-  | Some pk -> pk
-  | None -> raise (Dsp_util.Budget.Expired Dsp_util.Budget.Nodes)
-
-let exact_bb ~budget inst =
-  or_out_of_nodes
-    (Dsp_exact.Dsp_bb.solve ~node_limit:(native_node_limit budget) ~budget inst)
-
-(* Fanned out across Pool.default_jobs domains; the node cap is shared
-   across the workers, so k domains never multiply the budget by k. *)
+(* Fanned out across Pool.default_jobs domains; the budget's node cap
+   is shared across the workers, so k domains never multiply it by k. *)
 let exact_bb_par ~budget inst =
-  or_out_of_nodes
-    (Dsp_exact.Dsp_bb.solve_par ~node_limit:(native_node_limit budget) ~budget
-       ~jobs:(Dsp_util.Pool.default_jobs ()) inst)
+  Dsp_exact.Dsp_bb.solve_par ~budget ~jobs:(Dsp_util.Pool.default_jobs ()) inst
 
-let () =
-  List.iter register
-    [
-      {
-        Solver.name = "bfd-height";
-        family = Baseline;
-        complexity = Poly;
-        doc = "best-fit decreasing by item height";
-        solve =
-          ignore_budget
-            (Dsp_algo.Baselines.best_fit_decreasing
-               ~order:Dsp_algo.Baselines.By_height);
-      };
-      {
-        Solver.name = "bfd-area";
-        family = Baseline;
-        complexity = Poly;
-        doc = "best-fit decreasing by item area";
-        solve =
-          ignore_budget
-            (Dsp_algo.Baselines.best_fit_decreasing
-               ~order:Dsp_algo.Baselines.By_area);
-      };
-      {
-        Solver.name = "lpt-width";
-        family = Baseline;
-        complexity = Poly;
-        doc = "widest-first best fit (LPT translated to DSP)";
-        solve = ignore_budget Dsp_algo.Baselines.lpt;
-      };
-      {
-        Solver.name = "ff-doubling";
-        family = Baseline;
-        complexity = Poly;
-        doc = "budgeted first fit, doubling then binary-searching the budget";
-        solve = ignore_budget Dsp_algo.Baselines.first_fit_doubling;
-      };
-      {
-        Solver.name = "steinberg2";
-        family = Baseline;
-        complexity = Poly;
-        doc = "Steinberg's classical packing read as DSP (the 2*OPT bound)";
-        solve = ignore_budget Dsp_algo.Baselines.steinberg2;
-      };
-      {
-        Solver.name = "pts-duality";
-        family = Pts;
-        complexity = Poly;
-        doc = "list scheduling through the Theorem 1 PTS duality";
-        solve = ignore_budget pts_duality;
-      };
-      {
-        Solver.name = "approx53";
-        family = Approx;
-        complexity = Poly;
-        doc = "the (5/3)-style structured polynomial algorithm";
-        solve = ignore_budget Dsp_algo.Approx53.solve;
-      };
-      {
-        Solver.name = "approx54";
-        family = Approx;
-        complexity = Pseudo_poly;
-        doc = "the (5/4+eps) pseudo-polynomial algorithm (Theorem 5)";
-        (* Deadline-only: the binary search polls the budget but has
-           no node semantics, so the node cap is ignored. *)
-        solve = (fun ~budget inst -> Dsp_algo.Approx54.solve ~budget inst);
-      };
-      {
-        Solver.name = "exact-bb";
-        family = Exact;
-        complexity = Exponential;
-        doc = "exact branch and bound (true OPT; node-budgeted)";
-        solve = exact_bb;
-      };
-      {
-        Solver.name = "exact-bb-par";
-        family = Exact;
-        complexity = Exponential;
-        doc = "parallel exact B&B (work-stealing, shared incumbent; --jobs domains)";
-        solve = exact_bb_par;
-      };
-    ]
+(* The table.  Order is display order; it is immutable, so worker
+   domains (Runner.race, the pooled compare path) read it freely. *)
+let solvers : Solver.t list =
+  [
+    {
+      Solver.name = "bfd-height";
+      family = Baseline;
+      complexity = Poly;
+      doc = "best-fit decreasing by item height";
+      solve =
+        ignore_budget
+          (Dsp_algo.Baselines.best_fit_decreasing
+             ~order:Dsp_algo.Baselines.By_height);
+    };
+    {
+      Solver.name = "bfd-area";
+      family = Baseline;
+      complexity = Poly;
+      doc = "best-fit decreasing by item area";
+      solve =
+        ignore_budget
+          (Dsp_algo.Baselines.best_fit_decreasing
+             ~order:Dsp_algo.Baselines.By_area);
+    };
+    {
+      Solver.name = "lpt-width";
+      family = Baseline;
+      complexity = Poly;
+      doc = "widest-first best fit (LPT translated to DSP)";
+      solve = ignore_budget Dsp_algo.Baselines.lpt;
+    };
+    {
+      Solver.name = "ff-doubling";
+      family = Baseline;
+      complexity = Poly;
+      doc = "budgeted first fit, doubling then binary-searching the budget";
+      solve = ignore_budget Dsp_algo.Baselines.first_fit_doubling;
+    };
+    {
+      Solver.name = "steinberg2";
+      family = Baseline;
+      complexity = Poly;
+      doc = "Steinberg's classical packing read as DSP (the 2*OPT bound)";
+      solve = ignore_budget Dsp_algo.Baselines.steinberg2;
+    };
+    {
+      Solver.name = "pts-duality";
+      family = Pts;
+      complexity = Poly;
+      doc = "list scheduling through the Theorem 1 PTS duality";
+      solve = ignore_budget pts_duality;
+    };
+    {
+      Solver.name = "approx53";
+      family = Approx;
+      complexity = Poly;
+      doc = "the (5/3)-style structured polynomial algorithm";
+      solve = ignore_budget Dsp_algo.Approx53.solve;
+    };
+    {
+      Solver.name = "approx54";
+      family = Approx;
+      complexity = Pseudo_poly;
+      doc = "the (5/4+eps) pseudo-polynomial algorithm (Theorem 5)";
+      (* Deadline-only: the binary search polls the budget but has
+         no node semantics, so the node cap is ignored. *)
+      solve = (fun ~budget inst -> Dsp_algo.Approx54.solve ~budget inst);
+    };
+    {
+      Solver.name = "exact-bb";
+      family = Exact;
+      complexity = Exponential;
+      doc = "exact branch and bound (true OPT; node-budgeted)";
+      solve = (fun ~budget inst -> Dsp_exact.Dsp_bb.solve ~budget inst);
+    };
+    {
+      Solver.name = "exact-bb-par";
+      family = Exact;
+      complexity = Exponential;
+      doc = "parallel exact B&B (work-stealing, shared incumbent; --jobs domains)";
+      solve = exact_bb_par;
+    };
+  ]
+
+let all () = solvers
+
+let find name =
+  List.find_opt (fun (s : Solver.t) -> s.Solver.name = name) solvers
+
+let find_exn name =
+  match find name with
+  | Some s -> s
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Registry.find_exn: unknown solver %S (known: %s)" name
+           (String.concat ", "
+              (List.map (fun (s : Solver.t) -> s.Solver.name) solvers)))
+
+let names () = List.map (fun (s : Solver.t) -> s.Solver.name) solvers
+
+let heuristics () =
+  List.filter (fun (s : Solver.t) -> s.Solver.complexity <> Solver.Exponential) solvers

@@ -2,23 +2,17 @@
     "which algorithms exist".
 
     The CLI ([dsp list]/[solve]/[compare]), the benchmark harness, and
-    the registry-wide test suite all enumerate this table; registering
-    a solver here is the only step needed for it to appear everywhere.
-    The built-in solvers (baselines, [approx53]/[approx54], the exact
-    branch and bound, and the PTS-duality solver) are registered at
-    module initialisation.
+    the registry-wide test suite all enumerate this table; adding a
+    solver to it is the only step needed for it to appear everywhere.
+    The table is a fixed list (baselines, [approx53]/[approx54], the
+    exact branch and bound and its parallel variant, and the
+    PTS-duality solver) with unique names, the registry key.
 
     This registry subsumes the per-consumer algorithm tables that the
     CLI, [Baselines.all], and the bench harness used to keep. *)
 
-exception Duplicate of string
-
-val register : Solver.t -> unit
-(** @raise Duplicate if a solver with the same name is already
-    registered — names are the registry key. *)
-
 val all : unit -> Solver.t list
-(** Every registered solver, in registration order. *)
+(** Every solver, in display order. *)
 
 val find : string -> Solver.t option
 val find_exn : string -> Solver.t

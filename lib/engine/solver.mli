@@ -25,9 +25,9 @@ type t = {
       (** [budget] carries the wall-clock deadline and node cap.
           Exponential solvers thread it into their hot loops, whose
           checkpoints raise {!Dsp_util.Budget.Expired} when it runs
-          out; a solver with its own node accounting reads
-          {!Dsp_util.Budget.node_cap} as its native limit and raises
-          [Expired Nodes] when that runs out.  Polynomial solvers may
+          out (the parallel search counts all its workers' nodes
+          against {!Dsp_util.Budget.node_cap} and raises
+          [Expired Nodes] the same way).  Polynomial solvers may
           ignore it (they terminate fast regardless). *)
 }
 

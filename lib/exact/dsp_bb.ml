@@ -1,13 +1,8 @@
 open Dsp_core
 
-type outcome = Feasible of Packing.t | Infeasible | Node_budget_exhausted
-
-exception Out_of_nodes
-
-(* Global node counter (Dsp_util.Instr): consumers that used to ask
-   [solve_with_stats] for the node count now read the "bb.nodes"
-   counter delta from a solve's report instead.  The local ref in
-   [counting] below survives only to enforce the per-call budget. *)
+(* Global node counter (Dsp_util.Instr): a solve's node count is the
+   "bb.nodes" delta of its report.  The node cap is the caller's
+   budget, checked by [expand] at every node. *)
 let c_nodes = Dsp_util.Instr.counter Dsp_util.Instr.Sites.bb_nodes
 
 (* Greedy best-fit by descending height: place each item at the start
@@ -25,11 +20,9 @@ let greedy_packing (inst : Instance.t) =
       | Some (s, _) ->
           Profile.add_item profile it ~start:s;
           starts.(it.id) <- s
-      | None -> invalid_arg "Dsp_bb.greedy_height: item wider than strip")
+      | None -> invalid_arg "Dsp_bb.greedy_packing: item wider than strip")
     order;
   Packing.make inst starts
-
-let greedy_height inst = Packing.height (greedy_packing inst)
 
 (* ----- the search ---------------------------------------------------- *)
 
@@ -123,48 +116,33 @@ let find ?budget ~node ~leaf (inst : Instance.t) ~height =
     else None
   end
 
-let default_node_limit = 20_000_000
+let count_node () = Dsp_util.Instr.bump c_nodes
 
-(* Node accounting of one serial solve: [Out_of_nodes] past the cap,
-   which the binary search's decisions share. *)
-let counting ~node_limit =
-  let nodes = ref 0 in
-  fun () ->
-    incr nodes;
-    Dsp_util.Instr.bump c_nodes;
-    if !nodes > node_limit then raise Out_of_nodes
+let decide ?budget inst ~height =
+  Option.map (Packing.make inst)
+    (find ?budget ~node:count_node ~leaf:(fun _ -> true) inst ~height)
 
-let decide_with ~node ?budget inst ~height =
-  match find ?budget ~node ~leaf:(fun _ -> true) inst ~height with
-  | Some starts -> Feasible (Packing.make inst starts)
-  | None -> Infeasible
-  | exception Out_of_nodes -> Node_budget_exhausted
+let solve ?budget inst =
+  if Instance.n_items inst = 0 then Packing.make inst [||]
+  else begin
+    (* Binary search on the peak below the greedy packing: decision is
+       monotone in [height]. *)
+    let best = ref (greedy_packing inst) in
+    let rec search lo hi =
+      if lo <= hi then begin
+        let mid = lo + ((hi - lo) / 2) in
+        match decide ?budget inst ~height:mid with
+        | Some pk ->
+            best := pk;
+            search lo (mid - 1)
+        | None -> search (mid + 1) hi
+      end
+    in
+    search (Instance.lower_bound inst) (Packing.height !best);
+    !best
+  end
 
-let decide ?(node_limit = default_node_limit) ?budget inst ~height =
-  decide_with ~node:(counting ~node_limit) ?budget inst ~height
-
-let solve ?(node_limit = default_node_limit) ?budget inst =
-  let lo = Instance.lower_bound inst and hi = greedy_height inst in
-  let node = counting ~node_limit in
-  let best = ref None in
-  (* Binary search on the peak: decision is monotone in [height]. *)
-  let rec search lo hi =
-    if lo > hi then true
-    else
-      let mid = lo + ((hi - lo) / 2) in
-      match decide_with ~node ?budget inst ~height:mid with
-      | Feasible pk ->
-          best := Some pk;
-          search lo (mid - 1)
-      | Infeasible -> search (mid + 1) hi
-      | Node_budget_exhausted -> false
-  in
-  if Instance.n_items inst = 0 then Some (Packing.make inst [||])
-  else if search lo hi then !best
-  else None
-
-let optimal_height ?node_limit ?budget inst =
-  Option.map (fun pk -> Packing.height pk) (solve ?node_limit ?budget inst)
+let optimal_height ?budget inst = Packing.height (solve ?budget inst)
 
 (* ----- parallel search -------------------------------------------- *)
 
@@ -206,8 +184,10 @@ let optimal_height ?node_limit ?budget inst =
    Shared state and its discipline:
    - [incumbent : int Atomic.t] — read lock-free in the hot loop,
      written only under [best_m] (monotone decreasing);
-   - [total_nodes : int Atomic.t] — the node cap is global, so k
-     workers cannot multiply the budget by k;
+   - [total_nodes : int Atomic.t] — the caller budget's node cap
+     ({!Dsp_util.Budget.node_cap}) is counted here, across all
+     workers, so k workers cannot multiply the budget by k; once it is
+     spent the solve raises [Expired Nodes] after the join;
    - [stop : bool Atomic.t] — set on proven optimality (incumbent hit
      the lower bound), node exhaustion, or a worker dying; every
      worker polls it per node and unwinds with [Stop_search];
@@ -254,21 +234,20 @@ let resolve_jobs ~pool ~jobs =
       | Some _ -> invalid_arg "Dsp_bb.solve_par: jobs must be >= 1"
       | None -> Dsp_util.Pool.default_jobs ())
 
-let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
-    (inst : Instance.t) =
+let solve_par ?budget ?jobs ?pool ?stats (inst : Instance.t) =
   let put_stats v = match stats with Some r -> r := Some v | None -> () in
   let width = inst.Instance.width in
   let n = Instance.n_items inst in
   if n = 0 then begin
     put_stats (no_stats ~domains:0);
-    Some (Packing.make inst [||])
+    Packing.make inst [||]
   end
   else begin
     let lb = Instance.lower_bound inst in
     let seed = greedy_packing inst in
     if Packing.height seed <= lb then begin
       put_stats (no_stats ~domains:0);
-      Some seed
+      seed
     end
     else begin
       let jobs = resolve_jobs ~pool ~jobs in
@@ -279,6 +258,10 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
       let best = ref seed in
       let stop = Atomic.make false in
       let exhausted = Atomic.make false in
+      let node_cap =
+        Option.value ~default:max_int
+          (Option.bind budget Dsp_util.Budget.node_cap)
+      in
       let total_nodes = Atomic.make 0 in
       let record peak starts =
         Mutex.lock best_m;
@@ -359,7 +342,7 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
         let visit k =
           Dsp_util.Instr.bump c_nodes;
           dom_nodes.(wid) <- dom_nodes.(wid) + 1;
-          if 1 + Atomic.fetch_and_add total_nodes 1 > node_limit then begin
+          if Atomic.fetch_and_add total_nodes 1 >= node_cap then begin
             Atomic.set exhausted true;
             Atomic.set stop true
           end;
@@ -486,11 +469,11 @@ let solve_par ?(node_limit = default_node_limit) ?budget ?jobs ?pool ?stats
           steal_fails = sum dom_steal_fails;
           units = sum dom_units;
         };
-      if Atomic.get exhausted then None else Some !best
+      if Atomic.get exhausted then
+        raise (Dsp_util.Budget.Expired Dsp_util.Budget.Nodes);
+      !best
     end
   end
 
-let optimal_height_par ?node_limit ?budget ?jobs ?pool inst =
-  Option.map
-    (fun pk -> Packing.height pk)
-    (solve_par ?node_limit ?budget ?jobs ?pool inst)
+let optimal_height_par ?budget ?jobs ?pool inst =
+  Packing.height (solve_par ?budget ?jobs ?pool inst)

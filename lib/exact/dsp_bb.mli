@@ -19,12 +19,13 @@
     [total area > height · W] already rejected the height.
 
     Exact search is exponential — the paper proves the problem
-    strongly NP-hard — so all entry points accept a node budget and
-    return [None] when it is exhausted. *)
+    strongly NP-hard — so every entry point takes an optional
+    {!Dsp_util.Budget.t} and checks it at every node: a spent node
+    cap, deadline or cancellation escapes as
+    {!Dsp_util.Budget.Expired}, never as an answer.  Without a budget
+    the search runs to completion. *)
 
 open Dsp_core
-
-type outcome = Feasible of Packing.t | Infeasible | Node_budget_exhausted
 
 val find :
   ?budget:Dsp_util.Budget.t ->
@@ -42,30 +43,25 @@ val find :
     at or before [(W - w) / 2] and adjacent identical items (equal
     width and height) start in non-decreasing order; every packing has
     a canonical mirror image or permutation with the same peak.
-    [node ()] runs first at every search node and may raise to abort
-    (a caller's node cap); [budget] adds one checkpoint per node.
+    [node ()] runs first at every search node (the caller's node
+    counter); [budget] adds one checkpoint per node.
     [leaf] sees the search's own array: copy it to keep it.  Answers
     [None] at once when the total area exceeds [height · W] or an item
     is taller than [height]. *)
 
-val default_node_limit : int
-(** Node cap applied when the caller gives none (20,000,000). *)
-
 val decide :
-  ?node_limit:int -> ?budget:Dsp_util.Budget.t -> Instance.t -> height:int -> outcome
-(** Is there a packing with peak at most [height]?  The optional
-    [budget] adds cooperative cancellation (a checkpoint per node):
-    {!Dsp_util.Budget.Expired} escapes to the caller. *)
+  ?budget:Dsp_util.Budget.t -> Instance.t -> height:int -> Packing.t option
+(** A packing with peak at most [height], or [None] when there is
+    none.  @raise Dsp_util.Budget.Expired when the optional [budget]
+    runs out mid-search. *)
 
-val solve :
-  ?node_limit:int -> ?budget:Dsp_util.Budget.t -> Instance.t -> Packing.t option
+val solve : ?budget:Dsp_util.Budget.t -> Instance.t -> Packing.t
 (** Optimal packing via binary search on the peak between
-    {!Instance.lower_bound} and a greedy upper bound; [None] only on
-    node-budget exhaustion.  @raise Dsp_util.Budget.Expired when the
+    {!Instance.lower_bound} and a greedy upper bound; every decision
+    checks the one [budget].  @raise Dsp_util.Budget.Expired when the
     optional [budget] runs out mid-search. *)
 
-val optimal_height :
-  ?node_limit:int -> ?budget:Dsp_util.Budget.t -> Instance.t -> int option
+val optimal_height : ?budget:Dsp_util.Budget.t -> Instance.t -> int
 
 type par_stats = {
   domains : int;  (** worker domains used (0 on trivial early returns) *)
@@ -81,13 +77,12 @@ type par_stats = {
     synchronization and only read once the workers are joined). *)
 
 val solve_par :
-  ?node_limit:int ->
   ?budget:Dsp_util.Budget.t ->
   ?jobs:int ->
   ?pool:Dsp_util.Pool.t ->
   ?stats:par_stats option ref ->
   Instance.t ->
-  Packing.t option
+  Packing.t
 (** Parallel exact search: the same move generator and symmetry
     reductions as {!solve}, but incumbent-driven — the greedy packing
     seeds a shared atomic bound and every worker prunes against the
@@ -98,23 +93,22 @@ val solve_par :
     the first item's start columns, pops its own units LIFO, pushes
     shallow children back as stealable units, and when idle steals the
     shallowest (largest) unit FIFO from a random victim.  Returns the
-    optimal packing, or [None] when the *shared* node cap
-    ([node_limit], counted across all workers) is exhausted.  The
-    caller's [budget] supplies the wall-clock deadline and the
-    cooperative cancel flag; its node cap is ignored in favour of
-    [node_limit].  Deterministic in its result (the optimum is the
-    optimum from any search order) but not in its node count.  When
-    [stats] is given it is filled with this solve's {!par_stats}.
+    optimal packing.  The caller's [budget] supplies the wall-clock
+    deadline, the cooperative cancel flag and the node cap
+    ({!Dsp_util.Budget.node_cap}), which is one cap shared by all
+    workers.  Deterministic in its result (the optimum is the optimum
+    from any search order) but not in its node count.  When [stats] is
+    given it is filled with this solve's {!par_stats}.
     @raise Dsp_util.Budget.Expired when the budget runs out or is
-    cancelled mid-search. *)
+    cancelled mid-search ([Expired Nodes] once the workers have
+    jointly spent the node cap). *)
 
 val optimal_height_par :
-  ?node_limit:int ->
   ?budget:Dsp_util.Budget.t ->
   ?jobs:int ->
   ?pool:Dsp_util.Pool.t ->
   Instance.t ->
-  int option
+  int
 
 (** Node counts: every explored node bumps the global ["bb.nodes"]
     counter ({!Dsp_util.Instr}); callers that want the count of one

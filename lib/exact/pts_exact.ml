@@ -3,29 +3,24 @@ open Dsp_core
 let dual (inst : Pts.Inst.t) ~makespan =
   Dsp_transform.Transform.pts_to_dsp_instance inst ~width:makespan
 
-let decide ?node_limit ?budget (inst : Pts.Inst.t) ~makespan =
+let decide ?budget (inst : Pts.Inst.t) ~makespan =
   Dsp_util.Budget.poll_opt budget;
   if makespan < Pts.Inst.max_time inst then None
   else
-    let dsp = dual inst ~makespan in
-    match Dsp_bb.decide ?node_limit ?budget dsp ~height:inst.Pts.Inst.machines with
-    | Dsp_bb.Feasible pk -> (
-        match
-          Dsp_transform.Transform.packing_to_schedule pk
-            ~machines:inst.Pts.Inst.machines
-        with
+    let machines = inst.Pts.Inst.machines in
+    Option.map
+      (fun pk ->
+        match Dsp_transform.Transform.packing_to_schedule pk ~machines with
         | Ok (sched, _) ->
             (* Rebuild on the original instance: the dual round trip
                preserves job ids, so sigma/rho carry over directly. *)
-            Some
-              (Pts.Schedule.make inst ~sigma:sched.Pts.Schedule.sigma
-                 ~rho:sched.Pts.Schedule.rho)
-        | Error _ -> None)
-    | Dsp_bb.Infeasible | Dsp_bb.Node_budget_exhausted -> None
+            Pts.Schedule.make inst ~sigma:sched.Pts.Schedule.sigma
+              ~rho:sched.Pts.Schedule.rho
+        | Error e -> invalid_arg ("Pts_exact.decide: " ^ e))
+      (Dsp_bb.decide ?budget (dual inst ~makespan) ~height:machines)
 
-let solve ?node_limit ?budget (inst : Pts.Inst.t) =
-  if Pts.Inst.n_jobs inst = 0 then
-    Some (Pts.Schedule.make inst ~sigma:[||] ~rho:[||])
+let solve ?budget (inst : Pts.Inst.t) =
+  if Pts.Inst.n_jobs inst = 0 then Pts.Schedule.make inst ~sigma:[||] ~rho:[||]
   else begin
     let lo = Pts.Inst.lower_bound inst in
     let hi =
@@ -33,16 +28,16 @@ let solve ?node_limit ?budget (inst : Pts.Inst.t) =
     in
     let best = ref None in
     let ok t =
-      match decide ?node_limit ?budget inst ~makespan:t with
+      match decide ?budget inst ~makespan:t with
       | Some sched ->
           best := Some sched;
           true
       | None -> false
     in
-    match Dsp_util.Xutil.binary_search_min lo hi ok with
-    | Some _ -> !best
-    | None -> None
+    ignore (Dsp_util.Xutil.binary_search_min lo hi ok);
+    (* [hi] runs the jobs one after another, so it is always decided
+       feasible. *)
+    Option.get !best
   end
 
-let optimal_makespan ?node_limit ?budget inst =
-  Option.map Pts.Schedule.makespan (solve ?node_limit ?budget inst)
+let optimal_makespan ?budget inst = Pts.Schedule.makespan (solve ?budget inst)

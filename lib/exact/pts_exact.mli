@@ -5,25 +5,24 @@
     width [T] exists.  This solver is that theorem turned into code:
     binary search on [T], decide each guess with the exact DSP solver
     on the transformed instance, and recover concrete machine
-    assignments with the Figure 3 repair procedure. *)
+    assignments with the Figure 3 repair procedure.  Every decision of
+    a solve checks the one optional {!Dsp_util.Budget.t}, so a spent
+    budget escapes as {!Dsp_util.Budget.Expired}, never as an
+    infeasible guess. *)
 
 open Dsp_core
 
 val decide :
-  ?node_limit:int ->
   ?budget:Dsp_util.Budget.t ->
   Pts.Inst.t ->
   makespan:int ->
   Pts.Schedule.t option
-(** A schedule with makespan at most [makespan], if one exists within
-    the node budget.  [None] conflates infeasibility with budget
-    exhaustion; use {!solve} when the distinction matters.  The
-    optional [budget] is threaded into the dual DSP search;
-    {!Dsp_util.Budget.Expired} escapes to the caller. *)
+(** A schedule with makespan at most [makespan], or [None] when there
+    is none.  @raise Dsp_util.Budget.Expired when the optional
+    [budget] runs out mid-search. *)
 
-val solve :
-  ?node_limit:int -> ?budget:Dsp_util.Budget.t -> Pts.Inst.t -> Pts.Schedule.t option
-(** Optimal schedule, or [None] on node-budget exhaustion. *)
+val solve : ?budget:Dsp_util.Budget.t -> Pts.Inst.t -> Pts.Schedule.t
+(** Optimal schedule.  @raise Dsp_util.Budget.Expired when the
+    optional [budget] runs out mid-search. *)
 
-val optimal_makespan :
-  ?node_limit:int -> ?budget:Dsp_util.Budget.t -> Pts.Inst.t -> int option
+val optimal_makespan : ?budget:Dsp_util.Budget.t -> Pts.Inst.t -> int

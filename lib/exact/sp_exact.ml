@@ -1,20 +1,11 @@
 open Dsp_core
 
-exception Out_of_nodes
-
 (* Shared counter vocabulary (Dsp_util.Instr): x-enumeration and
    y-feasibility nodes both count as classical-strip-packing search
-   nodes. *)
+   nodes, and both phases check the one budget at every node. *)
 let c_nodes = Dsp_util.Instr.counter Dsp_util.Instr.Sites.sp_bb_nodes
 
-(* Node accounting of one solve, shared by both phases: [Out_of_nodes]
-   past the cap. *)
-let counting ~node_limit =
-  let nodes = ref 0 in
-  fun () ->
-    incr nodes;
-    Dsp_util.Instr.bump c_nodes;
-    if !nodes > node_limit then raise Out_of_nodes
+let count_node () = Dsp_util.Instr.bump c_nodes
 
 let x_overlap (a : Item.t) sa (b : Item.t) sb =
   sa < sb + b.w && sb < sa + a.w
@@ -26,7 +17,7 @@ let x_overlap (a : Item.t) sa (b : Item.t) sb =
    arrangement items can be pushed down until each rests on the floor
    or on another item, and placing in ascending order of resulting y
    visits exactly such configurations. *)
-let y_search ~node ~budget (inst : Instance.t) ~starts ~height =
+let y_feasible ?budget (inst : Instance.t) ~starts ~height =
   let n = Instance.n_items inst in
   let ys = Array.make n (-1) in
   let placed = Array.make n false in
@@ -49,7 +40,7 @@ let y_search ~node ~budget (inst : Instance.t) ~starts ~height =
     List.sort_uniq compare (List.filter (fun y -> y + a.h <= height) !cs)
   in
   let rec go k =
-    node ();
+    count_node ();
     Dsp_util.Budget.check_opt budget;
     if k = n then true
     else begin
@@ -93,19 +84,15 @@ let y_search ~node ~budget (inst : Instance.t) ~starts ~height =
   in
   if go 0 then Some ys else None
 
-let y_feasible ?(node_limit = 5_000_000) ?budget inst ~starts ~height =
-  try y_search ~node:(counting ~node_limit) ~budget inst ~starts ~height
-  with Out_of_nodes -> None
-
 (* The x-phase is the DSP search under the same height: an SP packing's
    x-projection is a DSP packing with no greater peak, so every SP
    packing's start vector has a canonical form among [Dsp_bb.find]'s
    leaves.  Each leaf runs the y-phase; the first that succeeds is the
    witness. *)
-let decide ~node ?budget inst ~height =
+let decide ?budget inst ~height =
   let found = ref None in
   let leaf starts =
-    match y_search ~node ~budget inst ~starts ~height with
+    match y_feasible ?budget inst ~starts ~height with
     | Some ys ->
         found :=
           Some
@@ -114,30 +101,28 @@ let decide ~node ?budget inst ~height =
         true
     | None -> false
   in
-  ignore (Dsp_bb.find ?budget ~node ~leaf inst ~height);
+  ignore (Dsp_bb.find ?budget ~node:count_node ~leaf inst ~height);
   !found
 
-let default_node_limit = 20_000_000
-
-let solve ?(node_limit = default_node_limit) ?budget inst =
-  if Instance.n_items inst = 0 then Some (Rect_packing.make inst [||])
+let solve ?budget inst =
+  if Instance.n_items inst = 0 then Rect_packing.make inst [||]
   else begin
     let lo = Instance.lower_bound inst in
     let hi = Instance.total_area inst (* trivially enough: stack everything *) in
-    let node = counting ~node_limit in
     let best = ref None in
     let rec search lo hi =
       if lo <= hi then begin
         let mid = lo + ((hi - lo) / 2) in
-        match decide ~node ?budget inst ~height:mid with
+        match decide ?budget inst ~height:mid with
         | Some pk ->
             best := Some pk;
             search lo (mid - 1)
         | None -> search (mid + 1) hi
       end
     in
-    match search lo hi with () -> !best | exception Out_of_nodes -> None
+    search lo hi;
+    (* [hi] admits the stacked packing, so some decision succeeded. *)
+    Option.get !best
   end
 
-let optimal_height ?node_limit ?budget inst =
-  Option.map Rect_packing.height (solve ?node_limit ?budget inst)
+let optimal_height ?budget inst = Rect_packing.height (solve ?budget inst)

@@ -9,26 +9,27 @@
     those fixed x-intervals admit a non-overlapping vertical
     arrangement within the height (gravity-normalized candidate y
     positions: the floor or the top of an already-placed item).
-    Strictly exponential; intended for n ≤ 10. *)
+    Strictly exponential; intended for n ≤ 10.  Both phases count
+    their nodes against the one optional {!Dsp_util.Budget.t} of the
+    solve; a spent budget escapes as {!Dsp_util.Budget.Expired}. *)
 
 open Dsp_core
 
-val solve :
-  ?node_limit:int -> ?budget:Dsp_util.Budget.t -> Instance.t -> Rect_packing.t option
-(** @raise Dsp_util.Budget.Expired when the optional [budget] runs out
-    mid-search (cooperative cancellation checkpoints fire once per
-    node, in both search phases). *)
+val solve : ?budget:Dsp_util.Budget.t -> Instance.t -> Rect_packing.t
+(** Optimal rectangle packing via binary search on the height.
+    @raise Dsp_util.Budget.Expired when the optional [budget] runs out
+    mid-search (checkpoints fire once per node, in both search
+    phases). *)
 
-val optimal_height :
-  ?node_limit:int -> ?budget:Dsp_util.Budget.t -> Instance.t -> int option
+val optimal_height : ?budget:Dsp_util.Budget.t -> Instance.t -> int
 
 val y_feasible :
-  ?node_limit:int ->
   ?budget:Dsp_util.Budget.t ->
   Instance.t ->
   starts:int array ->
   height:int ->
   int array option
 (** Vertical-arrangement check for fixed start columns: [Some ys] with
-    the bottom y of every item, or [None] (also on budget
-    exhaustion). *)
+    the bottom y of every item, or [None] when there is none.
+    @raise Dsp_util.Budget.Expired when the optional [budget] runs
+    out. *)

@@ -24,9 +24,9 @@ let search ?budget ~numbers ~bound () =
   let rec go () =
     incr nodes;
     Dsp_util.Instr.bump c_nodes;
-    (* This search has no native node limit (the hardness experiments
-       want the full blow-up), so the budget checkpoint is the only way
-       to cancel it. *)
+    (* The budget is this search's only limit, as for every exact
+       search; the hardness experiments pass none, to measure the full
+       blow-up. *)
     Dsp_util.Budget.check_opt budget;
     let a = first_unused 0 in
     if a >= n then true

@@ -14,9 +14,8 @@ val solve :
   unit ->
   (int * int * int) array option
 (** Triples of indices into [numbers], or [None] if no partition
-    exists.  The search has no native node limit, so the optional
-    [budget] is the only way to cancel it: {!Dsp_util.Budget.Expired}
-    escapes to the caller.
+    exists.  The optional [budget] is checked at every node:
+    {!Dsp_util.Budget.Expired} escapes to the caller.
     @raise Invalid_argument if the array length is not a multiple of 3
     or the sum is not [k * bound]. *)
 

@@ -37,21 +37,6 @@ let yes_instance rng ~k ~bound =
   done;
   make_three_partition ~k ~bound numbers
 
-let perturbed_instance rng ~k ~bound =
-  if k < 2 then invalid_arg "Hardness.perturbed_instance: k must be >= 2";
-  let inst = yes_instance rng ~k ~bound in
-  let numbers = Array.copy inst.numbers in
-  (* Move one unit of mass from a number of triple 0 to one of
-     triple 1; totals are preserved, triple sums are not. *)
-  let i = Rng.int_in rng 0 2 and j = 3 + Rng.int_in rng 0 2 in
-  let lo = (bound / 4) + 1 and hi = (bound / 2) - 1 in
-  if numbers.(i) - 1 < lo || numbers.(j) + 1 > hi then None
-  else begin
-    numbers.(i) <- numbers.(i) - 1;
-    numbers.(j) <- numbers.(j) + 1;
-    Some { inst with numbers }
-  end
-
 let no_instance ~k =
   if k < 3 || k mod 3 <> 0 then
     invalid_arg "Hardness.no_instance: k must be a positive multiple of 3";

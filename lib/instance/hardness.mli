@@ -41,13 +41,6 @@ val yes_instance : Dsp_util.Rng.t -> k:int -> bound:int -> three_partition
     within the (B/4, B/2) window; [bound] must be divisible by 4 and
     at least 8. *)
 
-val perturbed_instance :
-  Dsp_util.Rng.t -> k:int -> bound:int -> three_partition option
-(** A perturbation of a yes-instance that keeps the total sum but
-    moves mass between two triples; usually (not provably) a
-    no-instance.  [None] if the perturbation would leave the (B/4,
-    B/2) window. *)
-
 val no_instance : k:int -> three_partition
 (** A provably unsolvable instance: [bound = 26 ≡ 2 (mod 3)] with all
     numbers from {7, 10} ≡ 1 (mod 3), so every triple sums to

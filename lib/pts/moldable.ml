@@ -100,7 +100,7 @@ let schedule t =
 
 let makespan t = Pts.Schedule.makespan (fst (schedule t))
 
-let optimal_makespan ?node_limit t =
+let optimal_makespan ?budget t =
   let n = Array.length t.jobs in
   if n > 8 then None
   else begin
@@ -108,13 +108,12 @@ let optimal_makespan ?node_limit t =
     let allotment = Array.make n 1 in
     let rec go i =
       if i = n then begin
-        let rigid = allot t allotment in
-        match Dsp_exact.Pts_exact.optimal_makespan ?node_limit rigid with
-        | Some mk -> (
-            match !best with
-            | Some (b, _) when b <= mk -> ()
-            | _ -> best := Some (mk, Array.copy allotment))
-        | None -> ()
+        let mk =
+          Dsp_exact.Pts_exact.optimal_makespan ?budget (allot t allotment)
+        in
+        match !best with
+        | Some (b, _) when b <= mk -> ()
+        | _ -> best := Some (mk, Array.copy allotment)
       end
       else
         for q = 1 to t.machines do

@@ -51,6 +51,11 @@ val schedule : t -> Pts.Schedule.t * int array
 
 val makespan : t -> int
 
-val optimal_makespan : ?node_limit:int -> t -> (int * int array) option
+val optimal_makespan :
+  ?budget:Dsp_util.Budget.t -> t -> (int * int array) option
 (** Exact: enumerate allotments (exponential; n ≤ 8) over the exact
-    rigid solver.  Returns the best makespan and its allotment. *)
+    rigid solver.  Returns the best makespan and its allotment, or
+    [None] for more than 8 jobs.  Every allotment's exact solve checks
+    the one [budget].
+    @raise Dsp_util.Budget.Expired when the optional [budget] runs
+    out. *)

@@ -85,12 +85,10 @@ let poll t =
 let check_opt = function Some t -> check t | None -> ()
 let poll_opt = function Some t -> poll t | None -> ()
 
-let expired t =
-  if cancelled t then Some Cancelled
-  else
-    match t.nodes with
-    | Some cap when t.ticks > cap -> Some Nodes
-    | _ -> if past_deadline t then Some Deadline else None
+let within ~nodes f =
+  match f (create ~nodes ()) with
+  | v -> Some v
+  | exception Expired Nodes -> None
 
 let node_cap t = t.nodes
 let ticks t = t.ticks
@@ -100,8 +98,3 @@ let remaining_ms t =
   Option.map
     (fun d -> Float.max 0.0 ((d -. Unix.gettimeofday ()) *. 1000.))
     t.deadline
-
-let reason_name = function
-  | Deadline -> "deadline"
-  | Nodes -> "nodes"
-  | Cancelled -> "cancelled"

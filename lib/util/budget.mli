@@ -5,12 +5,12 @@
     The paper's exact solvers and the (5/4+ε) binary search are
     pseudo-polynomial or exponential; on the 3-Partition hardness
     families a solve can run effectively forever.  A [Budget.t] is
-    created once per solve (by {!Dsp_engine.Runner.run_one}) and
-    threaded into every hot loop, which calls {!check} (search loops
-    whose iterations are "nodes") or {!poll} (loops with no node
-    semantics, e.g. simplex pivots).  Both
-    raise {!Expired} when the budget runs out; the engine boundary
-    converts the exception into a typed outcome.
+    created once per solve (by {!Dsp_engine.Runner.run_one}, or by
+    {!within} for a bare node cap) and threaded into every hot loop,
+    which calls {!check} (search loops whose iterations are "nodes")
+    or {!poll} (loops with no node semantics, e.g. simplex pivots).
+    Both raise {!Expired} when the budget runs out; the engine
+    boundary converts the exception into a typed outcome.
 
     Multicore: budgets are single-domain values (the checkpoint state
     is unsynchronized); what crosses domains is the shared [cancel]
@@ -72,13 +72,16 @@ val check_opt : t option -> unit
 val poll_opt : t option -> unit
 (** {!poll} when a budget is present, no-op otherwise. *)
 
-val expired : t -> reason option
-(** Non-raising probe (always reads the clock and the cancel flag). *)
+val within : nodes:int -> (t -> 'a) -> 'a option
+(** [within ~nodes f] runs [f] under a fresh budget capped at [nodes]
+    {!check} checkpoints: [Some] its answer, or [None] when the cap
+    runs out.  For callers that skip what a cap cannot finish (the
+    exact optima of the experiments and tests); the budget has no
+    deadline and no cancel flag. *)
 
 val node_cap : t -> int option
-(** The node cap, for solvers with native node accounting (the
-    branch-and-bound keeps its own per-call counter shared across the
-    binary search on the height). *)
+(** The node cap, for a parallel search that counts its workers' nodes
+    against it in one shared counter (see {!child}). *)
 
 val ticks : t -> int
 (** Checkpoints counted so far by {!check}. *)
@@ -92,6 +95,3 @@ val remaining_ms : t -> float option
 
 val clock_interval : int
 (** Checkpoints between wall-clock reads (64). *)
-
-val reason_name : reason -> string
-(** ["deadline"] / ["nodes"] / ["cancelled"]. *)

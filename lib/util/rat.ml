@@ -57,7 +57,6 @@ let equal a b = a.n = b.n && a.d = b.d
 let sign a = Stdlib.compare a.n 0
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
-let is_integer a = a.d = 1
 
 let floor a =
   if a.n >= 0 then a.n / a.d

@@ -57,8 +57,6 @@ val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 
-val is_integer : t -> bool
-
 val floor : t -> int
 (** Largest integer [k] with [k <= t]. *)
 

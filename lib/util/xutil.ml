@@ -53,10 +53,6 @@ let range lo hi =
   let rec go i acc = if i < lo then acc else go (i - 1) (i :: acc) in
   go (hi - 1) []
 
-let array_max arr =
-  if Array.length arr = 0 then invalid_arg "Xutil.array_max: empty array";
-  Array.fold_left max arr.(0) arr
-
 let binary_search_min lo hi ok =
   if lo > hi then None
   else if not (ok hi) then None

@@ -31,9 +31,6 @@ val drop : int -> 'a list -> 'a list
 val range : int -> int -> int list
 (** [range lo hi] is [lo; lo+1; ...; hi-1]. *)
 
-val array_max : int array -> int
-(** Maximum of a non-empty int array. *)
-
 val binary_search_min : int -> int -> (int -> bool) -> int option
 (** [binary_search_min lo hi ok] finds the smallest [x] in [lo..hi]
     with [ok x], assuming [ok] is monotone (false then true).  Returns

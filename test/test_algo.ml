@@ -113,7 +113,10 @@ let algo_tests =
   @ [
       Helpers.qtest ~count:30 "approx54 stays within 5/4 + eps of optimum"
         (Helpers.tiny_instance_arb ()) (fun inst ->
-          match Dsp_exact.Dsp_bb.optimal_height ~node_limit:500_000 inst with
+          match
+            Dsp_util.Budget.within ~nodes:500_000 (fun budget ->
+                Dsp_exact.Dsp_bb.optimal_height ~budget inst)
+          with
           | None -> true
           | Some opt ->
               let h = Packing.height (Dsp_algo.Approx54.solve inst) in
@@ -121,7 +124,10 @@ let algo_tests =
               h <= ((5 * opt) + 3) / 4 + 1);
       Helpers.qtest ~count:30 "approx53 stays within 5/3 of optimum"
         (Helpers.tiny_instance_arb ()) (fun inst ->
-          match Dsp_exact.Dsp_bb.optimal_height ~node_limit:500_000 inst with
+          match
+            Dsp_util.Budget.within ~nodes:500_000 (fun budget ->
+                Dsp_exact.Dsp_bb.optimal_height ~budget inst)
+          with
           | None -> true
           | Some opt ->
               Packing.height (Dsp_algo.Approx53.solve inst) <= (5 * opt / 3) + 1);

@@ -10,7 +10,10 @@ let dsp_augment_tests =
         && r.Augment.width_used >= inst.Instance.width
         &&
         (* The certified height never exceeds the width-W optimum. *)
-        match Dsp_exact.Dsp_bb.optimal_height ~node_limit:500_000 inst with
+        match
+          Dsp_util.Budget.within ~nodes:500_000 (fun budget ->
+              Dsp_exact.Dsp_bb.optimal_height ~budget inst)
+        with
         | Some opt -> r.Augment.height <= opt
         | None -> true);
     Helpers.qtest ~count:40 "corollary 2 width stays within the 2x certificate"
@@ -26,7 +29,10 @@ let pts_augment_tests =
         let r = Augment.pts_53 inst in
         Result.is_ok (Pts.Schedule.validate r.Augment.schedule)
         &&
-        match Dsp_exact.Pts_exact.optimal_makespan ~node_limit:500_000 inst with
+        match
+          Dsp_util.Budget.within ~nodes:500_000 (fun budget ->
+              Dsp_exact.Pts_exact.optimal_makespan ~budget inst)
+        with
         | Some opt -> r.Augment.makespan <= opt
         | None -> true);
     Helpers.qtest ~count:30 "corollary 3 machine factor within 5/3"
@@ -43,7 +49,10 @@ let pts_augment_tests =
     Helpers.qtest ~count:20 "corollary 4 result is makespan-optimal"
       (Helpers.pts_arb ~max_m:4 ~max_n:6 ~max_p:4 ()) (fun inst ->
         let r = Augment.pts_54 inst in
-        match Dsp_exact.Pts_exact.optimal_makespan ~node_limit:500_000 inst with
+        match
+          Dsp_util.Budget.within ~nodes:500_000 (fun budget ->
+              Dsp_exact.Pts_exact.optimal_makespan ~budget inst)
+        with
         | Some opt -> r.Augment.makespan <= opt
         | None -> true);
   ]

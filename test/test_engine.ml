@@ -16,21 +16,6 @@ let registry_tests =
         let sorted = List.sort_uniq compare names in
         Alcotest.check Alcotest.int "no duplicate names" (List.length names)
           (List.length sorted));
-    Alcotest.test_case "registering a taken name raises Duplicate" `Quick
-      (fun () ->
-        let taken = List.hd (Registry.names ()) in
-        let dup =
-          {
-            Solver.name = taken;
-            family = Solver.Baseline;
-            complexity = Solver.Poly;
-            doc = "duplicate";
-            solve = (fun ~budget:_ inst -> Packing.make inst [||]);
-          }
-        in
-        match Registry.register dup with
-        | () -> Alcotest.fail "expected Duplicate"
-        | exception Registry.Duplicate _ -> ());
     Alcotest.test_case "heuristics excludes exponential solvers" `Quick
       (fun () ->
         Alcotest.check Alcotest.bool "no Exponential in heuristics" true

@@ -27,31 +27,25 @@ let dsp_bb_tests =
     Helpers.qtest ~count:60 "branch and bound matches brute force"
       (Helpers.tiny_instance_arb ()) (fun inst ->
         QCheck.assume (Instance.n_items inst <= 5);
-        match Dsp_exact.Dsp_bb.optimal_height inst with
-        | Some h -> h = brute_dsp_opt inst
-        | None -> true);
+        Dsp_exact.Dsp_bb.optimal_height inst = brute_dsp_opt inst);
     Helpers.qtest "decision monotone in the height"
       (Helpers.tiny_instance_arb ()) (fun inst ->
-        match Dsp_exact.Dsp_bb.optimal_height inst with
-        | None -> true
-        | Some opt -> (
-            (match Dsp_exact.Dsp_bb.decide inst ~height:(opt - 1) with
-            | Dsp_exact.Dsp_bb.Infeasible -> true
-            | _ -> false)
-            &&
-            match Dsp_exact.Dsp_bb.decide inst ~height:(opt + 1) with
-            | Dsp_exact.Dsp_bb.Feasible pk ->
-                Result.is_ok (Packing.validate pk) && Packing.height pk <= opt + 1
-            | _ -> false));
+        let opt = Dsp_exact.Dsp_bb.optimal_height inst in
+        Dsp_exact.Dsp_bb.decide inst ~height:(opt - 1) = None
+        &&
+        match Dsp_exact.Dsp_bb.decide inst ~height:(opt + 1) with
+        | Some pk ->
+            Result.is_ok (Packing.validate pk) && Packing.height pk <= opt + 1
+        | None -> false);
     Alcotest.test_case "solves the empty instance" `Quick (fun () ->
         let inst = Instance.make ~width:3 [||] in
-        Alcotest.check (Alcotest.option Alcotest.int) "zero" (Some 0)
+        Alcotest.check Alcotest.int "zero" 0
           (Dsp_exact.Dsp_bb.optimal_height inst));
     Alcotest.test_case "known optimum" `Quick (fun () ->
         (* Three 2x2 squares in width 4: two side by side + one on
            top -> peak 4. *)
         let inst = Instance.of_dims ~width:4 [ (2, 2); (2, 2); (2, 2) ] in
-        Alcotest.check (Alcotest.option Alcotest.int) "peak 4" (Some 4)
+        Alcotest.check Alcotest.int "peak 4" 4
           (Dsp_exact.Dsp_bb.optimal_height inst));
   ]
 
@@ -161,27 +155,20 @@ let sp_exact_tests =
   [
     Helpers.qtest ~count:40 "sp optimum >= dsp optimum"
       (Helpers.tiny_instance_arb ()) (fun inst ->
-        match
-          (Dsp_exact.Sp_exact.optimal_height inst, Dsp_exact.Dsp_bb.optimal_height inst)
-        with
-        | Some sp, Some dsp -> sp >= dsp
-        | _ -> true);
+        Dsp_exact.Sp_exact.optimal_height inst
+        >= Dsp_exact.Dsp_bb.optimal_height inst);
     Helpers.qtest ~count:40 "sp witness is a valid rectangle packing"
       (Helpers.tiny_instance_arb ()) (fun inst ->
-        match Dsp_exact.Sp_exact.solve inst with
-        | Some pk -> Result.is_ok (Rect_packing.validate pk)
-        | None -> true);
+        Result.is_ok (Rect_packing.validate (Dsp_exact.Sp_exact.solve inst)));
     Helpers.qtest ~count:40 "y_feasible agrees with the witness height"
       (Helpers.tiny_instance_arb ()) (fun inst ->
-        match Dsp_exact.Sp_exact.solve inst with
-        | None -> true
-        | Some pk ->
-            let h = Rect_packing.height pk in
-            let starts =
-              Array.init (Instance.n_items inst) (fun i ->
-                  (Rect_packing.position pk i).Rect_packing.x)
-            in
-            Dsp_exact.Sp_exact.y_feasible inst ~starts ~height:h <> None);
+        let pk = Dsp_exact.Sp_exact.solve inst in
+        let h = Rect_packing.height pk in
+        let starts =
+          Array.init (Instance.n_items inst) (fun i ->
+              (Rect_packing.position pk i).Rect_packing.x)
+        in
+        Dsp_exact.Sp_exact.y_feasible inst ~starts ~height:h <> None);
   ]
 
 let three_partition_tests =
@@ -217,7 +204,10 @@ let pts_exact_tests =
   [
     Helpers.qtest ~count:30 "exact schedules are valid and optimal-looking"
       (Helpers.pts_arb ~max_m:4 ~max_n:6 ~max_p:4 ()) (fun inst ->
-        match Dsp_exact.Pts_exact.solve ~node_limit:400_000 inst with
+        match
+          Dsp_util.Budget.within ~nodes:400_000 (fun budget ->
+              Dsp_exact.Pts_exact.solve ~budget inst)
+        with
         | None -> true
         | Some sched ->
             Result.is_ok (Pts.Schedule.validate sched)
@@ -228,7 +218,7 @@ let pts_exact_tests =
         (* 2 machines, jobs (2,2), (1,1), (1,1): block 2 then both
            singles in parallel -> makespan 3. *)
         let inst = Pts.Inst.of_dims ~machines:2 [ (2, 2); (1, 1); (1, 1) ] in
-        Alcotest.check (Alcotest.option Alcotest.int) "makespan" (Some 3)
+        Alcotest.check Alcotest.int "makespan" 3
           (Dsp_exact.Pts_exact.optimal_makespan inst));
   ]
 
@@ -236,26 +226,111 @@ let gap_tests =
   [
     Alcotest.test_case "gap family has the advertised optima" `Slow (fun () ->
         let inst = Dsp_instance.Gap_family.instance ~scale:1 in
-        Alcotest.check (Alcotest.option Alcotest.int) "dsp"
-          (Some (Dsp_instance.Gap_family.expected_dsp_opt ~scale:1))
+        Alcotest.check Alcotest.int "dsp"
+          (Dsp_instance.Gap_family.expected_dsp_opt ~scale:1)
           (Dsp_exact.Dsp_bb.optimal_height inst);
-        Alcotest.check (Alcotest.option Alcotest.int) "sp"
-          (Some (Dsp_instance.Gap_family.expected_sp_opt ~scale:1))
+        Alcotest.check Alcotest.int "sp"
+          (Dsp_instance.Gap_family.expected_sp_opt ~scale:1)
           (Dsp_exact.Sp_exact.optimal_height inst));
     Alcotest.test_case "all witnesses have a strict gap" `Slow (fun () ->
         List.iter
           (fun inst ->
-            match
-              ( Dsp_exact.Dsp_bb.optimal_height inst,
-                Dsp_exact.Sp_exact.optimal_height inst )
-            with
-            | Some dsp, Some sp ->
-                if sp <= dsp then
-                  Alcotest.failf "expected a gap, got sp=%d dsp=%d" sp dsp
-            | _ -> Alcotest.fail "exact solver exhausted")
+            let dsp = Dsp_exact.Dsp_bb.optimal_height inst
+            and sp = Dsp_exact.Sp_exact.optimal_height inst in
+            if sp <= dsp then
+              Alcotest.failf "expected a gap, got sp=%d dsp=%d" sp dsp)
           Dsp_instance.Gap_family.slicing_wins);
+  ]
+
+(* One node cap: a solve capped at [cap] nodes answers the uncapped
+   optimum or runs out of budget, never a different value.  The two
+   fixed cases are instances on which a capped sub-search read as
+   "infeasible" once made Pts_exact answer makespan 17 at a 10-node cap
+   (optimum 14) and Rotations answer height 5 at a 5-node cap
+   (optimum 4). *)
+let caps = [ 1; 3; 5; 10; 30; 100 ]
+
+let check_capped name solve =
+  let optimum = solve (Dsp_util.Budget.unlimited ()) in
+  List.iter
+    (fun cap ->
+      match Dsp_util.Budget.within ~nodes:cap solve with
+      | Some v when v <> optimum ->
+          Alcotest.failf "%s: cap %d answered %d, optimum %d" name cap v optimum
+      | Some _ | None -> ())
+    caps
+
+let uniform seed ~n ~width =
+  Dsp_instance.Generators.uniform (Dsp_util.Rng.create seed) ~n ~width
+    ~max_w:(width / 2) ~max_h:6
+
+let capped_tests =
+  let seeds = List.init 8 (fun i -> i + 1) in
+  let height = function Some (h, _) -> h | None -> -1 in
+  [
+    Alcotest.test_case "capped Dsp_bb and Sp_exact answer the optimum or expire"
+      `Quick (fun () ->
+        List.iter
+          (fun seed ->
+            let inst = uniform seed ~n:6 ~width:8 in
+            check_capped
+              (Printf.sprintf "Dsp_bb seed %d" seed)
+              (fun budget -> Dsp_exact.Dsp_bb.optimal_height ~budget inst);
+            check_capped
+              (Printf.sprintf "Sp_exact seed %d" seed)
+              (fun budget -> Dsp_exact.Sp_exact.optimal_height ~budget inst))
+          seeds);
+    Alcotest.test_case "capped Pts_exact answers the optimum or expires" `Quick
+      (fun () ->
+        let witness =
+          Pts.Inst.of_dims ~machines:4
+            [ (4, 3); (6, 1); (5, 3); (2, 4); (4, 1); (2, 4); (1, 2) ]
+        in
+        Alcotest.check Alcotest.int "witness optimum" 14
+          (Dsp_exact.Pts_exact.optimal_makespan witness);
+        check_capped "Pts_exact witness" (fun budget ->
+            Dsp_exact.Pts_exact.optimal_makespan ~budget witness);
+        List.iter
+          (fun seed ->
+            let inst =
+              Dsp_instance.Generators.uniform_pts (Dsp_util.Rng.create seed)
+                ~n:6 ~machines:4 ~max_p:6
+            in
+            check_capped
+              (Printf.sprintf "Pts_exact seed %d" seed)
+              (fun budget -> Dsp_exact.Pts_exact.optimal_makespan ~budget inst))
+          seeds);
+    Alcotest.test_case "capped Rotations answers the optimum or expires" `Quick
+      (fun () ->
+        let witness =
+          Instance.of_dims ~width:8 [ (2, 5); (2, 2); (2, 2); (2, 1) ]
+        in
+        Alcotest.check Alcotest.int "witness optimum" 4
+          (height (Dsp_algo.Rotations.optimal_height witness));
+        check_capped "Rotations witness" (fun budget ->
+            height (Dsp_algo.Rotations.optimal_height ~budget witness));
+        List.iter
+          (fun seed ->
+            let inst = uniform seed ~n:4 ~width:8 in
+            check_capped
+              (Printf.sprintf "Rotations seed %d" seed)
+              (fun budget ->
+                height (Dsp_algo.Rotations.optimal_height ~budget inst)))
+          seeds);
+    Alcotest.test_case "capped Moldable answers the optimum or expires" `Quick
+      (fun () ->
+        List.iter
+          (fun seed ->
+            let rng = Dsp_util.Rng.create seed in
+            let work = List.init 3 (fun _ -> Dsp_util.Rng.int_in rng 1 9) in
+            let t = Dsp_pts.Moldable.make_work_based ~machines:3 ~work in
+            check_capped
+              (Printf.sprintf "Moldable seed %d" seed)
+              (fun budget ->
+                height (Dsp_pts.Moldable.optimal_makespan ~budget t)))
+          seeds);
   ]
 
 let suite =
   dsp_bb_tests @ find_tests @ sp_exact_tests @ three_partition_tests @ pts_exact_tests
-  @ gap_tests
+  @ gap_tests @ capped_tests

@@ -19,7 +19,11 @@ let rotation_tests =
         = Instance.total_area inst);
     Helpers.qtest ~count:25 "rotations never hurt the exact optimum"
       (Helpers.instance_arb ~max_width:8 ~max_n:5 ~max_h:6 ()) (fun inst ->
-        match Rot.rotation_gain ~node_limit:400_000 inst with
+        match
+          Option.join
+            (Dsp_util.Budget.within ~nodes:400_000 (fun budget ->
+                 Rot.rotation_gain ~budget inst))
+        with
         | Some (fixed, rotated) -> rotated <= fixed
         | None -> true);
     Alcotest.test_case "rotation strictly helps a crafted instance" `Quick
@@ -76,7 +80,11 @@ let moldable_tests =
       moldable_arb (fun (m, works) ->
         QCheck.assume (List.length works <= 5);
         let t = Mold.make_work_based ~machines:m ~work:works in
-        match Mold.optimal_makespan ~node_limit:300_000 t with
+        match
+          Option.join
+            (Dsp_util.Budget.within ~nodes:20_000_000 (fun budget ->
+                 Mold.optimal_makespan ~budget t))
+        with
         | Some (opt, _) -> Mold.makespan t <= 2 * opt
         | None -> true);
     Helpers.qtest ~count:30 "molding never hurts vs the rigid q=1 instance"
@@ -85,8 +93,11 @@ let moldable_tests =
         let t = Mold.make_work_based ~machines:m ~work:works in
         let rigid = Mold.allot t (Array.make (List.length works) 1) in
         match
-          ( Mold.optimal_makespan ~node_limit:300_000 t,
-            Dsp_exact.Pts_exact.optimal_makespan ~node_limit:300_000 rigid )
+          ( Option.join
+              (Dsp_util.Budget.within ~nodes:20_000_000 (fun budget ->
+                   Mold.optimal_makespan ~budget t)),
+            Dsp_util.Budget.within ~nodes:300_000 (fun budget ->
+                Dsp_exact.Pts_exact.optimal_makespan ~budget rigid) )
         with
         | Some (mold_opt, _), Some rigid_opt -> mold_opt <= rigid_opt
         | _ -> true);

@@ -30,7 +30,10 @@ let generator_tests =
         let rng = Dsp_util.Rng.create seed in
         let inst = Gen.perfect_fit rng ~width:8 ~height:6 ~cuts:5 in
         QCheck.assume (Instance.n_items inst <= 7);
-        match Dsp_exact.Dsp_bb.optimal_height ~node_limit:500_000 inst with
+        match
+          Dsp_util.Budget.within ~nodes:500_000 (fun budget ->
+              Dsp_exact.Dsp_bb.optimal_height ~budget inst)
+        with
         | Some opt -> opt = 6
         | None -> true);
   ]
@@ -66,7 +69,10 @@ let hardness_tests =
         let rng = Dsp_util.Rng.create seed in
         let tp = Hardness.yes_instance rng ~k:2 ~bound:12 in
         let dsp = Hardness.to_dsp tp in
-        match Dsp_exact.Dsp_bb.optimal_height ~node_limit:2_000_000 dsp with
+        match
+          Dsp_util.Budget.within ~nodes:2_000_000 (fun budget ->
+              Dsp_exact.Dsp_bb.optimal_height ~budget dsp)
+        with
         | Some h -> h = 4
         | None -> true);
   ]

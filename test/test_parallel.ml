@@ -276,8 +276,7 @@ let deque_tests =
           "every record consumed exactly once" (List.init n Fun.id) ledger);
   ]
 
-let check_opt msg expected actual =
-  Alcotest.(check (option int)) msg expected actual
+let check_height msg expected actual = Alcotest.(check int) msg expected actual
 
 (* One full-width dominant item plus small filler (the bench
    experiment's skew shape): the dominant item sorts first and admits
@@ -293,9 +292,7 @@ let skewed_instance () =
   Dsp_core.Instance.of_dims ~width dims
 
 let par_height ?stats ~jobs inst =
-  match Bb.solve_par ?stats ~jobs inst with
-  | Some pk -> Some (Dsp_core.Packing.height pk)
-  | None -> None
+  Dsp_core.Packing.height (Bb.solve_par ?stats ~jobs inst)
 
 let skew_tests =
   [
@@ -304,7 +301,7 @@ let skew_tests =
       (fun () ->
         let inst = skewed_instance () in
         let stats = ref None in
-        check_opt "optimum matches serial" (Bb.optimal_height inst)
+        check_height "optimum matches serial" (Bb.optimal_height inst)
           (par_height ~stats ~jobs:4 inst);
         let st = Option.get !stats in
         Alcotest.(check int) "4 domains ran" 4 st.Bb.domains;
@@ -337,13 +334,13 @@ let solve_par_tests =
           (fun i inst ->
             let serial = Bb.optimal_height inst in
             let par = Bb.optimal_height_par ~jobs:4 inst in
-            check_opt (Printf.sprintf "instance %d" i) serial par)
+            check_height (Printf.sprintf "instance %d" i) serial par)
           (corpus ()));
     Alcotest.test_case "differential: shared pool, jobs=2" `Slow (fun () ->
         Pool.with_pool ~jobs:2 (fun pool ->
             List.iteri
               (fun i inst ->
-                check_opt
+                check_height
                   (Printf.sprintf "instance %d" i)
                   (Bb.optimal_height inst)
                   (Bb.optimal_height_par ~pool inst))
@@ -351,13 +348,13 @@ let solve_par_tests =
     Alcotest.test_case "edge cases: empty, single item, greedy-tight" `Quick
       (fun () ->
         let empty = Dsp_core.Instance.of_dims ~width:5 [] in
-        check_opt "empty" (Some 0) (Bb.optimal_height_par ~jobs:3 empty);
+        check_height "empty" 0 (Bb.optimal_height_par ~jobs:3 empty);
         let one = Dsp_core.Instance.of_dims ~width:5 [ (3, 4) ] in
-        check_opt "single" (Some 4) (Bb.optimal_height_par ~jobs:3 one);
+        check_height "single" 4 (Bb.optimal_height_par ~jobs:3 one);
         (* Perfect fit: the greedy seed already meets the lower bound,
            no search happens. *)
         let tight = Dsp_core.Instance.of_dims ~width:4 [ (4, 2); (4, 3) ] in
-        check_opt "greedy-tight" (Some 5) (Bb.optimal_height_par ~jobs:3 tight));
+        check_height "greedy-tight" 5 (Bb.optimal_height_par ~jobs:3 tight));
     Alcotest.test_case "differential: split-depth boundary, n 2-5, W 2-8"
       `Quick (fun () ->
         (* With n <= 5 the deepest units sit at depth n-1 (the
@@ -381,10 +378,9 @@ let solve_par_tests =
                   (fun i (inst, expected) ->
                     let stats = ref None in
                     let par =
-                      Option.map Dsp_core.Packing.height
-                        (Bb.solve_par ~pool ~stats inst)
+                      Dsp_core.Packing.height (Bb.solve_par ~pool ~stats inst)
                     in
-                    check_opt
+                    check_height
                       (Printf.sprintf "jobs=%d instance %d" jobs i)
                       expected par;
                     incr calls;
@@ -399,8 +395,10 @@ let solve_par_tests =
           (3 * !searched >= !calls));
     Alcotest.test_case "shared node cap exhausts across workers" `Quick
       (fun () ->
-        check_opt "exhausted" None
-          (Bb.optimal_height_par ~jobs:4 ~node_limit:50 (hard_instance ())));
+        let budget = Budget.create ~nodes:50 () in
+        Alcotest.check_raises "exhausted" (Budget.Expired Budget.Nodes)
+          (fun () ->
+            ignore (Bb.optimal_height_par ~jobs:4 ~budget (hard_instance ()))));
     Alcotest.test_case "cancellation unwinds as Expired Cancelled" `Quick
       (fun () ->
         let cancel = Atomic.make true in
@@ -427,7 +425,7 @@ let race_tests =
     Alcotest.test_case "race of [exact-bb] equals the serial optimum" `Quick
       (fun () ->
         let inst = List.nth (corpus ()) 0 in
-        let opt = Option.get (Bb.optimal_height inst) in
+        let opt = Bb.optimal_height inst in
         Pool.with_pool ~jobs:2 (fun pool ->
             let res = Runner.race ~chain:[ find "exact-bb" ] ~pool inst in
             Alcotest.(check string) "winner" "exact-bb" res.Runner.winner;

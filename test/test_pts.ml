@@ -36,7 +36,10 @@ let list_scheduling_tests =
     Helpers.qtest ~count:40 "list schedule within 2x the exact optimum"
       (Helpers.pts_arb ~max_m:4 ~max_n:7 ~max_p:5 ()) (fun inst ->
         let mk = Dsp_pts.List_scheduling.makespan inst in
-        match Dsp_exact.Pts_exact.optimal_makespan ~node_limit:500_000 inst with
+        match
+          Dsp_util.Budget.within ~nodes:500_000 (fun budget ->
+              Dsp_exact.Pts_exact.optimal_makespan ~budget inst)
+        with
         | Some opt -> mk <= 2 * opt
         | None -> true);
     Helpers.qtest "all orders produce valid schedules" (Helpers.pts_arb ())
@@ -66,12 +69,9 @@ let exact_small_tests =
     Helpers.qtest "m=2 DP matches branch and bound"
       (Helpers.pts_arb ~max_m:2 ~max_n:7 ~max_p:5 ()) (fun inst ->
         QCheck.assume (inst.Pts.Inst.machines = 2);
-        match
-          ( Dsp_pts.Exact_small.optimal_makespan inst,
-            Dsp_exact.Pts_exact.optimal_makespan inst )
-        with
-        | Some a, Some b -> a = b
-        | _ -> true);
+        match Dsp_pts.Exact_small.optimal_makespan inst with
+        | Some a -> a = Dsp_exact.Pts_exact.optimal_makespan inst
+        | None -> true);
     Helpers.qtest "m=2 DP schedules are valid and optimal"
       (Helpers.pts_arb ~max_m:2 ~max_n:8 ()) (fun inst ->
         QCheck.assume (Dsp_pts.Exact_small.supported inst);

@@ -56,28 +56,22 @@ let duality_tests =
        the two problems on small instances. *)
     Helpers.qtest ~count:40 "optimal makespan equals optimal dual height"
       (Helpers.pts_arb ~max_m:4 ~max_n:6 ~max_p:4 ()) (fun inst ->
-        match Dsp_exact.Pts_exact.solve ~node_limit:500_000 inst with
+        match
+          Dsp_util.Budget.within ~nodes:500_000 (fun budget ->
+              Dsp_exact.Pts_exact.solve ~budget inst)
+        with
         | None -> true
         | Some sched ->
             let t = Pts.Schedule.makespan sched in
+            let m = inst.Pts.Inst.machines in
             (* A strip of width t and height budget m must be feasible,
                and width t-1 must not admit height <= m (optimality). *)
             let dual = Transform.pts_to_dsp_instance inst ~width:t in
-            (match Dsp_exact.Dsp_bb.decide ~node_limit:500_000 dual
-                     ~height:inst.Pts.Inst.machines with
-            | Dsp_exact.Dsp_bb.Feasible _ -> true
-            | _ -> false)
-            &&
-            (t <= Pts.Inst.max_time inst
-            ||
-            let dual' = Transform.pts_to_dsp_instance inst ~width:(t - 1) in
-            match
-              Dsp_exact.Dsp_bb.decide ~node_limit:500_000 dual'
-                ~height:inst.Pts.Inst.machines
-            with
-            | Dsp_exact.Dsp_bb.Infeasible -> true
-            | Dsp_exact.Dsp_bb.Node_budget_exhausted -> true
-            | Dsp_exact.Dsp_bb.Feasible _ -> false));
+            Dsp_exact.Dsp_bb.decide dual ~height:m <> None
+            && (t <= Pts.Inst.max_time inst
+               ||
+               let dual' = Transform.pts_to_dsp_instance inst ~width:(t - 1) in
+               Dsp_exact.Dsp_bb.decide dual' ~height:m = None));
   ]
 
 let suite = transform_tests @ duality_tests
