@@ -70,9 +70,12 @@ type pts_result = {
   machine_factor : float;
 }
 
-let pts_with_machine_augmentation ?solver ~factor_num ~factor_den
+(* Corollaries 3 and 4: binary-search the makespan T; for each guess,
+   transform to DSP with strip width T and run [solver]; the packing
+   height becomes the number of machines used, accepted within
+   [factor_num/factor_den] of m. *)
+let pts_with_machine_augmentation ~solver ~factor_num ~factor_den
     (inst : Pts.Inst.t) =
-  let solver = match solver with Some f -> f | None -> Dsp_algo.Approx53.solve in
   let m = inst.Pts.Inst.machines in
   let acceptance = factor_num * m / factor_den in
   let lo = Pts.Inst.max_time inst in
@@ -141,6 +144,3 @@ let pts_54 inst =
   pts_with_machine_augmentation
     ~solver:(fun i -> Dsp_algo.Approx54.solve i)
     ~factor_num:5 ~factor_den:4 inst
-
-let pts_with_machine_augmentation ?solver inst =
-  pts_with_machine_augmentation ?solver ~factor_num:5 ~factor_den:3 inst

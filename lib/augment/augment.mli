@@ -46,16 +46,12 @@ type pts_result = {
   machine_factor : float;
 }
 
-val pts_with_machine_augmentation :
-  ?solver:(Instance.t -> Packing.t) -> Pts.Inst.t -> pts_result
-(** Corollaries 3 and 4.  Binary-search the makespan T; for each
-    guess, transform to DSP with strip width T and run the DSP
-    solver; the packing height becomes the number of machines used.
-    Default solver is {!Dsp_algo.Approx53.solve} (Corollary 3); pass
-    [Dsp_algo.Approx54.solve] for Corollary 4. *)
-
 val pts_53 : Pts.Inst.t -> pts_result
-(** Corollary 3 instantiation. *)
+(** Corollary 3.  Binary-search the makespan T; for each guess,
+    transform to DSP with strip width T and run
+    {!Dsp_algo.Approx53.solve}; the packing height becomes the number
+    of machines used. *)
 
 val pts_54 : Pts.Inst.t -> pts_result
-(** Corollary 4 instantiation (pseudo-polynomial inner solver). *)
+(** Corollary 4: the same search with {!Dsp_algo.Approx54.solve}, the
+    pseudo-polynomial inner solver. *)

@@ -72,8 +72,8 @@ val best_start : t -> len:int -> (int * int) option
 (** [best_start t ~len] is [(s, peak)] for the leftmost start [s]
     minimizing the window peak, together with that peak; [None] when
     [len] exceeds the strip width.  A sliding-window maximum over the
-    profile's runs, after one O(width) scan for them; see
-    {!Segtree.best_start}. *)
+    profile's runs, found from a bitmap of the kernel's nonzero
+    differences in O(width/32 + runs); see {!Segtree.best_start}. *)
 
 val of_starts : Instance.t -> int array -> t
 (** Profile of the packing that starts item [i] at [starts.(i)]. *)

@@ -32,7 +32,6 @@ module Inst : sig
 
   val n_jobs : t -> int
   val job : t -> int -> Job.t
-  val total_work : t -> int
 
   val work_lower_bound : t -> int
   (** ⌈total work / machines⌉. *)
@@ -64,10 +63,6 @@ module Schedule : sig
 
   val makespan : t -> int
   val validate : t -> (unit, string) result
-
-  val machine_timeline : t -> int -> (int * int * int) list
-  (** [machine_timeline s m] lists [(start, finish, job)] triples on
-      machine [m], sorted by start. *)
 
   val render : t -> string
   (** ASCII Gantt chart, one text row per machine. *)

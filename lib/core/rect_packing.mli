@@ -21,10 +21,6 @@ val instance : t -> Instance.t
 val position : t -> int -> pos
 val height : t -> int
 
-val overlap_error : Instance.t -> pos array -> string option
-(** [None] iff the placement is feasible (no overlaps, all rectangles
-    inside the strip horizontally, y >= 0). *)
-
 val validate : t -> (unit, string) result
 
 val to_dsp : t -> Packing.t

@@ -9,10 +9,11 @@
    ancestor), and top-down boundary-path descents for queries, which
    fold the pending adds in on the way down — no query needs the
    leaves materialized.  Beside the tree sits a difference array
-   ([diff.(x) = load x - load (x-1)]), two writes per update: the
-   profile is a step function with far fewer runs than columns, and
-   [best_start] / [to_array] read those runs from it in one in-order
-   scan.
+   ([diff.(x) = load x - load (x-1)]) and a bitmap marking its
+   nonzero entries, one bit per column; an update writes both at its
+   two ends.  The profile is a step function with far fewer runs than
+   columns, so [best_start] finds the runs from the bitmap's set bits,
+   in O(n/32 + runs), and [to_array] is the prefix sums of [diff].
    Local [ref] cursors compile to mutable stack variables
    (Simplif.eliminate_ref), so the steady-state ops — [range_add],
    [range_max], [first_fit_from_i], [find_last_above_i] — allocate
@@ -50,9 +51,11 @@ type t = {
   size : int; (* smallest power of two >= n *)
   cells : (int, Bigarray.int_elt, Bigarray.c_layout) A1.t;
       (* 4*size interleaved node cells; see the header comment *)
-  diff : int array;
-      (* diff.(x) = load x - load (x-1), load (-1) = 0; the length is n
-         rounded up to a multiple of 8, and the padding stays 0 *)
+  diff : int array; (* diff.(x) = load x - load (x-1), load (-1) = 0 *)
+  nonzero : int array;
+      (* run index: bit (x land 31) of nonzero.(x lsr 5) is set wherever
+         diff.(x) <> 0; a set bit over a zero difference is stale, and
+         scan_runs clears it *)
   mutable runs : int array; (* best_start scratch, grown on demand *)
   mutable jrn : int array; (* checkpoint journal: (lo, hi, value) triples *)
   mutable jrn_n : int; (* used cells in [jrn] (always a multiple of 3) *)
@@ -79,7 +82,8 @@ let create n =
     n;
     size = !size;
     cells;
-    diff = Array.make ((n + 7) land lnot 7) 0;
+    diff = Array.make n 0;
+    nonzero = Array.make ((n + 31) lsr 5) 0;
     runs = [||]; (* grown on first best_start *)
     jrn = [||]; (* grown on first journaled update *)
     jrn_n = 0;
@@ -94,7 +98,14 @@ let copy t =
   (* The checkpoint journal carries over, so a copy taken inside a
      checkpointed region can itself be rolled back.  The scratch does
      not: a fork may run on another domain. *)
-  { t with cells; diff = Array.copy t.diff; runs = [||]; jrn = Array.copy t.jrn }
+  {
+    t with
+    cells;
+    diff = Array.copy t.diff;
+    nonzero = Array.copy t.nonzero;
+    runs = [||];
+    jrn = Array.copy t.jrn;
+  }
 
 (* Add [value] to node [v]'s whole subtree: both the subtree max and
    the pending-add cell move together (the max cell is inclusive of
@@ -109,6 +120,11 @@ let pull t v =
   let l = tget t (2 * v) and r = tget t ((2 * v) + 1) in
   tset t v ((if l >= r then l else r) + lget t v) (* lint: ok R1 — root guard *)
 
+(* Set column [x]'s bit in the run index. *)
+let mark t x =
+  let w = x lsr 5 in
+  t.nonzero.(w) <- t.nonzero.(w) lor (1 lsl (x land 31))
+
 (* The range_add workhorse, shared with checkpoint rollback (which
    replays journal entries negated).  Callers have validated the range
    and run the O(1) overflow guard; rollback re-applies only values
@@ -116,11 +132,16 @@ let pull t v =
    are exactly the earlier (guarded) states in reverse. *)
 let apply_range t lo hi value =
   if lo < hi then begin
-    (* Keep [diff] in step with the tree.  Each entry is a difference
-       of two guarded loads; it may wrap, but it is only ever summed
-       back into loads, and the wrapped sum is the exact load. *)
+    (* Keep [diff] and its run index in step with the tree.  Each
+       entry is a difference of two guarded loads; it may wrap, but it
+       is only ever summed back into loads, and the wrapped sum is the
+       exact load. *)
     t.diff.(lo) <- t.diff.(lo) + value; (* lint: ok R1 — difference of guarded loads *)
-    if hi < t.n then t.diff.(hi) <- t.diff.(hi) - value; (* lint: ok R1 — same *)
+    mark t lo;
+    if hi < t.n then begin
+      t.diff.(hi) <- t.diff.(hi) - value; (* lint: ok R1 — same *)
+      mark t hi
+    end;
     (* Bottom-up over the leaf interval [lo+size, hi+size): apply to
        the O(log n) maximal covered nodes, then rebuild the two
        boundary root paths — merged into one climb above their lowest
@@ -215,6 +236,7 @@ let commit t mark =
 let reset t =
   A1.fill t.cells 0;
   Array.fill t.diff 0 (Array.length t.diff) 0;
+  Array.fill t.nonzero 0 (Array.length t.nonzero) 0;
   t.jrn_n <- 0;
   t.jrn_depth <- 0
 
@@ -495,38 +517,53 @@ let ensure_runs t need keep =
     t.runs <- grown
   end
 
-(* Scan [diff] into the profile's maximal constant runs, written as
-   (start, value) pairs to [t.runs.(2j)], [t.runs.(2j+1)]; returns the
+(* Exponent of [b], a power of two below 2^32: the de Bruijn
+   multiply gives each such power a distinct top 5 of 32 bits, and the
+   table maps that pattern back to the exponent. *)
+let debruijn =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
+   \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+let bit_index b =
+  (* lint: ok R1 — b <= 2^31 and the constant < 2^27: no 63-bit overflow *)
+  let k = ((b * 0x077CB531) land 0xFFFFFFFF) lsr 27 in
+  Char.code (String.unsafe_get debruijn k)
+
+(* Read the profile's maximal constant runs from the run index, as
+   (start, value) pairs in [t.runs.(2j)], [t.runs.(2j+1)]; returns the
    run count.  Run 0 starts at column 0; every later run starts at a
-   nonzero difference.  The scan skips each 8-entry block whose [lor]
-   is 0 (the padding past [n] is never written, so it stays 0 and
-   never starts a run), which makes a sparse profile cost about one
-   load per column. *)
+   nonzero difference, so only set bits are visited, lowest first in
+   each nonzero word, and a sparse profile costs one load per 32
+   columns plus its runs.  A set bit over a zero difference is stale
+   (the boundary cancelled out) and is cleared here. *)
 let scan_runs t =
-  let d = t.diff in
+  let d = t.diff and nz = t.nonzero in
   let m = ref 1 and load = ref d.(0) in
   ensure_runs t 64 0;
   t.runs.(0) <- 0;
   t.runs.(1) <- !load;
-  let b = ref 0 in
-  while !b < Array.length d do
-    let x = !b in
-    if
-      d.(x) lor d.(x + 1) lor d.(x + 2) lor d.(x + 3) lor d.(x + 4)
-      lor d.(x + 5) lor d.(x + 6) lor d.(x + 7)
-      <> 0
-    then
-      for y = max x 1 to x + 7 do
-        let dv = d.(y) in
-        if dv <> 0 then begin
+  for w = 0 to Array.length nz - 1 do
+    let word = nz.(w) in
+    if word <> 0 then begin
+      (* column 0 starts run 0 whatever its bit says *)
+      let rest = ref (if w = 0 then word land lnot 1 else word) in
+      let stale = ref 0 in
+      while !rest <> 0 do
+        let b = !rest land (0 - !rest) in
+        rest := !rest lxor b;
+        let x = (w lsl 5) lor bit_index b in
+        let dv = d.(x) in
+        if dv = 0 then stale := !stale lor b
+        else begin
           load := !load + dv; (* lint: ok R1 — prefix sum of differences: the guarded load *)
           ensure_runs t ((2 * !m) + 2) (2 * !m);
-          t.runs.(2 * !m) <- y;
+          t.runs.(2 * !m) <- x;
           t.runs.((2 * !m) + 1) <- !load;
           m := !m + 1
         end
       done;
-    b := x + 8
+      if !stale <> 0 then nz.(w) <- word lxor !stale
+    end
   done;
   !m
 

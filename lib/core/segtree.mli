@@ -17,9 +17,11 @@
     {!find_last_above_i}, {!first_above}, {!first_fit_from_i})
     allocate nothing.
     Beside the tree sits a difference array (load of each column minus
-    the load of the one before), two writes per update: the profile is
-    a step function with far fewer runs than columns, and {!best_start}
-    and {!to_array} read its runs from that array in order. *)
+    the load of the one before) and a bitmap of its nonzero entries,
+    one bit per column, written at both ends of every update: the
+    profile is a step function with far fewer runs than columns, so
+    {!best_start} finds the runs from the bitmap's set bits and
+    {!to_array} sums the differences. *)
 
 type t
 
@@ -98,9 +100,10 @@ val first_fit_from_i : t -> from:int -> len:int -> height:int -> limit:int -> in
 val best_start : t -> len:int -> (int * int) option
 (** [best_start t ~len] is [(s, peak)] where [s] is the leftmost start
     minimizing the window peak [range_max t s (s+len)] and [peak] that
-    minimum; [None] when no window of length [len] fits.  O(n): one
-    in-order scan of the difference array, which skips 8-column blocks
-    with no change, collects the profile's runs; a sliding-window
-    maximum over the runs then tries only run starts as candidates.
-    Allocates its [Some] result, and grows its run scratch when the
-    profile has more runs than ever before. *)
+    minimum; [None] when no window of length [len] fits.
+    O(n/32 + runs): one pass over the bitmap of nonzero differences
+    visits its nonzero words and, in each, its set bits, which are the
+    profile's run starts; a sliding-window maximum over the runs then
+    tries only run starts as candidates.  Allocates its [Some] result,
+    and grows its run scratch when the profile has more runs than ever
+    before. *)

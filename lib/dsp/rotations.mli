@@ -16,9 +16,6 @@ open Dsp_core
 
 type orientation = Fixed | Rotated
 
-val admissible : Instance.t -> Item.t -> orientation -> bool
-(** Does the item in this orientation fit the strip horizontally? *)
-
 val apply : Instance.t -> orientation array -> Instance.t
 (** The instance with each item re-dimensioned by its orientation.
     @raise Invalid_argument if an orientation is inadmissible. *)

@@ -28,9 +28,3 @@ let restore t (pk : Packing.t) =
   if not (Instance.equal (Packing.instance pk) t.rounded) then
     invalid_arg "Rounding.restore: packing is not over the rounded instance";
   Packing.make t.original (Packing.starts pk)
-
-let distinct_heights (inst : Instance.t) ~above =
-  Array.to_list inst.Instance.items
-  |> List.filter_map (fun (it : Item.t) ->
-         if it.Item.h > above then Some it.Item.h else None)
-  |> List.sort_uniq compare |> List.length

@@ -26,7 +26,3 @@ val restore : t -> Packing.t -> Packing.t
 (** Reinterpret a packing of the rounded instance on the original
     one (same starts); the peak can only decrease.
     @raise Invalid_argument if the packing is not over [rounded]. *)
-
-val distinct_heights : Instance.t -> above:int -> int
-(** Number of distinct heights among items strictly taller than
-    [above]; the quantity the rounding is meant to compress. *)

@@ -32,10 +32,6 @@ open Dsp_core
 type three_partition = { k : int; bound : int; numbers : int array }
 (** [numbers] has length [3 * k] and sums to [k * bound]. *)
 
-val make_three_partition : k:int -> bound:int -> int array -> three_partition
-(** Validates the size constraints (length, sum, B/4 < aᵢ < B/2).
-    @raise Invalid_argument on violation. *)
-
 val yes_instance : Dsp_util.Rng.t -> k:int -> bound:int -> three_partition
 (** Random yes-instance: each triple is drawn to sum to [bound]
     within the (B/4, B/2) window; [bound] must be divisible by 4 and
@@ -51,13 +47,10 @@ val no_instance : k:int -> three_partition
 val target_makespan : three_partition -> int
 (** [T = k * bound + k - 1], the yes-instance makespan. *)
 
-val to_pts : three_partition -> Pts.Inst.t
-(** The PTS encoding on 4 machines described above.  The first
-    [k - 1] jobs are separators, the next [k] blockers, the final
-    [3k] the numbers. *)
-
 val to_dsp : three_partition -> Instance.t
-(** The PTS encoding pushed through the paper's transformation: strip
+(** The PTS encoding on 4 machines described above — the first
+    [k - 1] jobs are separators, the next [k] blockers, the final [3k]
+    the numbers — pushed through the paper's transformation: strip
     width [target_makespan], desired height 4. *)
 
 val schedule_of_partition :

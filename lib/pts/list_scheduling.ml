@@ -16,9 +16,6 @@ let comparator = function
         | 0 -> compare a.id b.id
         | c -> c)
 
-let makespan_bound (inst : Pts.Inst.t) =
-  Pts.Inst.work_lower_bound inst + Pts.Inst.max_time inst
-
 let schedule ?(order = Work_first) (inst : Pts.Inst.t) =
   let m = inst.Pts.Inst.machines in
   let n = Pts.Inst.n_jobs inst in

@@ -18,9 +18,3 @@ val schedule : ?order:order -> Pts.Inst.t -> Pts.Schedule.t
 (** @raise Invalid_argument never; always succeeds. *)
 
 val makespan : ?order:order -> Pts.Inst.t -> int
-
-val makespan_bound : Pts.Inst.t -> int
-(** ⌈work/m⌉ + max p: a lower bound on twice the optimum and in
-    practice an upper bound on the greedy's makespan for jobs needing
-    a single machine; the greedy itself is always correct regardless
-    (it schedules within the sequential horizon Σp). *)

@@ -38,14 +38,11 @@ val allot : t -> int array -> Pts.Inst.t
     @raise Invalid_argument if an allotment entry is out of
     [1, machines]. *)
 
-val balanced_allotment : t -> int array
-(** Phase 1: start every job at q = 1 and repeatedly widen the job
-    whose processing time dominates the critical-path bound while the
-    work bound stays below it — a variant of Turek et al.'s allotment
-    selection. *)
-
 val schedule : t -> Pts.Schedule.t * int array
-(** Two-phase moldable scheduling: {!balanced_allotment} + list
+(** Two-phase moldable scheduling.  Phase 1 starts every job at q = 1
+    and repeatedly widens the job whose processing time dominates the
+    critical-path bound while the work bound stays below it — a
+    variant of Turek et al.'s allotment selection; phase 2 is list
     scheduling.  Returns the schedule (over the alloted rigid
     instance) and the allotment. *)
 

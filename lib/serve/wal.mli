@@ -92,7 +92,3 @@ val appended : t -> int
 
 val path : t -> string
 val close : t -> unit
-
-val crc32 : string -> int
-(** The checksum used by the framing (CRC-32, polynomial 0xEDB88320),
-    exposed for the torn-tail tests. *)

@@ -4,17 +4,17 @@ exception Expired of reason
 
 type t = {
   started : float;
-  deadline : float option; (* absolute gettimeofday *)
+  deadline : float option; (* absolute, on the Xutil.now clock *)
   nodes : int option;
   cancel : bool Atomic.t option;
   mutable ticks : int;
-  mutable fuse : int; (* checkpoints until the next wall-clock read *)
+  mutable fuse : int; (* checkpoints until the next clock read *)
 }
 
 let clock_interval = 64
 
 let create ?timeout_ms ?nodes ?cancel () =
-  let started = Unix.gettimeofday () in
+  let started = Xutil.now () in
   (match timeout_ms with
   | Some ms when ms < 0 -> invalid_arg "Budget.create: negative timeout"
   | _ -> ());
@@ -49,7 +49,7 @@ let child ?cancel t =
 
 let past_deadline t =
   match t.deadline with
-  | Some d -> Unix.gettimeofday () > d
+  | Some d -> Xutil.now () > d
   | None -> false
 
 let cancelled t =
@@ -60,8 +60,8 @@ let cancelled t =
    a handful of nodes of the winner validating. *)
 let poll_cancel t = if cancelled t then raise (Expired Cancelled)
 
-(* The fuse batches clock reads: gettimeofday is ~20ns but the hot
-   loops checkpoint every node, so pay for it only once per
+(* The fuse batches clock reads: one costs ~20ns but the hot loops
+   checkpoint every node, so pay for it only once per
    [clock_interval] checkpoints. *)
 let burn_fuse t =
   t.fuse <- t.fuse - 1;
@@ -92,9 +92,9 @@ let within ~nodes f =
 
 let node_cap t = t.nodes
 let ticks t = t.ticks
-let elapsed t = Unix.gettimeofday () -. t.started
+let elapsed t = Xutil.now () -. t.started
 
 let remaining_ms t =
   Option.map
-    (fun d -> Float.max 0.0 ((d -. Unix.gettimeofday ()) *. 1000.))
+    (fun d -> Float.max 0.0 ((d -. Xutil.now ()) *. 1000.))
     t.deadline

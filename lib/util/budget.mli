@@ -1,6 +1,8 @@
-(** Unified solve budgets: a wall-clock deadline, a node cap, and a
-    cooperative cancellation flag in one value, enforced by
-    cancellation checkpoints.
+(** Unified solve budgets: a deadline, a node cap, and a cooperative
+    cancellation flag in one value, enforced by cancellation
+    checkpoints.  The deadline is on the monotonic clock
+    ({!Xutil.now}), so a step of the wall clock neither stretches it
+    nor fires it early.
 
     The paper's exact solvers and the (5/4+ε) binary search are
     pseudo-polynomial or exponential; on the 3-Partition hardness
@@ -20,9 +22,9 @@
     next checkpoint.
 
     Cost model: a checkpoint is an increment, a compare, and (when a
-    cancel flag is attached) one atomic load; the wall clock is only
-    read every {!clock_interval} checkpoints, so checkpoints are cheap
-    enough for branch-and-bound inner loops. *)
+    cancel flag is attached) one atomic load; the clock is only read
+    every 64 checkpoints, so checkpoints are cheap enough for
+    branch-and-bound inner loops. *)
 
 type reason = Deadline | Nodes | Cancelled
 
@@ -34,11 +36,11 @@ exception Expired of reason
 type t
 
 val create : ?timeout_ms:int -> ?nodes:int -> ?cancel:bool Atomic.t -> unit -> t
-(** A budget starting now.  [timeout_ms] is a wall-clock deadline
-    relative to creation; [nodes] caps the number of {!check}
-    checkpoints (search nodes); [cancel] is a shared flag that, once
-    set (from any domain), makes every checkpoint raise
-    [Expired Cancelled].  Omitted components are unlimited. *)
+(** A budget starting now.  [timeout_ms] is a deadline relative to
+    creation; [nodes] caps the number of {!check} checkpoints (search
+    nodes); [cancel] is a shared flag that, once set (from any
+    domain), makes every checkpoint raise [Expired Cancelled].
+    Omitted components are unlimited. *)
 
 val unlimited : unit -> t
 (** A budget that never expires (checkpoints still count ticks). *)
@@ -92,6 +94,3 @@ val elapsed : t -> float
 val remaining_ms : t -> float option
 (** Milliseconds until the deadline ([None] when unlimited); clamped
     at 0. *)
-
-val clock_interval : int
-(** Checkpoints between wall-clock reads (64). *)

@@ -74,10 +74,12 @@ let percentile sorted q =
     let rank = int_of_float (Float.ceil (q *. float_of_int n)) - 1 in
     sorted.(max 0 (min (n - 1) rank))
 
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let timeit f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, now () -. t0)
 
 type gc_stats = {
   minor_words : float;
@@ -88,9 +90,9 @@ type gc_stats = {
 
 let timeit_gc f =
   let s0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = now () -. t0 in
   let s1 = Gc.quick_stat () in
   ( r,
     dt,

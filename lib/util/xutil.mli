@@ -41,9 +41,14 @@ val percentile : float array -> float -> float
     ([0 <= q <= 1]) of an ascending array: the element of rank
     [ceil (q * n)], clamped to the array.  0 on the empty array. *)
 
+val now : unit -> float
+(** Seconds on the monotonic clock, from an arbitrary origin: only
+    differences mean anything, and a step of the wall clock moves
+    none of them. *)
+
 val timeit : (unit -> 'a) -> 'a * float
-(** Run a thunk and return its result with elapsed wall-clock
-    seconds. *)
+(** Run a thunk and return its result with the elapsed seconds, on
+    the monotonic clock ({!now}). *)
 
 val pp_int_list : Format.formatter -> int list -> unit
 

@@ -481,12 +481,15 @@ let copy_best_start_interleaving () =
 
 (* ---- runs that merge and split ---- *)
 
-(* best_start and to_array read the profile's runs from the difference
-   array.  Tile a span with abutting pieces of one height, which merge
-   into one run, then remove a piece, which splits it again — inside a
-   checkpoint, so the split is also rolled back — on widths around the
-   8-column scan blocks.  After every step, best_start for every
-   length and to_array must match scans of a plain array. *)
+(* best_start reads the profile's runs from the difference array's
+   bitmap of nonzero entries, 32 columns to a word, and to_array sums
+   the differences.  Tile a span with abutting pieces of one height,
+   which merge into one run, then remove a piece, which splits it
+   again — inside a checkpoint, so the split is also rolled back — on
+   widths around the word boundaries.  Then edit the end columns 0 and
+   n-1, step the profile at every column in turn (each bit of each
+   word), and reset and update afresh.  After every step, best_start
+   for every length and to_array must match scans of a plain array. *)
 let runs_merge_and_split () =
   List.iter
     (fun width ->
@@ -528,8 +531,31 @@ let runs_merge_and_split () =
           add p q (-h);
           check (Printf.sprintf "round %d split kept" round)
         end
-      done)
-    [ 1; 7; 9; 63; 65 ]
+      done;
+      add 0 1 2;
+      check "column 0 raised";
+      add (width - 1) width 3;
+      check "column n-1 raised";
+      add 0 width (-1);
+      check "whole strip lowered";
+      add 0 1 (-2);
+      add (width - 1) width (-3);
+      check "ends restored";
+      for x = 1 to width - 1 do
+        Segtree.reset t;
+        if Segtree.best_start t ~len:1 <> Some (0, 0) then
+          Alcotest.failf "width %d: best_start after reset" width;
+        Segtree.range_add t ~lo:0 ~hi:x 1;
+        if Segtree.best_start t ~len:1 <> Some (x, 0) then
+          Alcotest.failf "width %d: step at column %d missed" width x
+      done;
+      Segtree.reset t;
+      Array.fill a 0 width 0;
+      check "reset";
+      add (width / 2) width 2;
+      add 0 (width - (width / 3)) 1;
+      check "fresh updates after reset")
+    [ 1; 7; 9; 31; 32; 33; 63; 64; 65; 96; 97 ]
 
 let suite =
   [
@@ -549,7 +575,7 @@ let suite =
       overflow_guard_cases;
     Alcotest.test_case "copy interleaved with best_start" `Quick
       copy_best_start_interleaving;
-    Alcotest.test_case "runs that merge and split (widths 1-65)" `Quick
+    Alcotest.test_case "runs that merge and split (widths 1-97)" `Quick
       runs_merge_and_split;
     Alcotest.test_case "of_starts matches naive (20 instances)" `Quick
       of_starts_differential;

@@ -266,6 +266,8 @@ let project_config ~root =
               "last_above";
               "first_fit_from_i";
               "to_array";
+              "mark";
+              "bit_index";
               "scan_runs";
               "best_start";
             ] );
