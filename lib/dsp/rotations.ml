@@ -36,24 +36,15 @@ let best_fit_rotating (inst : Instance.t) =
   in
   List.iter
     (fun (it : Item.t) ->
-      (* Best (resulting peak, start) over both admissible
-         orientations; ties prefer the flatter orientation. *)
+      (* Best (resulting peak, start) over both admissible orientations
+         (an inadmissible one has no start); ties prefer the flatter. *)
       let candidates =
         List.filter_map
           (fun o ->
-            if admissible inst it o then begin
-              let w, h = dims it o in
-              let best = ref 0 and best_peak = ref max_int in
-              for s = 0 to width - w do
-                let p = Profile.peak_in profile ~start:s ~len:w in
-                if p < !best_peak then begin
-                  best_peak := p;
-                  best := s
-                end
-              done;
-              Some (!best_peak + h, h, o, !best)
-            end
-            else None)
+            let w, h = dims it o in
+            Option.map
+              (fun (s, peak) -> (peak + h, h, o, s))
+              (Profile.best_start profile ~len:w))
           [ Fixed; Rotated ]
       in
       match List.sort compare candidates with
@@ -78,16 +69,17 @@ let optimal_height ?budget (inst : Instance.t) =
         it.Item.w <> it.Item.h && admissible inst it Rotated)
       (List.init n Fun.id)
   in
-  let best = ref None in
+  let greedy, greedy_orientations = best_fit_rotating inst in
+  let best = ref (Packing.height greedy, greedy_orientations) in
   let orientations = Array.make n Fixed in
   let rec go = function
-    | [] -> (
-        let h =
-          Dsp_exact.Dsp_bb.optimal_height ?budget (apply inst orientations)
-        in
-        match !best with
-        | Some (bh, _) when bh <= h -> ()
-        | _ -> best := Some (h, Array.copy orientations))
+    | [] ->
+        let oriented = apply inst orientations in
+        Option.iter
+          (fun pk -> best := (Packing.height pk, Array.copy orientations))
+          (Dsp_exact.Optimum.variant ~budget
+             ~bound:(Instance.lower_bound oriented) ~incumbent:(fst !best)
+             (fun height -> Dsp_exact.Dsp_bb.decide ?budget oriented ~height))
     | i :: rest ->
         orientations.(i) <- Fixed;
         go rest;
@@ -95,13 +87,9 @@ let optimal_height ?budget (inst : Instance.t) =
         go rest;
         orientations.(i) <- Fixed
   in
-  if List.length rotatable > 12 then None
-  else begin
-    go rotatable;
-    !best
-  end
+  go rotatable;
+  !best
 
 let rotation_gain ?budget (inst : Instance.t) =
-  Option.map
-    (fun (rotated, _) -> (Dsp_exact.Dsp_bb.optimal_height ?budget inst, rotated))
-    (optimal_height ?budget inst)
+  let rotated, _ = optimal_height ?budget inst in
+  (Dsp_exact.Dsp_bb.optimal_height ?budget inst, rotated)

@@ -8,9 +8,9 @@
     strip.
 
     This module provides a greedy rotating packer (each item tries
-    both orientations at its best-fit position) and an exact
-    branch-and-bound over orientations × the fixed-orientation exact
-    solver for ground truth on small instances. *)
+    both orientations at its best-fit position) and an exact search
+    over orientations, pruned against the best height found so far,
+    for ground truth on small instances. *)
 
 open Dsp_core
 
@@ -26,15 +26,18 @@ val best_fit_rotating : Instance.t -> Packing.t * orientation array
     pairs.  The returned packing is over {!apply}'s instance. *)
 
 val optimal_height :
-  ?budget:Dsp_util.Budget.t -> Instance.t -> (int * orientation array) option
-(** Exact optimum over all orientation assignments (exponential in
-    the number of genuinely rotatable items; intended for n ≤ 10), or
-    [None] when more than 12 items are rotatable.  Every assignment's
-    exact search checks the one [budget].
+  ?budget:Dsp_util.Budget.t -> Instance.t -> int * orientation array
+(** Exact optimum over all orientation assignments, and an assignment
+    attaining it.  The incumbent starts at {!best_fit_rotating}'s
+    height; each assignment of the genuinely rotatable items is then
+    one {!Dsp_exact.Optimum.variant} (bound {!Instance.lower_bound},
+    decision {!Dsp_exact.Dsp_bb.decide}).  No size cap: the number of
+    assignments is exponential in the rotatable items, and the
+    [budget] bounds how many are visited.
     @raise Dsp_util.Budget.Expired when the optional [budget] runs
     out. *)
 
-val rotation_gain : ?budget:Dsp_util.Budget.t -> Instance.t -> (int * int) option
-(** [(fixed_opt, rotated_opt)] — how much rotations lower the exact
-    optimum; [None] as for {!optimal_height}.  Both optima check the
-    one [budget].  @raise Dsp_util.Budget.Expired when it runs out. *)
+val rotation_gain : ?budget:Dsp_util.Budget.t -> Instance.t -> int * int
+(** [(fixed_opt, rotated_opt)]: how much rotations lower the exact
+    optimum.  Both optima check the one [budget].
+    @raise Dsp_util.Budget.Expired when it runs out. *)

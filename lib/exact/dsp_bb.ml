@@ -124,23 +124,13 @@ let decide ?budget inst ~height =
 
 let solve ?budget inst =
   if Instance.n_items inst = 0 then Packing.make inst [||]
-  else begin
-    (* Binary search on the peak below the greedy packing: decision is
-       monotone in [height]. *)
-    let best = ref (greedy_packing inst) in
-    let rec search lo hi =
-      if lo <= hi then begin
-        let mid = lo + ((hi - lo) / 2) in
-        match decide ?budget inst ~height:mid with
-        | Some pk ->
-            best := pk;
-            search lo (mid - 1)
-        | None -> search (mid + 1) hi
-      end
-    in
-    search (Instance.lower_bound inst) (Packing.height !best);
-    !best
-  end
+  else
+    (* Bisect on the peak up to the greedy packing's, inclusive: the
+       search is complete, so that height is decided feasible. *)
+    Option.get
+      (Optimum.below ~lo:(Instance.lower_bound inst)
+         ~hi:(Packing.height (greedy_packing inst))
+         (fun height -> decide ?budget inst ~height))
 
 let optimal_height ?budget inst = Packing.height (solve ?budget inst)
 

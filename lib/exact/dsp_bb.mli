@@ -56,10 +56,10 @@ val decide :
     runs out mid-search. *)
 
 val solve : ?budget:Dsp_util.Budget.t -> Instance.t -> Packing.t
-(** Optimal packing via binary search on the peak between
-    {!Instance.lower_bound} and a greedy upper bound; every decision
-    checks the one [budget].  @raise Dsp_util.Budget.Expired when the
-    optional [budget] runs out mid-search. *)
+(** Optimal packing: {!Optimum.below} bisects {!decide} from
+    {!Instance.lower_bound} up to a greedy packing's peak, inclusive;
+    every decision checks the one [budget].  @raise
+    Dsp_util.Budget.Expired when the optional [budget] runs out. *)
 
 val optimal_height : ?budget:Dsp_util.Budget.t -> Instance.t -> int
 
@@ -113,5 +113,4 @@ val optimal_height_par :
 (** Node counts: every explored node bumps the global ["bb.nodes"]
     counter ({!Dsp_util.Instr}); callers that want the count of one
     solve diff {!Dsp_util.Instr.snapshot}s around it (the solver
-    engine's reports do this automatically).  This replaces the old
-    [solve_with_stats] plumbing. *)
+    engine's reports do this automatically). *)

@@ -21,23 +21,13 @@ let decide ?budget (inst : Pts.Inst.t) ~makespan =
 
 let solve ?budget (inst : Pts.Inst.t) =
   if Pts.Inst.n_jobs inst = 0 then Pts.Schedule.make inst ~sigma:[||] ~rho:[||]
-  else begin
-    let lo = Pts.Inst.lower_bound inst in
-    let hi =
+  else
+    (* Running the jobs one after another fits in their total time. *)
+    let total =
       Array.fold_left (fun acc (j : Pts.Job.t) -> acc + j.p) 0 inst.Pts.Inst.jobs
     in
-    let best = ref None in
-    let ok t =
-      match decide ?budget inst ~makespan:t with
-      | Some sched ->
-          best := Some sched;
-          true
-      | None -> false
-    in
-    ignore (Dsp_util.Xutil.binary_search_min lo hi ok);
-    (* [hi] runs the jobs one after another, so it is always decided
-       feasible. *)
-    Option.get !best
-  end
+    Option.get
+      (Optimum.below ~lo:(Pts.Inst.lower_bound inst) ~hi:total (fun makespan ->
+           decide ?budget inst ~makespan))
 
 let optimal_makespan ?budget inst = Pts.Schedule.makespan (solve ?budget inst)

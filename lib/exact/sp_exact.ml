@@ -106,23 +106,11 @@ let decide ?budget inst ~height =
 
 let solve ?budget inst =
   if Instance.n_items inst = 0 then Rect_packing.make inst [||]
-  else begin
-    let lo = Instance.lower_bound inst in
-    let hi = Instance.total_area inst (* trivially enough: stack everything *) in
-    let best = ref None in
-    let rec search lo hi =
-      if lo <= hi then begin
-        let mid = lo + ((hi - lo) / 2) in
-        match decide ?budget inst ~height:mid with
-        | Some pk ->
-            best := Some pk;
-            search lo (mid - 1)
-        | None -> search (mid + 1) hi
-      end
-    in
-    search lo hi;
-    (* [hi] admits the stacked packing, so some decision succeeded. *)
-    Option.get !best
-  end
+  else
+    (* The stacked packing fits in the total area. *)
+    Option.get
+      (Optimum.below ~lo:(Instance.lower_bound inst)
+         ~hi:(Instance.total_area inst)
+         (fun height -> decide ?budget inst ~height))
 
 let optimal_height ?budget inst = Rect_packing.height (solve ?budget inst)

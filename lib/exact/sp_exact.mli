@@ -16,10 +16,10 @@
 open Dsp_core
 
 val solve : ?budget:Dsp_util.Budget.t -> Instance.t -> Rect_packing.t
-(** Optimal rectangle packing via binary search on the height.
+(** Optimal rectangle packing: {!Optimum.below} bisects the height
+    from {!Instance.lower_bound} up to the total area.
     @raise Dsp_util.Budget.Expired when the optional [budget] runs out
-    mid-search (checkpoints fire once per node, in both search
-    phases). *)
+    mid-search (checkpoints fire once per node, in both phases). *)
 
 val optimal_height : ?budget:Dsp_util.Budget.t -> Instance.t -> int
 

@@ -102,25 +102,23 @@ let makespan t = Pts.Schedule.makespan (fst (schedule t))
 
 let optimal_makespan ?budget t =
   let n = Array.length t.jobs in
-  if n > 8 then None
-  else begin
-    let best = ref None in
-    let allotment = Array.make n 1 in
-    let rec go i =
-      if i = n then begin
-        let mk =
-          Dsp_exact.Pts_exact.optimal_makespan ?budget (allot t allotment)
-        in
-        match !best with
-        | Some (b, _) when b <= mk -> ()
-        | _ -> best := Some (mk, Array.copy allotment)
-      end
-      else
-        for q = 1 to t.machines do
-          allotment.(i) <- q;
-          go (i + 1)
-        done
-    in
-    go 0;
-    !best
-  end
+  let sched, heuristic = schedule t in
+  let best = ref (Pts.Schedule.makespan sched, heuristic) in
+  let allotment = Array.make n 1 in
+  let rec go i =
+    if i = n then begin
+      let rigid = allot t allotment in
+      Option.iter
+        (fun s -> best := (Pts.Schedule.makespan s, Array.copy allotment))
+        (Dsp_exact.Optimum.variant ~budget
+           ~bound:(Pts.Inst.lower_bound rigid) ~incumbent:(fst !best)
+           (fun makespan -> Dsp_exact.Pts_exact.decide ?budget rigid ~makespan))
+    end
+    else
+      for q = 1 to t.machines do
+        allotment.(i) <- q;
+        go (i + 1)
+      done
+  in
+  go 0;
+  !best

@@ -11,9 +11,8 @@
     Algorithms: the classical two-phase approach — choose an
     allotment (a q per job), then schedule the resulting rigid jobs
     with list scheduling — with the allotment chosen to balance the
-    work bound against the critical path; and an exact solver for
-    small instances that enumerates allotments over the exact rigid
-    solver. *)
+    work bound against the critical path; and an exact search over
+    allotments, pruned against the best makespan found so far. *)
 
 open Dsp_core
 
@@ -48,11 +47,11 @@ val schedule : t -> Pts.Schedule.t * int array
 
 val makespan : t -> int
 
-val optimal_makespan :
-  ?budget:Dsp_util.Budget.t -> t -> (int * int array) option
-(** Exact: enumerate allotments (exponential; n ≤ 8) over the exact
-    rigid solver.  Returns the best makespan and its allotment, or
-    [None] for more than 8 jobs.  Every allotment's exact solve checks
-    the one [budget].
+val optimal_makespan : ?budget:Dsp_util.Budget.t -> t -> int * int array
+(** Exact optimum over all allotments, and an allotment attaining it.
+    The incumbent starts at {!schedule}'s makespan; each of the m^n
+    allotments is then one {!Dsp_exact.Optimum.variant} (bound
+    {!Pts.Inst.lower_bound}, decision {!Dsp_exact.Pts_exact.decide}).
+    No size cap: the [budget] bounds how many are visited.
     @raise Dsp_util.Budget.Expired when the optional [budget] runs
     out. *)

@@ -242,6 +242,25 @@ let gap_tests =
           Dsp_instance.Gap_family.slicing_wins);
   ]
 
+(* The one exact bisection against a linear scan, for a monotone
+   threshold that may lie outside [lo, hi]. *)
+let optimum_test =
+  let rec floor_log2 n = if n <= 1 then 0 else 1 + floor_log2 (n / 2) in
+  Helpers.qtest ~count:500 "Optimum.below matches a linear scan"
+    QCheck.(triple (int_range (-50) 50) (int_range 0 200) (int_range (-20) 240))
+    (fun (lo, len, t) ->
+      let hi = lo + len and calls = ref [] in
+      let decide h =
+        calls := h :: !calls;
+        if h >= lo + t then Some (-h) else None
+      in
+      let scan =
+        List.find_opt (fun h -> h >= lo + t) (List.init (len + 1) (( + ) lo))
+      in
+      Dsp_exact.Optimum.below ~lo ~hi decide = Option.map (fun h -> -h) scan
+      && List.for_all (fun h -> lo <= h && h <= hi) !calls
+      && List.length !calls <= floor_log2 (len + 1) + 1)
+
 (* One node cap: a solve capped at [cap] nodes answers the uncapped
    optimum or runs out of budget, never a different value.  The two
    fixed cases are instances on which a capped sub-search read as
@@ -266,7 +285,18 @@ let uniform seed ~n ~width =
 
 let capped_tests =
   let seeds = List.init 8 (fun i -> i + 1) in
-  let height = function Some (h, _) -> h | None -> -1 in
+  (* A variant search's optimum comes with a variant attaining it. *)
+  let rotated inst budget =
+    let h, o = Dsp_algo.Rotations.optimal_height ~budget inst in
+    Alcotest.check Alcotest.int "orientations reproduce the optimum" h
+      (Dsp_exact.Dsp_bb.optimal_height (Dsp_algo.Rotations.apply inst o));
+    h
+  and molded t budget =
+    let mk, a = Dsp_pts.Moldable.optimal_makespan ~budget t in
+    Alcotest.check Alcotest.int "allotment reproduces the optimum" mk
+      (Dsp_exact.Pts_exact.optimal_makespan (Dsp_pts.Moldable.allot t a));
+    mk
+  in
   [
     Alcotest.test_case "capped Dsp_bb and Sp_exact answer the optimum or expire"
       `Quick (fun () ->
@@ -306,16 +336,12 @@ let capped_tests =
           Instance.of_dims ~width:8 [ (2, 5); (2, 2); (2, 2); (2, 1) ]
         in
         Alcotest.check Alcotest.int "witness optimum" 4
-          (height (Dsp_algo.Rotations.optimal_height witness));
-        check_capped "Rotations witness" (fun budget ->
-            height (Dsp_algo.Rotations.optimal_height ~budget witness));
+          (fst (Dsp_algo.Rotations.optimal_height witness));
+        check_capped "Rotations witness" (rotated witness);
         List.iter
           (fun seed ->
             let inst = uniform seed ~n:4 ~width:8 in
-            check_capped
-              (Printf.sprintf "Rotations seed %d" seed)
-              (fun budget ->
-                height (Dsp_algo.Rotations.optimal_height ~budget inst)))
+            check_capped (Printf.sprintf "Rotations seed %d" seed) (rotated inst))
           seeds);
     Alcotest.test_case "capped Moldable answers the optimum or expires" `Quick
       (fun () ->
@@ -324,13 +350,27 @@ let capped_tests =
             let rng = Dsp_util.Rng.create seed in
             let work = List.init 3 (fun _ -> Dsp_util.Rng.int_in rng 1 9) in
             let t = Dsp_pts.Moldable.make_work_based ~machines:3 ~work in
-            check_capped
-              (Printf.sprintf "Moldable seed %d" seed)
-              (fun budget ->
-                height (Dsp_pts.Moldable.optimal_makespan ~budget t)))
+            check_capped (Printf.sprintf "Moldable seed %d" seed) (molded t))
           seeds);
+    Alcotest.test_case "variant searches prune and have no size cap" `Quick
+      (fun () ->
+        (* m = 4 with 7 jobs has 16,384 allotments, nearly all skipped by
+           their bound.  The other two optima beat their heuristics. *)
+        let work_based m work =
+          molded (Dsp_pts.Moldable.make_work_based ~machines:m ~work)
+        in
+        List.iter
+          (fun (name, optimum, nodes, solve) ->
+            Alcotest.(check (option int))
+              name (Some optimum)
+              (Dsp_util.Budget.within ~nodes solve))
+          [
+            ("m = 4, 7 jobs", 16, 25_000, work_based 4 [ 17; 12; 10; 8; 6; 5; 4 ]);
+            ("m = 2, 9 jobs", 29, 5_000, work_based 2 [ 11; 7; 3; 5; 9; 3; 3; 8; 8 ]);
+            ("13 rotatable items", 16, 20_000, rotated (uniform 15 ~n:13 ~width:10));
+          ]);
   ]
 
 let suite =
   dsp_bb_tests @ find_tests @ sp_exact_tests @ three_partition_tests @ pts_exact_tests
-  @ gap_tests @ capped_tests
+  @ gap_tests @ [ optimum_test ] @ capped_tests

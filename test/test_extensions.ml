@@ -19,24 +19,17 @@ let rotation_tests =
         = Instance.total_area inst);
     Helpers.qtest ~count:25 "rotations never hurt the exact optimum"
       (Helpers.instance_arb ~max_width:8 ~max_n:5 ~max_h:6 ()) (fun inst ->
-        match
-          Option.join
-            (Dsp_util.Budget.within ~nodes:400_000 (fun budget ->
-                 Rot.rotation_gain ~budget inst))
-        with
-        | Some (fixed, rotated) -> rotated <= fixed
-        | None -> true);
+        let fixed, rotated = Rot.rotation_gain inst in
+        rotated <= fixed);
     Alcotest.test_case "rotation strictly helps a crafted instance" `Quick
       (fun () ->
         (* Width 4: two 1x4 towers; rotated they become 4x1 flats:
            fixed optimum stacks towers side by side (peak 4), rotated
            lays both flat (peak 2). *)
         let inst = Instance.of_dims ~width:4 [ (1, 4); (1, 4) ] in
-        match Rot.rotation_gain inst with
-        | Some (fixed, rotated) ->
-            Alcotest.check Alcotest.int "fixed" 4 fixed;
-            Alcotest.check Alcotest.int "rotated" 2 rotated
-        | None -> Alcotest.fail "exact solver exhausted");
+        let fixed, rotated = Rot.rotation_gain inst in
+        Alcotest.check Alcotest.int "fixed" 4 fixed;
+        Alcotest.check Alcotest.int "rotated" 2 rotated);
     Alcotest.test_case "inadmissible rotation rejected" `Quick (fun () ->
         (* Height 7 cannot become a width inside a strip of width 5. *)
         let inst = Instance.of_dims ~width:5 [ (2, 7) ] in
@@ -80,27 +73,14 @@ let moldable_tests =
       moldable_arb (fun (m, works) ->
         QCheck.assume (List.length works <= 5);
         let t = Mold.make_work_based ~machines:m ~work:works in
-        match
-          Option.join
-            (Dsp_util.Budget.within ~nodes:20_000_000 (fun budget ->
-                 Mold.optimal_makespan ~budget t))
-        with
-        | Some (opt, _) -> Mold.makespan t <= 2 * opt
-        | None -> true);
+        Mold.makespan t <= 2 * fst (Mold.optimal_makespan t));
     Helpers.qtest ~count:30 "molding never hurts vs the rigid q=1 instance"
       moldable_arb (fun (m, works) ->
         QCheck.assume (List.length works <= 5);
         let t = Mold.make_work_based ~machines:m ~work:works in
         let rigid = Mold.allot t (Array.make (List.length works) 1) in
-        match
-          ( Option.join
-              (Dsp_util.Budget.within ~nodes:20_000_000 (fun budget ->
-                   Mold.optimal_makespan ~budget t)),
-            Dsp_util.Budget.within ~nodes:300_000 (fun budget ->
-                Dsp_exact.Pts_exact.optimal_makespan ~budget rigid) )
-        with
-        | Some (mold_opt, _), Some rigid_opt -> mold_opt <= rigid_opt
-        | _ -> true);
+        fst (Mold.optimal_makespan t)
+        <= Dsp_exact.Pts_exact.optimal_makespan rigid);
   ]
 
 let suite = rotation_tests @ moldable_tests
