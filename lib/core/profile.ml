@@ -79,9 +79,6 @@ let peak_in t ~start ~len =
 let copy t = { tree = Segtree.copy t.tree }
 let to_array t = Segtree.to_array t.tree
 let reset t = Segtree.reset t.tree
-let checkpoint t = Segtree.checkpoint t.tree
-let rollback t mark = Segtree.rollback t.tree mark
-let commit t mark = Segtree.commit t.tree mark
 
 (* The outermost columns attaining the (positive) peak: the first and
    the last column strictly above peak - 1, one descent each. *)

@@ -42,20 +42,6 @@ val reset : t -> unit
 (** Zero every column in place, reusing the allocated storage
     ({!Segtree.reset}).  Cheaper than [create] for session reuse. *)
 
-val checkpoint : t -> int
-(** Open a transactional region over the profile and return its mark;
-    see {!Segtree.checkpoint}.  Migration trials in the incremental
-    session use this instead of {!copy} — undoing a trial costs
-    O(updates tried), not O(width). *)
-
-val rollback : t -> int -> unit
-(** Undo every update since the matching {!checkpoint} (LIFO) and
-    close it; see {!Segtree.rollback}. *)
-
-val commit : t -> int -> unit
-(** Keep every update since the matching {!checkpoint} and close it;
-    see {!Segtree.commit}. *)
-
 val peak_span : t -> (int * int) option
 (** [(first, last)]: the leftmost and rightmost columns attaining the
     peak, or [None] when the profile has no positive load.

@@ -57,9 +57,6 @@ type t = {
          diff.(x) <> 0; a set bit over a zero difference is stale, and
          scan_runs clears it *)
   mutable runs : int array; (* best_start scratch, grown on demand *)
-  mutable jrn : int array; (* checkpoint journal: (lo, hi, value) triples *)
-  mutable jrn_n : int; (* used cells in [jrn] (always a multiple of 3) *)
-  mutable jrn_depth : int; (* outstanding checkpoints; 0 = journal off *)
 }
 
 (* Node cell accessors.  Indices are [2v] / [2v+1] for v in
@@ -85,9 +82,6 @@ let create n =
     diff = Array.make n 0;
     nonzero = Array.make ((n + 31) lsr 5) 0;
     runs = [||]; (* grown on first best_start *)
-    jrn = [||]; (* grown on first journaled update *)
-    jrn_n = 0;
-    jrn_depth = 0;
   }
 
 let size t = t.n
@@ -95,16 +89,14 @@ let size t = t.n
 let copy t =
   let cells = A1.create Bigarray.int Bigarray.c_layout (A1.dim t.cells) in
   A1.blit t.cells cells;
-  (* The checkpoint journal carries over, so a copy taken inside a
-     checkpointed region can itself be rolled back.  The scratch does
-     not: a fork may run on another domain. *)
+  (* The scratch does not carry over: a fork may run on another
+     domain. *)
   {
     t with
     cells;
     diff = Array.copy t.diff;
     nonzero = Array.copy t.nonzero;
     runs = [||];
-    jrn = Array.copy t.jrn;
   }
 
 (* Add [value] to node [v]'s whole subtree: both the subtree max and
@@ -125,13 +117,15 @@ let mark t x =
   let w = x lsr 5 in
   t.nonzero.(w) <- t.nonzero.(w) lor (1 lsl (x land 31))
 
-(* The range_add workhorse, shared with checkpoint rollback (which
-   replays journal entries negated).  Callers have validated the range
-   and run the O(1) overflow guard; rollback re-applies only values
-   whose effect was previously on the tree, so its intermediate states
-   are exactly the earlier (guarded) states in reverse. *)
-let apply_range t lo hi value =
+let range_add t ~lo ~hi value =
+  if lo < 0 || hi > t.n || lo > hi then invalid_arg "Segtree.range_add: bad range";
+  Dsp_util.Instr.bump c_range_add;
   if lo < hi then begin
+    (* O(1) accumulation overflow guard: a positive add can only push
+       an int past [max_int] through the running maximum, and the root
+       cell carries exactly that maximum.  (Negative adds cannot raise
+       the max; underflow of untracked minima is out of scope.) *)
+    if value > 0 then ignore (Dsp_util.Xutil.checked_add (tget t 1) value);
     (* Keep [diff] and its run index in step with the tree.  Each
        entry is a difference of two guarded loads; it may wrap, but it
        is only ever summed back into loads, and the wrapped sum is the
@@ -175,70 +169,10 @@ let apply_range t lo hi value =
     done
   end
 
-(* Append one (lo, hi, value) triple to the checkpoint journal,
-   doubling the backing array as needed.  Only called while a
-   checkpoint is outstanding, so steady-state range_adds pay a single
-   depth test. *)
-let journal_push t lo hi value =
-  let n = t.jrn_n in
-  if n + 3 > Array.length t.jrn then begin
-    let cap = Array.length t.jrn in
-    (* amortized journal doubling, only reachable while a checkpoint
-       is outstanding; steady-state range_adds never enter this branch *)
-    (* lint: ok R7 — bounded, amortized, off the steady-state path *)
-    let grown = Array.make (if cap = 0 then 96 else 2 * cap) 0 in
-    Array.blit t.jrn 0 grown 0 n;
-    t.jrn <- grown
-  end;
-  t.jrn.(n) <- lo;
-  t.jrn.(n + 1) <- hi;
-  t.jrn.(n + 2) <- value;
-  t.jrn_n <- n + 3
-
-let range_add t ~lo ~hi value =
-  if lo < 0 || hi > t.n || lo > hi then invalid_arg "Segtree.range_add: bad range";
-  Dsp_util.Instr.bump c_range_add;
-  if lo < hi then begin
-    (* O(1) accumulation overflow guard: a positive add can only push
-       an int past [max_int] through the running maximum, and the root
-       cell carries exactly that maximum.  (Negative adds cannot raise
-       the max; underflow of untracked minima is out of scope.) *)
-    if value > 0 then ignore (Dsp_util.Xutil.checked_add (tget t 1) value);
-    if t.jrn_depth > 0 then journal_push t lo hi value;
-    apply_range t lo hi value
-  end
-
-let checkpoint t =
-  t.jrn_depth <- t.jrn_depth + 1;
-  t.jrn_n
-
-let rollback t mark =
-  if t.jrn_depth <= 0 then invalid_arg "Segtree.rollback: no outstanding checkpoint";
-  if mark < 0 || mark > t.jrn_n || mark mod 3 <> 0 then
-    invalid_arg "Segtree.rollback: bad mark";
-  (* Undo newest-first: range adds commute, but replaying in reverse
-     keeps every intermediate state equal to an earlier live state, so
-     the root-max overflow argument carries over unchanged. *)
-  let i = ref (t.jrn_n - 3) in
-  while !i >= mark do
-    apply_range t t.jrn.(!i) t.jrn.(!i + 1) (0 - t.jrn.(!i + 2));
-    i := !i - 3
-  done;
-  t.jrn_n <- mark;
-  t.jrn_depth <- t.jrn_depth - 1
-
-let commit t mark =
-  if t.jrn_depth <= 0 then invalid_arg "Segtree.commit: no outstanding checkpoint";
-  if mark < 0 || mark > t.jrn_n then invalid_arg "Segtree.commit: bad mark";
-  t.jrn_depth <- t.jrn_depth - 1;
-  if t.jrn_depth = 0 then t.jrn_n <- 0
-
 let reset t =
   A1.fill t.cells 0;
   Array.fill t.diff 0 (Array.length t.diff) 0;
-  Array.fill t.nonzero 0 (Array.length t.nonzero) 0;
-  t.jrn_n <- 0;
-  t.jrn_depth <- 0
+  Array.fill t.nonzero 0 (Array.length t.nonzero) 0
 
 (* range_max via two iterative boundary descents: walk down from the
    root to the node where [lo, hi) splits, then resolve the suffix
@@ -364,7 +298,7 @@ let first_above t thr =
     if x < t.n then x else -1
   end
 
-(* Core of find_last_above, shared with the first-fit skip-ahead (no
+(* Core of find_last_above_i, shared with the first-fit skip-ahead (no
    counter bump, no bounds check): rightmost column of [lo, hi) whose
    value is strictly above [thr], or -1.  Right part before left:
    descend to the split node pruning subtrees whose adjusted max is
@@ -464,13 +398,9 @@ let last_above t lo hi thr =
 
 let find_last_above_i t ~lo ~hi threshold =
   if lo < 0 || hi > t.n || lo > hi then
-    invalid_arg "Segtree.find_last_above: bad range";
+    invalid_arg "Segtree.find_last_above_i: bad range";
   Dsp_util.Instr.bump c_last_above;
   last_above t lo hi threshold
-
-let find_last_above t ~lo ~hi threshold =
-  let r = find_last_above_i t ~lo ~hi threshold in
-  if r < 0 then None else Some r
 
 (* Skip-ahead first fit: test the window at [s]; on violation, jump
    past the *last* violating column instead of stepping to [s + 1].

@@ -37,29 +37,9 @@ val range_add : t -> lo:int -> hi:int -> int -> unit
 (** Add a value to all columns in [lo, hi) — [hi] exclusive. *)
 
 val reset : t -> unit
-(** Zero every column in place, reusing the allocated storage.  Also
-    discards any outstanding checkpoints.  O(size), allocation-free —
-    cheaper than [create] for session reuse. *)
-
-val checkpoint : t -> int
-(** Open a transactional region and return its mark.  While at least
-    one checkpoint is outstanding, every {!range_add} is journaled
-    ((lo, hi, value) triples) so it can be undone without copying the
-    tree.  Checkpoints nest with LIFO discipline: resolve the most
-    recent mark first, via {!rollback} or {!commit}. *)
-
-val rollback : t -> int -> unit
-(** [rollback t mark] undoes every {!range_add} performed since
-    [checkpoint t] returned [mark] (newest first) and closes that
-    checkpoint.  O(updates since the mark) — independent of tree
-    size.  Raises [Invalid_argument] when no checkpoint is outstanding
-    or the mark does not match the LIFO discipline. *)
-
-val commit : t -> int -> unit
-(** [commit t mark] keeps every update since [mark] and closes the
-    checkpoint.  The journal is retained while outer checkpoints
-    remain open (so an enclosing {!rollback} still undoes the
-    committed inner region) and dropped when the last one closes. *)
+(** Zero every column in place, reusing the allocated storage.
+    O(size), allocation-free — cheaper than [create] for session
+    reuse. *)
 
 val range_max : t -> lo:int -> hi:int -> int
 (** Maximum over [lo, hi); 0 when the range is empty. *)
@@ -71,15 +51,11 @@ val to_array : t -> int array
 (** Per-column values: the prefix sums of the difference array, one
     O(n) pass, not n point queries. *)
 
-val find_last_above : t -> lo:int -> hi:int -> int -> int option
-(** [find_last_above t ~lo ~hi threshold] is the rightmost column in
-    [lo, hi) whose value is strictly greater than [threshold]; [None]
-    if the whole window is at most [threshold].  O(log n) tree
-    descent. *)
-
 val find_last_above_i : t -> lo:int -> hi:int -> int -> int
-(** {!find_last_above} with a [-1] sentinel instead of [None] — the
-    allocation-free form for hot loops (an option result boxes). *)
+(** [find_last_above_i t ~lo ~hi threshold] is the rightmost column in
+    [lo, hi) whose value is strictly greater than [threshold], or [-1]
+    if the whole window is at most [threshold].  O(log n) tree
+    descent, allocation-free. *)
 
 val first_above : t -> int -> int
 (** [first_above t threshold] is the leftmost column of the whole

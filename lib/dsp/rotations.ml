@@ -72,7 +72,11 @@ let optimal_height ?budget (inst : Instance.t) =
   let greedy, greedy_orientations = best_fit_rotating inst in
   let best = ref (Packing.height greedy, greedy_orientations) in
   let orientations = Array.make n Fixed in
+  (* Rotating keeps every item's area, so no orientation packs below
+     the area bound: once the incumbent reaches it, stop. *)
+  let area_bound = Instance.area_lower_bound inst in
   let rec go = function
+    | _ when fst !best <= area_bound -> ()
     | [] ->
         let oriented = apply inst orientations in
         Option.iter

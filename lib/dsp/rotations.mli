@@ -31,9 +31,11 @@ val optimal_height :
     attaining it.  The incumbent starts at {!best_fit_rotating}'s
     height; each assignment of the genuinely rotatable items is then
     one {!Dsp_exact.Optimum.variant} (bound {!Instance.lower_bound},
-    decision {!Dsp_exact.Dsp_bb.decide}).  No size cap: the number of
-    assignments is exponential in the rotatable items, and the
-    [budget] bounds how many are visited.
+    decision {!Dsp_exact.Dsp_bb.decide}).  The search stops once the
+    incumbent reaches {!Instance.area_lower_bound}, which no
+    assignment beats: rotating keeps every item's area.  No size cap:
+    the number of assignments is exponential in the rotatable items,
+    and the [budget] bounds how many are visited.
     @raise Dsp_util.Budget.Expired when the optional [budget] runs
     out. *)
 

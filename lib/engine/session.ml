@@ -1,9 +1,7 @@
 (* Incremental solve sessions.  The profile is the only geometric
    state; the slots table maps arrival ids to live placements, so
    departures and migrations are O(1) table updates plus O(log width)
-   kernel updates.  Bounded-migration trials run inside kernel
-   checkpoints: an abandoned trial is undone by replaying its journal,
-   never by copying the profile. *)
+   kernel updates. *)
 
 open Dsp_core
 
@@ -108,8 +106,9 @@ let best_fit =
 (* Live items whose span covers every peak column, i.e. all of
    [first, last], the tallest first (ties by id): removing a tall
    culprit is the move most likely to lower the global peak.  No other
-   item can: one that misses a peak column leaves it at the peak, so
-   its trial would always roll back. *)
+   item can: one that misses a peak column leaves it at the peak.  And
+   removing one of these drops every column below the peak, which is
+   what lets [try_repair] keep any destination it finds. *)
 let covering t ~first ~last =
   let acc = ref [] in
   for id = t.n_arrived - 1 downto 0 do
@@ -122,11 +121,11 @@ let covering t ~first ~last =
     (fun (_, (a : Item.t), _) (_, (b : Item.t), _) -> compare b.h a.h)
     !acc
 
-(* One repair move: find a live item over every peak column that can
-   be re-placed first-fit with its window peak under [pk - 1], and keep
-   the move iff the global peak strictly drops.  Trials are
-   transactional (kernel checkpoint), so a rejected candidate costs
-   only its own updates. *)
+(* One repair move: remove a live item over every peak column and
+   re-place it first-fit with its window peak under [pk - 1]; an item
+   with no such start goes back where it was.  A found destination
+   always lowers the global peak: the removal leaves every column
+   below [pk], and the new window stays at most [pk - 1]. *)
 let try_repair t pk =
   let p = t.sprofile in
   match Profile.peak_span p with
@@ -136,23 +135,15 @@ let try_repair t pk =
         | [] -> None
         | (id, (it : Item.t), cur) :: rest -> (
             Dsp_util.Instr.bump c_trials;
-            let mark = Profile.checkpoint p in
             Profile.remove_item p it ~start:cur;
             match Profile.first_fit_start p ~len:it.w ~height:it.h ~budget:(pk - 1) with
-            | Some dest -> (
+            | Some dest ->
                 Profile.add_item p it ~start:dest;
-                if Profile.peak p < pk then begin
-                  Profile.commit p mark;
-                  set_start t id dest;
-                  Dsp_util.Instr.bump c_migrations;
-                  Some (id, dest)
-                end
-                else begin
-                  Profile.rollback p mark;
-                  attempt rest
-                end)
+                set_start t id dest;
+                Dsp_util.Instr.bump c_migrations;
+                Some (id, dest)
             | None ->
-                Profile.rollback p mark;
+                Profile.add_item p it ~start:cur;
                 attempt rest)
       in
       attempt (covering t ~first ~last)

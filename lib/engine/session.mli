@@ -12,9 +12,9 @@
     Policies are first-class values; the built-ins are incremental
     first-fit, incremental best-fit ({!Dsp_core.Profile.best_start}),
     and a bounded-migration repair policy that may re-place at most
-    [k] already-placed items per arrival.  Migration trials run inside
-    kernel checkpoints ({!Dsp_core.Profile.checkpoint}), so an
-    abandoned trial costs O(updates tried), never a full profile copy.
+    [k] already-placed items per arrival.  A migration trial that
+    finds no destination re-adds its item at its old start, so an
+    abandoned trial costs two kernel updates, never a profile copy.
 
     Sessions are single-domain values, like the budgets that meter
     them; create one per domain. *)
@@ -35,9 +35,9 @@ type placement = { start : int; migrations : (int * int) list }
     session itself only records the new item.  A policy is also the
     place to observe placements: wrap [place] to record each
     arrival's start and migrations.
-    Policies may explore transactionally via
-    {!Dsp_core.Profile.checkpoint} / [rollback], and long repair loops
-    must poll [budget]. *)
+    A policy that tries an update and abandons it undoes it itself
+    (re-adding what it removed), and long repair loops must poll
+    [budget]. *)
 type policy = {
   pname : string;
   pdoc : string;
@@ -55,9 +55,10 @@ val best_fit : policy
 
 val bounded_migration : k:int -> policy
 (** Best-fit placement, then up to [k] repair moves: while the global
-    peak can be lowered, pick a live item under the peak column,
-    remove it and re-place it first-fit under [peak - 1], keeping the
-    move only when the global peak strictly drops.  [k = 0] is exactly
+    peak can be lowered, pick a live item under every peak column,
+    remove it and re-place it first-fit under [peak - 1], which
+    strictly lowers the global peak; an item with no such start goes
+    back where it was and the next is tried.  [k = 0] is exactly
     {!best_fit}. *)
 
 val policies : k:int -> policy list

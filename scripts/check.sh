@@ -126,22 +126,27 @@ BENCH_JSON=none DSP_BENCH_RESULTS=none \
 echo "ok: online-smoke bench experiment completes"
 
 # Wide migrate replay: a churn trace on a 32,768-column strip under
-# migrate k=2 must reproduce its pinned migrations and peaks.  The
-# golden lines are exact outputs of the deterministic replay, so any
-# change to best-fit, first-fit or the repair loop that moves a
-# placement shows here.
+# migrate k=2 must reproduce its pinned migrations and peaks, and its
+# repair loop the pinned number of trials.  The golden lines are
+# exact outputs of the deterministic replay, so any change to
+# best-fit, first-fit or the repair loop that moves a placement shows
+# here; so does one that keeps the placements but tries other
+# candidates.
 wide=$(mktemp -t online-wide.XXXXXX.trace)
 trap 'rm -f "$inst" "$trc" "$wide"' EXIT
 dune exec bin/dsp_cli.exe -- trace --kind churn -n 400 --width 32768 --seed 7 > "$wide"
 wide_out=$(timeout 60 dune exec bin/dsp_cli.exe -- \
-  online --trace "$wide" --policy migrate --migration-k 2)
+  online --trace "$wide" --policy migrate --migration-k 2 --stats)
 for line in "migrations: 479" "final peak: 1201" "max peak: 1209" \
             "bfd-height   peak 1167"; do
   printf '%s\n' "$wide_out" | grep -qF "$line" \
     || { echo "FAIL: wide migrate replay lacks '$line':" >&2
          echo "$wide_out" >&2; exit 1; }
 done
-echo "ok: wide migrate replay matches its pinned placements"
+printf '%s\n' "$wide_out" | grep -qE '^ +session\.migration_trials +2717$' \
+  || { echo "FAIL: wide migrate replay lacks 'session.migration_trials 2717':" >&2
+       echo "$wide_out" >&2; exit 1; }
+echo "ok: wide migrate replay matches its pinned placements and trials"
 
 # --- service daemon crash-recovery smoke -----------------------------
 # The serve path end to end, the hard way: start the daemon on a

@@ -1,9 +1,9 @@
 (* Differential tests for the segment-tree packing kernel: the
    segtree-backed Profile must agree with the flat-array
    Profile.Naive reference on every operation, and the kernel's own
-   queries (range_max / first_fit_from / best_start / find_last_above /
-   first_above and their sentinel forms) must agree with direct linear scans over
-   a plain load array. *)
+   queries (range_max / first_fit_from and its sentinel form / best_start /
+   find_last_above_i / first_above) must agree with direct linear scans
+   over a plain load array. *)
 
 open Dsp_core
 module Rng = Dsp_util.Rng
@@ -126,11 +126,11 @@ let scan_best_start a ~len =
     Some (!best, !best_peak)
   end
 
-(* Rightmost column of [lo, hi) strictly above [thr]. *)
+(* Rightmost column of [lo, hi) strictly above [thr], or -1. *)
 let scan_last_above a ~lo ~hi thr =
-  let r = ref None in
+  let r = ref (-1) in
   for x = lo to hi - 1 do
-    if a.(x) > thr then r := Some x
+    if a.(x) > thr then r := x
   done;
   !r
 
@@ -180,12 +180,8 @@ let flat_vs_scans_stream () =
           let lo = Rng.int rng width in
           let hi = lo + Rng.int rng (width - lo + 1) in
           let thr = Rng.int_in rng (-10) 20 in
-          let x = Segtree.find_last_above t ~lo ~hi thr in
-          if x <> scan_last_above a ~lo ~hi thr then
-            Alcotest.failf "instance %d op %d: find_last_above differs" i op;
-          if Segtree.find_last_above_i t ~lo ~hi thr
-             <> Option.value x ~default:(-1)
-          then Alcotest.failf "instance %d op %d: _i sentinel differs" i op;
+          if Segtree.find_last_above_i t ~lo ~hi thr <> scan_last_above a ~lo ~hi thr
+          then Alcotest.failf "instance %d op %d: find_last_above_i differs" i op;
           (* The whole-strip leftmost form, on the same threshold. *)
           let first = ref (-1) in
           for x = width - 1 downto 0 do
@@ -305,99 +301,6 @@ let item_add_remove_inverse () =
       (Array.to_list (Profile.to_array p))
   done
 
-(* ---- checkpoint / rollback journal ---- *)
-
-let snap t = Array.copy (Segtree.to_array t)
-
-let random_adds rng t width n =
-  for _ = 1 to n do
-    let lo = Rng.int rng width in
-    let hi = lo + Rng.int rng (width - lo + 1) in
-    Segtree.range_add t ~lo ~hi (Rng.int_in rng (-4) 9)
-  done
-
-(* Nested checkpoints under the LIFO discipline: each rollback must
-   restore the exact array state at its checkpoint; a commit keeps the
-   state and, at depth 0, drains the journal.  Queries are then
-   cross-checked against linear scans of the flattened state, because
-   rollback goes through the same lazy-add path as forward updates. *)
-let checkpoint_rollback_nested () =
-  for i = 1 to 24 do
-    let rng = Rng.create (52_000 + i) in
-    let width = Rng.int_in rng 1 100 in
-    let t = Segtree.create width in
-    random_adds rng t width (Rng.int rng 25);
-    let s0 = snap t in
-    let m0 = Segtree.checkpoint t in
-    random_adds rng t width 10;
-    let s1 = snap t in
-    let m1 = Segtree.checkpoint t in
-    random_adds rng t width 10;
-    Segtree.rollback t m1;
-    Alcotest.(check (list int))
-      (Printf.sprintf "instance %d: inner rollback restores" i)
-      (Array.to_list s1)
-      (Array.to_list (snap t));
-    random_adds rng t width 5;
-    Segtree.rollback t m0;
-    Alcotest.(check (list int))
-      (Printf.sprintf "instance %d: outer rollback restores" i)
-      (Array.to_list s0)
-      (Array.to_list (snap t));
-    (* Commit path: the journalled state survives and queries agree
-       with linear scans of the final array. *)
-    let m = Segtree.checkpoint t in
-    random_adds rng t width 8;
-    let s2 = snap t in
-    Segtree.commit t m;
-    Alcotest.(check (list int))
-      (Printf.sprintf "instance %d: commit keeps state" i)
-      (Array.to_list s2)
-      (Array.to_list (snap t));
-    let a = snap t in
-    Alcotest.(check bool)
-      (Printf.sprintf "instance %d: queries agree after journal churn" i)
-      true
-      (Segtree.max_all t = Helpers.window_max a 0 width
-      && Segtree.best_start t ~len:1 = scan_best_start a ~len:1)
-  done
-
-let checkpoint_discipline () =
-  let t = Segtree.create 8 in
-  let raises f =
-    match f () with () -> false | exception Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "rollback without checkpoint rejected" true
-    (raises (fun () -> Segtree.rollback t 0));
-  Alcotest.(check bool) "commit without checkpoint rejected" true
-    (raises (fun () -> Segtree.commit t 0));
-  let m = Segtree.checkpoint t in
-  Segtree.range_add t ~lo:1 ~hi:5 3;
-  Alcotest.(check bool) "bad mark rejected" true
-    (raises (fun () -> Segtree.rollback t 1));
-  Segtree.rollback t m;
-  Alcotest.(check (list int))
-    "clean after discipline churn"
-    (Array.to_list (Array.make 8 0))
-    (Array.to_list (Segtree.to_array t));
-  (* [copy] carries the open journal: rolling back the copy must not
-     disturb the source. *)
-  let m = Segtree.checkpoint t in
-  Segtree.range_add t ~lo:0 ~hi:8 2;
-  let c = Segtree.copy t in
-  Segtree.rollback c m;
-  Alcotest.(check int) "copy rolled back" 0 (Segtree.max_all c);
-  Alcotest.(check int) "source untouched" 2 (Segtree.max_all t);
-  Segtree.commit t m;
-  (* [reset] clears values and journal state in place. *)
-  let m = Segtree.checkpoint t in
-  Segtree.range_add t ~lo:2 ~hi:6 9;
-  ignore m;
-  Segtree.reset t;
-  Alcotest.(check int) "reset clears values" 0 (Segtree.max_all t);
-  Alcotest.(check bool) "reset clears outstanding checkpoints" true
-    (raises (fun () -> Segtree.rollback t 0))
-
 (* ---- int-boundary and overflow-guard cases ---- *)
 
 (* The kernel's O(1) root guard: a positive range_add that would push
@@ -432,9 +335,9 @@ let overflow_guard_cases () =
   Alcotest.(check (option int))
     "max_int budget admits start 0" (Some 0)
     (Segtree.first_fit_from t ~from:0 ~len:8 ~height:3 ~limit:max_int);
-  Alcotest.(check (option int))
-    "min_int threshold finds the last column" (Some 7)
-    (Segtree.find_last_above t ~lo:0 ~hi:8 min_int)
+  Alcotest.(check int)
+    "min_int threshold finds the last column" 7
+    (Segtree.find_last_above_i t ~lo:0 ~hi:8 min_int)
 
 (* ---- copy interleaved with best_start ---- *)
 
@@ -485,8 +388,8 @@ let copy_best_start_interleaving () =
    bitmap of nonzero entries, 32 columns to a word, and to_array sums
    the differences.  Tile a span with abutting pieces of one height,
    which merge into one run, then remove a piece, which splits it
-   again — inside a checkpoint, so the split is also rolled back — on
-   widths around the word boundaries.  Then edit the end columns 0 and
+   again, and re-add the piece, which merges it back over the stale
+   bits the removal left — on widths around the word boundaries.  Then edit the end columns 0 and
    n-1, step the profile at every column in turn (each bit of each
    word), and reset and update afresh.  After every step, best_start
    for every length and to_array must match scans of a plain array. *)
@@ -521,12 +424,10 @@ let runs_merge_and_split () =
         done;
         check (Printf.sprintf "round %d merged" round);
         let p, q = List.nth !pieces (Rng.int rng (List.length !pieces)) in
-        let m = Segtree.checkpoint t in
         add p q (-h);
         check (Printf.sprintf "round %d split" round);
-        Segtree.rollback t m;
-        Helpers.add_loads a ~lo:p ~hi:q h;
-        check (Printf.sprintf "round %d rolled back" round);
+        add p q h;
+        check (Printf.sprintf "round %d re-merged" round);
         if Rng.int rng 2 = 0 then begin
           add p q (-h);
           check (Printf.sprintf "round %d split kept" round)
@@ -567,10 +468,6 @@ let suite =
       `Quick add_remove_inverse;
     Alcotest.test_case "item add/remove inverse over a base profile" `Quick
       item_add_remove_inverse;
-    Alcotest.test_case "nested checkpoint/rollback restores exact state" `Quick
-      checkpoint_rollback_nested;
-    Alcotest.test_case "checkpoint discipline: marks, copy, reset" `Quick
-      checkpoint_discipline;
     Alcotest.test_case "overflow guards and int-boundary thresholds" `Quick
       overflow_guard_cases;
     Alcotest.test_case "copy interleaved with best_start" `Quick
@@ -625,7 +522,7 @@ let suite =
         let t, a = Helpers.build width ops in
         let lo = min from (width - 1) and hi = min width (from + len) in
         lo > hi
-        || Segtree.find_last_above t ~lo ~hi limit
+        || Segtree.find_last_above_i t ~lo ~hi limit
            = scan_last_above a ~lo ~hi limit);
     Helpers.qtest ~count:200 "segtree to_array matches accumulated ops" loads_arb
       (fun (width, ops) ->

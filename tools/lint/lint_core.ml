@@ -258,7 +258,6 @@ let project_config ~root =
             [
               "range_add";
               "apply_add";
-              "apply_range";
               "pull";
               "range_max";
               "descend_above";
