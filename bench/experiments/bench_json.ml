@@ -8,43 +8,22 @@
    validating reader parses with the daemon's codec ({!Dsp_serve.Json})
    and checks the container shape on its value type.
 
-   Schema v3 (documented in EXPERIMENTS.md): same container shape as
-   v2 — {"schema", "experiments": [{"id", <metrics>...}]} — plus
-   degraded entries: an experiment that crashed or timed out still
-   appears, with "status" ("ok" | "crashed") and, when crashed, an
-   "error" string metric, so a partial benchmark run yields a valid,
-   attributable file instead of nothing.  Writes are atomic (temp file
-   in the target directory + rename): a harness killed mid-write never
-   leaves a truncated BENCH.json, and the checkpoint written after
-   every experiment makes the last completed state durable.
-
-   Schema v4 adds one-level metric groups: a metric value may be a
-   flat object of scalars ({"minor_words": ..., ...}), used for the
-   per-measurement [gc] sub-records of the kernel and counters
-   experiments.  Groups never nest; the loader rejects deeper
+   The schema (documented in EXPERIMENTS.md) is one container,
+   {"schema", "experiments": [{"id", <metrics>...}]}.  A metric is a
+   scalar or a one-level group, a flat object of scalars such as a
+   timing's [gc] sub-record ({"minor_words": ...}) or a "latency"
+   percentile group; groups never nest, and the loader rejects deeper
    structure so downstream tooling can keep treating leaves as
-   scalars.
-
-   Schema v5 (same container, new vocabulary) marks two additions: the
-   online experiment family (per-policy competitive ratios, "latency"
-   percentile groups next to the "gc" groups), and the canonical
-   "seed" metric every randomized experiment records — the
-   DSP_BENCH_SEED offset the run was generated with, so a results file
-   pins the exact workload it measured.
-
-   Schema v6 (same container, new vocabulary) adds the serve
-   experiment family: per-variant request throughput ("req_per_s"),
-   round-trip "latency" percentile groups measured through the
-   daemon's socket, and the exact "peak_agree"/"recover_agree"
-   correctness signals the perf gate checks alongside the existing
-   "*agree" metrics.
-
-   Schema v7 (same container, new vocabulary) adds the work-stealing
-   vocabulary of the parallel experiment family: per-domain-count
-   curve metrics ("d<k>_*_seconds"), steal telemetry ("*_steals",
-   "*_steal_fails"), per-domain node-count groups ("*_nodes" with
-   fields "d0".."d<k-1>"), and the "*_agree" optimum-equivalence
-   signals the perf gate enforces for the parallel-smoke baseline. *)
+   scalars.  Every experiment carries "status" ("ok" | "crashed")
+   and, when crashed, an "error" string, so a partial run still
+   yields a valid, attributable file; a randomized experiment also
+   records the "seed" offset its workload was generated with.  The
+   perf gate reads metrics by name: "*_seconds" timings and "*agree"
+   correctness flags.  Writes are atomic
+   (temp file in the target directory + rename): a harness killed
+   mid-write never leaves a truncated BENCH.json, and the checkpoint
+   written after every experiment makes the last completed state
+   durable.  The loader accepts this one version only. *)
 
 module Json = Dsp_serve.Json
 
@@ -57,21 +36,6 @@ type value =
       (* one level deep: fields must be scalars (enforced on record) *)
 
 let schema_version = "dsp-bench/7"
-
-(* Schema versions [load] accepts: the container shape is identical,
-   v3 only adds optional keys, v4 adds one-level metric groups, v5
-   adds the online experiment family and the "seed" metric, v6 the
-   serve experiment family, v7 the work-stealing parallel
-   vocabulary. *)
-let known_schemas =
-  [ "dsp-bench/2"; "dsp-bench/3"; "dsp-bench/4"; "dsp-bench/5";
-    "dsp-bench/6"; schema_version ]
-
-(* Versions whose files may carry one-level groups (v4 introduced
-   them); the loader must keep accepting groups in v4 files after
-   later bumps, not just in the current version. *)
-let group_schemas =
-  [ "dsp-bench/4"; "dsp-bench/5"; "dsp-bench/6"; schema_version ]
 
 (* Insertion-ordered: experiment ids in run order, metrics in record
    order within an experiment.  The store is shared mutable state and
@@ -193,10 +157,10 @@ let of_json = function
       | None, _ -> Error "missing \"schema\" key"
       | _, None -> Error "missing \"experiments\" key"
       | Some (Json.String schema), Some (Json.List entries) ->
-          if not (List.mem schema known_schemas) then
+          if schema <> schema_version then
             Error
-              (Printf.sprintf "unknown schema %S (expected one of: %s)" schema
-                 (String.concat ", " known_schemas))
+              (Printf.sprintf "unknown schema %S (expected %s)" schema
+                 schema_version)
           else begin
             let exp_of = function
               | Json.Obj fields -> (
@@ -219,8 +183,8 @@ let of_json = function
                         if k = "id" then Ok None
                         else
                           match v with
-                          | Json.Obj fields when List.mem schema group_schemas ->
-                              (* v4+ group: exactly one level of scalars. *)
+                          | Json.Obj fields ->
+                              (* A group: exactly one level of scalars. *)
                               let rec go acc = function
                                 | [] -> Ok (Some (k, Group (List.rev acc)))
                                 | (gk, gv) :: rest -> (

@@ -65,7 +65,7 @@ let time_reps f =
   done;
   (r0, !best_t, !best_gc)
 
-(* The dsp-bench/4+ [gc] sub-record attached to a timing metric. *)
+(* The [gc] sub-record attached to a timing metric. *)
 let record_gc ~experiment key (gc : Dsp_util.Xutil.gc_stats) =
   Bench_json.record_group ~experiment key
     [

@@ -2,7 +2,7 @@
    registered solver runs over a fixed instance set; the per-solve
    Instr counter deltas (already attributed by Runner.run_one) are
    summed per solver and emitted into BENCH.json under the dotted
-   "<solver>.<counter>" keys of schema dsp-bench/2.  The set includes
+   "<solver>.<counter>" keys.  The set includes
    a tall-and-flat instance (drives approx53/approx54 through the
    configuration LP, so simplex pivots show up) and a tiny instance
    the exact branch-and-bound can finish within budget. *)
@@ -54,8 +54,8 @@ let counters () =
     (fun (s : Solver.t) ->
       let totals = Hashtbl.create 16 in
       let solved = ref 0 in
-      (* GC cost of the whole per-solver sweep, emitted as a
-         dsp-bench/4 sub-record next to the op counters: kernel ops
+      (* GC cost of the whole per-solver sweep, emitted as a [gc]
+         sub-record next to the op counters: kernel ops
          per solve and words allocated per solve trend together. *)
       let (), _, gc =
         Dsp_util.Xutil.timeit_gc (fun () ->

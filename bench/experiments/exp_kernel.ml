@@ -1,7 +1,8 @@
 (* kernel: ablation of the segment-tree packing kernel against the
    flat-array reference.
 
-   naive — Profile.Naive, O(W * w) window scans;
+   naive — the linear reference [Naive], O(W * w) window scans over a
+           plain load array;
    flat  — the default Segtree, the iterative zero-allocation
            Bigarray kernel.
 
@@ -12,14 +13,14 @@
    unplace) — the BFD / branch-and-bound hot path — serially, and
    concurrently on min(4, recommended) domains with one tree per
    domain, mirroring the racing-chain / parallel-B&B execution layer.
-   The same loop run once over Profile.Naive checks the storm's
-   answers (see [storm_naive]).  Every timing carries a dsp-bench/4
-   [gc] sub-record (for parallel rows: the measuring domain only), and
-   the flat kernel's steady-state allocation is measured directly
-   (words per op over a long mixed-op run).  The CI perf gate
-   (bench/gate.ml) reads the [*_seconds] timings, [flat_alloc_zero]
-   and every [*agree] flag; naive and kernel place identically, so
-   peaks and checksums must agree exactly.
+   The same loop run once over [Naive] checks the storm's answers
+   (see [storm_naive]).  Every timing carries a [gc] sub-record (for
+   parallel rows: the measuring domain only), and the flat kernel's
+   steady-state allocation is measured directly (words per op over a
+   long mixed-op run).  The CI perf gate (bench/gate.ml) reads the
+   [*_seconds] timings, [flat_alloc_zero] and every [*agree] flag;
+   naive and kernel place identically, so peaks and checksums must
+   agree exactly.
 
    DSP_BENCH_REPS=k repeats each timing and keeps the fastest run. *)
 
@@ -55,45 +56,27 @@ let storm_flat t (items : (int * int) array) starts ~limit ~rounds =
   done;
   !acc
 
-(* The naive placement scans over a strip of width [w]: the first
-   start (s+1 stepping) whose window peak plus [height] stays within
-   [limit], or -1; and the leftmost start minimizing the window peak,
-   with that peak. *)
-let naive_first_fit p w ~len ~height ~limit =
-  let rec go s =
-    if s > w - len then -1
-    else if Profile.Naive.peak_in p ~start:s ~len + height <= limit then s
-    else go (s + 1)
-  in
-  go 0
-
-let naive_best_start p w ~len =
-  let best = ref 0 and best_peak = ref max_int in
-  for s = 0 to w - len do
-    let pk = Profile.Naive.peak_in p ~start:s ~len in
-    if pk < !best_peak then begin
-      best_peak := pk;
-      best := s
-    end
-  done;
-  (!best, !best_peak)
-
-(* One round of the same storm over Profile.Naive.  Loads stay
-   nonnegative, so the naive peaks (clamped at 0) equal the kernel's
-   raw window maxima.  Every flat round starts and ends on an empty
-   strip, so the flat checksum over [rounds] rounds must be exactly
-   [rounds] times this one. *)
+(* One round of the same storm over [Naive].  Every flat round starts
+   and ends on an empty strip, so the flat checksum over [rounds]
+   rounds must be exactly [rounds] times this one. *)
 let storm_naive w (items : (int * int) array) ~limit =
-  let p = Profile.Naive.create w in
+  let a = Array.make w 0 in
   let acc = ref 0 in
   Array.iter
     (fun (iw, ih) ->
-      let ff = naive_first_fit p w ~len:iw ~height:ih ~limit in
-      let s, pk = naive_best_start p w ~len:iw in
-      Profile.Naive.add p ~start:s ~len:iw ~height:ih;
-      acc := !acc + ff + s + pk + Profile.Naive.peak_in p ~start:s ~len:iw)
+      let ff =
+        Option.value ~default:(-1)
+          (Naive.first_fit a ~from:0 ~len:iw ~height:ih ~limit)
+      in
+      let s, pk =
+        match Naive.best_start a ~len:iw with
+        | Some (s, pk) -> (s, pk)
+        | None -> (0, 0)
+      in
+      Naive.add a ~lo:s ~hi:(s + iw) ih;
+      acc := !acc + ff + s + pk + Naive.window_max a ~lo:s ~hi:(s + iw))
     items;
-  !acc + Profile.Naive.peak p
+  !acc + Naive.max_all a
 
 (* Run [f] on [domains] domains at once (the main domain is one of
    them) and fold the checksums.  Each thunk builds its own tree —
@@ -168,13 +151,14 @@ let kernel_at ~experiment widths () =
       in
       (* Best-fit decreasing, naive reference: full window scan per start. *)
       let bfd_naive () =
-        let p = Profile.Naive.create w in
+        let a = Array.make w 0 in
         List.iter
           (fun (it : Item.t) ->
-            let s, _ = naive_best_start p w ~len:it.Item.w in
-            Profile.Naive.add_item p it ~start:s)
+            match Naive.best_start a ~len:it.Item.w with
+            | Some (s, _) -> Naive.add a ~lo:s ~hi:(s + it.Item.w) it.Item.h
+            | None -> ())
           order;
-        Profile.Naive.peak p
+        Naive.max_all a
       in
       let bfd_kernel () =
         let st = Dsp_algo.Budget_fit.create inst in
@@ -189,18 +173,18 @@ let kernel_at ~experiment widths () =
          stepping vs kernel skip-ahead; same budget, same order. *)
       let budget = kernel_peak in
       let ff_naive () =
-        let p = Profile.Naive.create w in
+        let a = Array.make w 0 in
         let placed = ref 0 in
         List.iter
           (fun (it : Item.t) ->
-            let s =
-              naive_first_fit p w ~len:it.Item.w ~height:it.Item.h
+            match
+              Naive.first_fit a ~from:0 ~len:it.Item.w ~height:it.Item.h
                 ~limit:budget
-            in
-            if s >= 0 then begin
-              Profile.Naive.add_item p it ~start:s;
-              incr placed
-            end)
+            with
+            | Some s ->
+                Naive.add a ~lo:s ~hi:(s + it.Item.w) it.Item.h;
+                incr placed
+            | None -> ())
           order;
         !placed
       in

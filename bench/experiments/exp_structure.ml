@@ -61,24 +61,14 @@ let e15 () =
         for _ = 1 to 8 do
           let w = Rng.int_in rng 1 (max 1 (len / 2)) in
           let h = Rng.int_in rng (quarter + 1) box_height in
-          let rec try_start s =
-            if s + w > len then ()
-            else begin
-              let fits = ref true in
-              for x = s to s + w - 1 do
-                if profile.(x) + h > box_height then fits := false
-              done;
-              if !fits then begin
-                for x = s to s + w - 1 do
-                  profile.(x) <- profile.(x) + h
-                done;
-                items := (Item.make ~id:!id ~w ~h, s) :: !items;
-                incr id
-              end
-              else try_start (s + 1)
-            end
-          in
-          try_start 0
+          match
+            Naive.first_fit profile ~from:0 ~len:w ~height:h ~limit:box_height
+          with
+          | Some s ->
+              Naive.add profile ~lo:s ~hi:(s + w) h;
+              items := (Item.make ~id:!id ~w ~h, s) :: !items;
+              incr id
+          | None -> ()
         done;
         if !items <> [] then begin
           incr total;

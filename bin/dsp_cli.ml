@@ -652,6 +652,9 @@ let online_cmd =
         let pk = Dsp_engine.Session.peak session in
         if pk > !max_peak then max_peak := pk)
       events;
+    (* The session's own counters: the snapshot, its validation and
+       the offline yardsticks below run after this. *)
+    let after = Dsp_util.Instr.snapshot () in
     let s = Dsp_engine.Session.stats session in
     let packing = Dsp_engine.Session.snapshot session in
     let valid =
@@ -690,7 +693,6 @@ let online_cmd =
       (Dsp_util.Xutil.percentile sorted 0.99 *. 1e6)
       (sorted.(Array.length sorted - 1) *. 1e6);
     if stats then begin
-      let after = Dsp_util.Instr.snapshot () in
       Printf.printf "counters:\n";
       List.iter
         (fun (k, v) -> Printf.printf "  %-28s %d\n" k v)

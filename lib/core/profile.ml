@@ -1,50 +1,3 @@
-(* The flat-array implementation, kept as the reference for
-   differential testing and for the naive side of the kernel
-   benchmark.  The production profile below is backed by the lazy
-   segment tree and must agree with this module on every operation. *)
-module Naive = struct
-  type t = { loads : int array }
-
-  let create width =
-    if width < 1 then invalid_arg "Profile.create: width must be >= 1";
-    { loads = Array.make width 0 }
-
-  let width t = Array.length t.loads
-
-  let add t ~start ~len ~height =
-    let stop = Dsp_util.Xutil.checked_add start len in
-    if start < 0 || len < 0 || stop > width t then
-      invalid_arg
-        (Printf.sprintf "Profile.add: range [%d,%d) outside strip of width %d"
-           start stop (width t));
-    for x = start to stop - 1 do
-      t.loads.(x) <- Dsp_util.Xutil.checked_add t.loads.(x) height
-    done
-
-  let add_item t (it : Item.t) ~start = add t ~start ~len:it.w ~height:it.h
-  let load t x = t.loads.(x)
-  let peak t = Array.fold_left max 0 t.loads
-
-  let peak_in t ~start ~len =
-    let stop = Dsp_util.Xutil.checked_add start len in
-    if start < 0 || len < 0 || stop > width t then
-      invalid_arg "Profile.peak_in: range outside strip";
-    let m = ref 0 in
-    for x = start to stop - 1 do
-      if t.loads.(x) > !m then m := t.loads.(x)
-    done;
-    !m
-
-  let to_array t = Array.copy t.loads
-
-  let of_starts (inst : Instance.t) starts =
-    if Array.length starts <> Instance.n_items inst then
-      invalid_arg "Profile.of_starts: starts array does not match instance";
-    let p = create inst.Instance.width in
-    Array.iteri (fun i s -> add_item p (Instance.item inst i) ~start:s) starts;
-    p
-end
-
 type t = { tree : Segtree.t }
 
 let create width =
@@ -65,9 +18,8 @@ let add_item t (it : Item.t) ~start = add t ~start ~len:it.w ~height:it.h
 let remove_item t (it : Item.t) ~start = add t ~start ~len:it.w ~height:(-it.h)
 let load t x = Segtree.get t.tree x
 
-(* Like the naive reference, peaks are clamped at 0: loads can only go
-   negative through explicit negative adds, and the empty window has
-   peak 0. *)
+(* Peaks are clamped at 0: loads can only go negative through
+   explicit negative adds, and the empty window has peak 0. *)
 let peak t = max 0 (Segtree.max_all t.tree)
 
 let peak_in t ~start ~len =

@@ -7,9 +7,9 @@
     tree ({!Segtree}): range updates and window-peak queries are
     O(log width), and the placement queries {!first_fit_start} /
     {!best_start} replace whole O(width * len) scan loops.  The
-    pre-kernel flat-array implementation survives as {!Naive}, the
-    reference implementation that the differential tests and the
-    kernel benchmark compare against. *)
+    differential tests and the kernel benchmark check it against the
+    one linear reference, [bench/experiments/naive.ml]: a plain load
+    array with the same queries written as scans. *)
 
 type t
 
@@ -69,22 +69,3 @@ val pp : Format.formatter -> t -> unit
 val render : ?max_rows:int -> t -> string
 (** ASCII skyline, one character column per strip column, for the
     examples and the CLI. *)
-
-(** The pre-kernel flat-array profile, kept as a reference
-    implementation.  Differential property tests
-    ([test/test_kernel.ml]) drive both implementations with the same
-    operation streams and require identical answers; the kernel
-    benchmark uses it as the naive baseline. *)
-module Naive : sig
-  type t
-
-  val create : int -> t
-  val width : t -> int
-  val add : t -> start:int -> len:int -> height:int -> unit
-  val add_item : t -> Item.t -> start:int -> unit
-  val load : t -> int -> int
-  val peak : t -> int
-  val peak_in : t -> start:int -> len:int -> int
-  val to_array : t -> int array
-  val of_starts : Instance.t -> int array -> t
-end

@@ -7,9 +7,11 @@
     peak stays under a budget?".  All three are O(log width) here
     versus O(width) on a flat load array; {!first_fit_from} further
     skips past the column that caused a violation instead of advancing
-    one start at a time.  The kernel experiment
-    ([bench/main.exe -- kernel]) measures it against the flat-array
-    {!Profile.Naive} and writes the result to [BENCH.json].
+    one start at a time.  The differential tests check every query
+    below against the linear scans of [bench/experiments/naive.ml],
+    and the kernel experiment ([bench/main.exe -- kernel]) measures
+    the kernel against those scans and writes the result to
+    [BENCH.json].
 
     The kernel is flat and implicit-layout, over a single native-[int]
     [Bigarray]: iterative traversals with no scratch, so the

@@ -39,7 +39,6 @@ type error_kind =
   | Bad_instance of string
   | Stale_departure of string
   | Overloaded of int
-  | Solver_failure of string
   | Wal_failure of string
   | Internal of string
 
@@ -52,7 +51,6 @@ let kind_name = function
   | Bad_instance _ -> "bad_instance"
   | Stale_departure _ -> "stale_departure"
   | Overloaded _ -> "overloaded"
-  | Solver_failure _ -> "solver"
   | Wal_failure _ -> "wal"
   | Internal _ -> "internal"
 
@@ -66,7 +64,6 @@ let error_message = function
   | Stale_departure m -> m
   | Overloaded ms ->
       Printf.sprintf "server at capacity; retry after %d ms" ms
-  | Solver_failure m -> m
   | Wal_failure m -> m
   | Internal m -> m
 
@@ -271,7 +268,6 @@ let decode_error err =
           (Option.bind (Json.member "retry_after_ms" err) Json.to_int)
       in
       Overloaded ms
-  | Some "solver" -> Solver_failure message
   | Some "wal" -> Wal_failure message
   | _ -> Internal message
 

@@ -57,15 +57,13 @@ type error_kind =
   | Bad_instance of string  (** geometry rejected (dims, width) *)
   | Stale_departure of string  (** never arrived / already departed *)
   | Overloaded of int  (** shed; payload is the retry-after hint, ms *)
-  | Solver_failure of string
   | Wal_failure of string
   | Internal of string
 
 val kind_name : error_kind -> string
 (** The wire ["kind"] tag: ["parse"], ["bad_request"], ["unknown_op"],
     ["unknown_session"], ["session_exists"], ["bad_instance"],
-    ["stale_departure"], ["overloaded"], ["solver"], ["wal"],
-    ["internal"]. *)
+    ["stale_departure"], ["overloaded"], ["wal"], ["internal"]. *)
 
 val error_message : error_kind -> string
 

@@ -146,6 +146,14 @@ done
 printf '%s\n' "$wide_out" | grep -qE '^ +session\.migration_trials +2717$' \
   || { echo "FAIL: wide migrate replay lacks 'session.migration_trials 2717':" >&2
        echo "$wide_out" >&2; exit 1; }
+# The counters are the session's alone: the offline yardsticks solved
+# after the replay (bfd-height, approx54) must not leak into them.
+leaked=$(printf '%s\n' "$wide_out" | sed -n '/^counters:/,$p' \
+  | grep -E '^ +(approx54|budget_fit)\.' || true)
+if [ -n "$leaked" ]; then
+  echo "FAIL: wide migrate replay's counters include the offline solves:" >&2
+  echo "$leaked" >&2; exit 1
+fi
 echo "ok: wide migrate replay matches its pinned placements and trials"
 
 # --- service daemon crash-recovery smoke -----------------------------

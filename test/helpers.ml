@@ -5,31 +5,18 @@ open Dsp_core
 let qtest ?(count = 100) name arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
 
-(* The linear-array reference for the packing kernel: [build width
-   ops] applies each (start, len, height) op to a fresh segment tree
-   and to a plain load array; the scans in the kernel and profile
-   suites read that array. *)
-let add_loads a ~lo ~hi h =
-  for x = lo to hi - 1 do
-    a.(x) <- a.(x) + h
-  done
-
+(* [build width ops] applies each (start, len, height) op to a fresh
+   segment tree and, through the kernel's linear reference
+   {!Dsp_bench.Naive}, to a plain load array. *)
 let build width ops =
   let t = Segtree.create width in
   let a = Array.make width 0 in
   List.iter
     (fun (s, l, h) ->
       Segtree.range_add t ~lo:s ~hi:(s + l) h;
-      add_loads a ~lo:s ~hi:(s + l) h)
+      Dsp_bench.Naive.add a ~lo:s ~hi:(s + l) h)
     ops;
   (t, a)
-
-let window_max a s len =
-  let m = ref min_int in
-  for x = s to s + len - 1 do
-    if a.(x) > !m then m := a.(x)
-  done;
-  !m
 
 (* QCheck generator for a small DSP instance: width in [2, max_width],
    items with dims bounded by the width / max_h. *)

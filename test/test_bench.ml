@@ -116,25 +116,22 @@ let validation_tests =
       {|{"schema": "dsp-bench/99", "experiments": []}|}
       "unknown schema";
     check_error "experiments not an array"
-      {|{"schema": "dsp-bench/3", "experiments": 3}|}
+      {|{"schema": "dsp-bench/7", "experiments": 3}|}
       "not an array";
     check_error "entry without id"
-      {|{"schema": "dsp-bench/3", "experiments": [{"x": 1}]}|}
+      {|{"schema": "dsp-bench/7", "experiments": [{"x": 1}]}|}
       "missing \"id\"";
     check_error "non-scalar metric"
-      {|{"schema": "dsp-bench/3", "experiments": [{"id": "E1", "m": [1]}]}|}
-      "not a scalar";
-    check_error "object metric under the pre-group schema"
-      {|{"schema": "dsp-bench/3", "experiments": [{"id": "E1", "gc": {"minor_words": 0.0}}]}|}
+      {|{"schema": "dsp-bench/7", "experiments": [{"id": "E1", "m": [1]}]}|}
       "not a scalar";
     check_error "nested group"
-      {|{"schema": "dsp-bench/4", "experiments": [{"id": "E1", "gc": {"inner": {"x": 1}}}]}|}
+      {|{"schema": "dsp-bench/7", "experiments": [{"id": "E1", "gc": {"inner": {"x": 1}}}]}|}
       "not a scalar";
-    Alcotest.test_case "one-level group loads under dsp-bench/4" `Quick
+    Alcotest.test_case "one-level group loads under dsp-bench/7" `Quick
       (fun () ->
         match
           Bj.parse_string_result
-            {|{"schema": "dsp-bench/4", "experiments": [{"id": "E1", "gc": {"minor_words": 0.5, "minor_collections": 3}}]}|}
+            {|{"schema": "dsp-bench/7", "experiments": [{"id": "E1", "gc": {"minor_words": 0.5, "minor_collections": 3}}]}|}
         with
         | Ok p ->
             let e1 = List.assoc "E1" p.Bj.parsed_experiments in
@@ -147,17 +144,10 @@ let validation_tests =
                   ])
         | Error e -> Alcotest.fail e);
     check_error "truncated document"
-      {|{"schema": "dsp-bench/3", "experiments": [|} "line 1";
+      {|{"schema": "dsp-bench/7", "experiments": [|} "line 1";
     check_error "trailing garbage"
-      {|{"schema": "dsp-bench/3", "experiments": []} extra|}
+      {|{"schema": "dsp-bench/7", "experiments": []} extra|}
       "trailing garbage";
-    Alcotest.test_case "previous schema version still loads" `Quick (fun () ->
-        match
-          Bj.parse_string_result
-            {|{"schema": "dsp-bench/2", "experiments": [{"id": "E1", "seconds": 0.25}]}|}
-        with
-        | Ok p -> Alcotest.(check string) "schema" "dsp-bench/2" p.Bj.schema
-        | Error e -> Alcotest.fail e);
     Alcotest.test_case "load reports a readable path error" `Quick (fun () ->
         Alcotest.(check bool) "missing file is an Error" true
           (Result.is_error (Bj.load "/nonexistent/BENCH.json")));

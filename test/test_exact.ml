@@ -1,4 +1,5 @@
 open Dsp_core
+module Naive = Dsp_bench.Naive
 
 (* Brute-force references for differential testing. *)
 
@@ -80,19 +81,11 @@ let canonical_vectors inst ~height =
     else begin
       let (it : Item.t) = order.(k) in
       for s = 0 to width - it.w do
-        let fits = ref true in
-        for x = s to s + it.w - 1 do
-          if loads.(x) + it.h > height then fits := false
-        done;
-        if !fits then begin
-          for x = s to s + it.w - 1 do
-            loads.(x) <- loads.(x) + it.h
-          done;
+        if Naive.window_max loads ~lo:s ~hi:(s + it.w) + it.h <= height then begin
+          Naive.add loads ~lo:s ~hi:(s + it.w) it.h;
           starts.(it.id) <- s;
           go (k + 1);
-          for x = s to s + it.w - 1 do
-            loads.(x) <- loads.(x) - it.h
-          done
+          Naive.add loads ~lo:s ~hi:(s + it.w) (-it.h)
         end
       done
     end

@@ -1,26 +1,28 @@
 (* Differential tests for the segment-tree packing kernel: the
-   segtree-backed Profile must agree with the flat-array
-   Profile.Naive reference on every operation, and the kernel's own
-   queries (range_max / first_fit_from and its sentinel form / best_start /
-   find_last_above_i / first_above) must agree with direct linear scans
-   over a plain load array. *)
+   segtree-backed Profile and the kernel's own queries (range_max /
+   first_fit_from and its sentinel form / best_start /
+   find_last_above_i / first_above) must agree with the linear
+   reference [Naive] over a plain load array on every operation. *)
 
 open Dsp_core
 module Rng = Dsp_util.Rng
+module Naive = Dsp_bench.Naive
 
 (* ---- randomized operation streams against the naive reference ---- *)
 
-(* Drives both implementations with the same interleaved stream of
-   add / peak / peak_in / load operations.  Sized to satisfy the
-   acceptance bar explicitly: >= 20 random instances, >= 1000
-   randomized operations each. *)
+(* Drives the profile and a load array with the same interleaved
+   stream of add / peak / peak_in / load operations.  The profile
+   clamps its peaks at 0, so the expected peaks clamp the raw window
+   maxima; the negative adds keep that clamp under test.  Sized to
+   satisfy the acceptance bar explicitly: >= 20 random instances,
+   >= 1000 randomized operations each. *)
 let differential_stream () =
   let instances = 24 and ops_per_instance = 1200 in
   for i = 1 to instances do
     let rng = Rng.create (9_000 + i) in
     let width = Rng.int_in rng 1 120 in
     let p = Profile.create width in
-    let q = Profile.Naive.create width in
+    let q = Array.make width 0 in
     for op = 1 to ops_per_instance do
       match Rng.int rng 4 with
       | 0 ->
@@ -28,25 +30,26 @@ let differential_stream () =
           let len = Rng.int rng (width - start + 1) in
           let height = Rng.int_in rng (-4) 8 in
           Profile.add p ~start ~len ~height;
-          Profile.Naive.add q ~start ~len ~height
+          Naive.add q ~lo:start ~hi:(start + len) height
       | 1 ->
-          if Profile.peak p <> Profile.Naive.peak q then
+          let b = max 0 (Naive.max_all q) in
+          if Profile.peak p <> b then
             Alcotest.failf "instance %d op %d: peak %d <> naive %d" i op
-              (Profile.peak p) (Profile.Naive.peak q)
+              (Profile.peak p) b
       | 2 ->
           let start = Rng.int rng width in
           let len = Rng.int rng (width - start + 1) in
           let a = Profile.peak_in p ~start ~len in
-          let b = Profile.Naive.peak_in q ~start ~len in
+          let b = max 0 (Naive.window_max q ~lo:start ~hi:(start + len)) in
           if a <> b then
             Alcotest.failf "instance %d op %d: peak_in [%d,%d) %d <> naive %d" i
               op start (start + len) a b
       | _ ->
           let x = Rng.int rng width in
-          if Profile.load p x <> Profile.Naive.load q x then
+          if Profile.load p x <> q.(x) then
             Alcotest.failf "instance %d op %d: load %d differs" i op x
     done;
-    if Profile.to_array p <> Profile.Naive.to_array q then
+    if Profile.to_array p <> q then
       Alcotest.failf "instance %d: final arrays differ" i
   done
 
@@ -63,9 +66,7 @@ let of_starts_differential () =
         (fun (it : Item.t) -> Rng.int rng (inst.Instance.width - it.Item.w + 1))
         inst.Instance.items
     in
-    let p = Profile.of_starts inst starts in
-    let q = Profile.Naive.of_starts inst starts in
-    if Profile.to_array p <> Profile.Naive.to_array q then
+    if Profile.to_array (Profile.of_starts inst starts) <> Naive.of_starts inst starts then
       Alcotest.failf "of_starts instance %d: arrays differ" i
   done
 
@@ -91,48 +92,15 @@ let loads_arb =
       in
       return (width, ops))
 
-(* The segtree-backed profile and the naive reference after [ops]. *)
+(* The segtree-backed profile and the load array after [ops]. *)
 let profiles width ops =
-  let p = Profile.create width and q = Profile.Naive.create width in
+  let p = Profile.create width and a = Array.make width 0 in
   List.iter
     (fun (s, l, h) ->
       Profile.add p ~start:s ~len:l ~height:h;
-      Profile.Naive.add q ~start:s ~len:l ~height:h)
+      Naive.add a ~lo:s ~hi:(s + l) h)
     ops;
-  (p, q)
-
-let scan_first_fit a ~from ~len ~height ~limit =
-  let width = Array.length a in
-  let rec go s =
-    if s + len > width then None
-    else if Helpers.window_max a s len + height <= limit then Some s
-    else go (s + 1)
-  in
-  if len < 1 || len > width then None else go (max 0 from)
-
-(* Leftmost start minimizing the window maximum, with that maximum. *)
-let scan_best_start a ~len =
-  let width = Array.length a in
-  if len < 1 || len > width then None
-  else begin
-    let best = ref (-1) and best_peak = ref max_int in
-    for s = 0 to width - len do
-      let m = Helpers.window_max a s len in
-      if m < !best_peak then begin
-        best_peak := m;
-        best := s
-      end
-    done;
-    Some (!best, !best_peak)
-  end
-
-(* Rightmost column of [lo, hi) strictly above [thr], or -1. *)
-let scan_last_above a ~lo ~hi thr =
-  let r = ref (-1) in
-  for x = lo to hi - 1 do
-    if a.(x) > thr then r := x
-  done;
-  !r
+  (p, a)
 
 let query_arb =
   QCheck.make
@@ -167,12 +135,12 @@ let flat_vs_scans_stream () =
           let hi = lo + Rng.int rng (width - lo + 1) in
           let h = Rng.int_in rng (-5) 9 in
           Segtree.range_add t ~lo ~hi h;
-          Helpers.add_loads a ~lo ~hi h
+          Naive.add a ~lo ~hi h
       | 1 ->
           let lo = Rng.int rng width in
           let hi = lo + Rng.int rng (width - lo + 1) in
           let x = Segtree.range_max t ~lo ~hi in
-          let y = if lo >= hi then 0 else Helpers.window_max a lo (hi - lo) in
+          let y = Naive.window_max a ~lo ~hi in
           if x <> y then
             Alcotest.failf "instance %d op %d: range_max [%d,%d) flat %d <> scan %d"
               i op lo hi x y
@@ -180,14 +148,10 @@ let flat_vs_scans_stream () =
           let lo = Rng.int rng width in
           let hi = lo + Rng.int rng (width - lo + 1) in
           let thr = Rng.int_in rng (-10) 20 in
-          if Segtree.find_last_above_i t ~lo ~hi thr <> scan_last_above a ~lo ~hi thr
+          if Segtree.find_last_above_i t ~lo ~hi thr <> Naive.last_above a ~lo ~hi thr
           then Alcotest.failf "instance %d op %d: find_last_above_i differs" i op;
           (* The whole-strip leftmost form, on the same threshold. *)
-          let first = ref (-1) in
-          for x = width - 1 downto 0 do
-            if a.(x) > thr then first := x
-          done;
-          if Segtree.first_above t thr <> !first then
+          if Segtree.first_above t thr <> Naive.first_above a thr then
             Alcotest.failf "instance %d op %d: first_above differs" i op
       | 3 ->
           let from = Rng.int rng (width + 1) in
@@ -195,17 +159,17 @@ let flat_vs_scans_stream () =
           let height = Rng.int rng 8 in
           let limit = Rng.int_in rng (-5) 25 in
           let x = Segtree.first_fit_from t ~from ~len ~height ~limit in
-          if x <> scan_first_fit a ~from ~len ~height ~limit then
+          if x <> Naive.first_fit a ~from ~len ~height ~limit then
             Alcotest.failf "instance %d op %d: first_fit_from differs" i op;
           if Segtree.first_fit_from_i t ~from ~len ~height ~limit
              <> Option.value x ~default:(-1)
           then Alcotest.failf "instance %d op %d: _i sentinel differs" i op
       | 4 ->
           let len = 1 + Rng.int rng (width + 1) in
-          if Segtree.best_start t ~len <> scan_best_start a ~len then
+          if Segtree.best_start t ~len <> Naive.best_start a ~len then
             Alcotest.failf "instance %d op %d: best_start differs" i op
       | _ ->
-          if Segtree.max_all t <> Helpers.window_max a 0 width then
+          if Segtree.max_all t <> Naive.max_all a then
             Alcotest.failf "instance %d op %d: max_all differs" i op
     done;
     if Segtree.to_array t <> a then
@@ -222,15 +186,15 @@ let flat_vs_scans_stream () =
 
 (* Range adds commute, so removing a set of placements in any order
    must return every kernel to its pre-placement state.  Drives the
-   flat kernel, a plain load array, the segtree Profile, and the naive
-   reference with the same stream; with every placement applied, the
-   flat kernel must match the array. *)
+   flat kernel, a plain load array and the segtree Profile with the
+   same stream; with every placement applied, the flat kernel must
+   match the array. *)
 let add_remove_inverse () =
   for i = 1 to 20 do
     let rng = Rng.create (51_000 + i) in
     let width = Rng.int_in rng 1 80 in
     let t = Segtree.create width and a = Array.make width 0 in
-    let p = Profile.create width and q = Profile.Naive.create width in
+    let p = Profile.create width in
     let n = Rng.int_in rng 1 40 in
     let ops =
       Array.init n (fun _ ->
@@ -241,9 +205,8 @@ let add_remove_inverse () =
     in
     let apply sign (s, l, h) =
       Segtree.range_add t ~lo:s ~hi:(s + l) (sign * h);
-      Helpers.add_loads a ~lo:s ~hi:(s + l) (sign * h);
-      Profile.add p ~start:s ~len:l ~height:(sign * h);
-      Profile.Naive.add q ~start:s ~len:l ~height:(sign * h)
+      Naive.add a ~lo:s ~hi:(s + l) (sign * h);
+      Profile.add p ~start:s ~len:l ~height:(sign * h)
     in
     Array.iter (apply 1) ops;
     Alcotest.(check (list int))
@@ -261,10 +224,6 @@ let add_remove_inverse () =
       (Printf.sprintf "instance %d: profile cancels" i)
       zeros
       (Array.to_list (Profile.to_array p));
-    Alcotest.(check (list int))
-      (Printf.sprintf "instance %d: naive cancels" i)
-      zeros
-      (Array.to_list (Profile.Naive.to_array q));
     Alcotest.(check int)
       (Printf.sprintf "instance %d: peak back to zero" i)
       0 (Profile.peak p)
@@ -379,7 +338,7 @@ let copy_best_start_interleaving () =
     (Array.to_list (Segtree.to_array c));
   Alcotest.(check (option (pair int int)))
     "best_start agrees with a linear scan after the fork"
-    (scan_best_start expect_c ~len:9)
+    (Naive.best_start expect_c ~len:9)
     (Segtree.best_start c ~len:9)
 
 (* ---- runs that merge and split ---- *)
@@ -400,13 +359,13 @@ let runs_merge_and_split () =
       let t = Segtree.create width and a = Array.make width 0 in
       let add lo hi h =
         Segtree.range_add t ~lo ~hi h;
-        Helpers.add_loads a ~lo ~hi h
+        Naive.add a ~lo ~hi h
       in
       let check ctx =
         if Segtree.to_array t <> a then
           Alcotest.failf "width %d, %s: to_array differs" width ctx;
         for len = 1 to width do
-          if Segtree.best_start t ~len <> scan_best_start a ~len then
+          if Segtree.best_start t ~len <> Naive.best_start a ~len then
             Alcotest.failf "width %d, %s: best_start ~len:%d differs" width ctx len
         done
       in
@@ -480,50 +439,30 @@ let suite =
       (fun ((width, ops), (from, len, height, limit)) ->
         let t, a = Helpers.build width ops in
         Segtree.first_fit_from t ~from ~len ~height ~limit
-        = scan_first_fit a ~from ~len ~height ~limit);
+        = Naive.first_fit a ~from ~len ~height ~limit);
     Helpers.qtest ~count:300 "profile first_fit_start matches naive scan"
       query_arb
       (fun ((width, ops), (_, len, height, budget)) ->
-        (* Restrict to nonnegative loads: Profile.peak_in clamps at 0,
-           which only coincides with the raw window max when loads are
-           nonnegative (as in every placement state). *)
-        let nonneg = List.map (fun (s, l, h) -> (s, l, abs h)) ops in
-        let p, q = profiles width nonneg in
-        let reference =
-          let rec go s =
-            if len < 1 || s + len > width then None
-            else if Profile.Naive.peak_in q ~start:s ~len + height <= budget then
-              Some s
-            else go (s + 1)
-          in
-          go 0
-        in
-        Profile.first_fit_start p ~len ~height ~budget = reference);
+        let p, a = profiles width ops in
+        Profile.first_fit_start p ~len ~height ~budget
+        = Naive.first_fit a ~from:0 ~len ~height ~limit:budget);
     Helpers.qtest ~count:300 "profile peak_span is the outermost peaks"
       loads_arb
       (fun (width, ops) ->
-        let p, q = profiles width ops in
-        (* Naive.peak clamps at 0, so a zero peak means no column
-           carries positive load and the reference stays None. *)
-        let pk = Profile.Naive.peak q and span = ref None in
-        Array.iteri
-          (fun x v ->
-            if pk > 0 && v = pk then
-              span := Some (match !span with None -> (x, x) | Some (f, _) -> (f, x)))
-          (Profile.Naive.to_array q);
-        Profile.peak_span p = !span);
+        let p, a = profiles width ops in
+        Profile.peak_span p = Naive.peak_span a);
     Helpers.qtest ~count:300 "best_start matches argmin of window maxima"
       query_arb
       (fun ((width, ops), (_, len, _, _)) ->
         let t, a = Helpers.build width ops in
-        Segtree.best_start t ~len = scan_best_start a ~len);
+        Segtree.best_start t ~len = Naive.best_start a ~len);
     Helpers.qtest ~count:300 "find_last_above matches linear scan" query_arb
       (fun ((width, ops), (from, len, _, limit)) ->
         let t, a = Helpers.build width ops in
         let lo = min from (width - 1) and hi = min width (from + len) in
         lo > hi
         || Segtree.find_last_above_i t ~lo ~hi limit
-           = scan_last_above a ~lo ~hi limit);
+           = Naive.last_above a ~lo ~hi limit);
     Helpers.qtest ~count:200 "segtree to_array matches accumulated ops" loads_arb
       (fun (width, ops) ->
         let t, a = Helpers.build width ops in

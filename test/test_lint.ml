@@ -250,29 +250,41 @@ let cache_tests =
     output_string oc text;
     close_out oc
   in
+  let rec remove_tree path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
   [
     case "summary cache: warm reruns hit, an edit re-analyzes one unit"
       (fun () ->
-        let dir = "lint_cache_scratch" in
-        (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-        let cache_dir = Filename.concat dir "cache" in
-        let names = [ "r6_good.ml"; "r9_good.ml" ] in
-        List.iter
-          (fun n -> write (Filename.concat dir n) (L.read_file (fx n)))
-          names;
-        let paths = List.map (Filename.concat dir) names in
-        let counts () =
-          let r = W.run_files ~cache_dir ~config:wcfg paths in
-          Alcotest.(check (list string)) "no parse errors" [] r.W.errors;
-          (r.W.analyzed, r.W.cached)
-        in
-        let pair = Alcotest.(pair int int) in
-        Alcotest.check pair "cold run analyzes both" (2, 0) (counts ());
-        Alcotest.check pair "warm run hits both" (0, 2) (counts ());
-        write
-          (Filename.concat dir "r9_good.ml")
-          (L.read_file (fx "r9_good.ml") ^ "\nlet touched = ()\n");
-        Alcotest.check pair "edit re-analyzes exactly one" (1, 1) (counts ()));
+        (* A fresh directory per run, so the cold run is really cold. *)
+        let dir = Filename.temp_file "lint_cache" "" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o700;
+        Fun.protect
+          ~finally:(fun () -> remove_tree dir)
+          (fun () ->
+            let cache_dir = Filename.concat dir "cache" in
+            let names = [ "r6_good.ml"; "r9_good.ml" ] in
+            List.iter
+              (fun n -> write (Filename.concat dir n) (L.read_file (fx n)))
+              names;
+            let paths = List.map (Filename.concat dir) names in
+            let counts () =
+              let r = W.run_files ~cache_dir ~config:wcfg paths in
+              Alcotest.(check (list string)) "no parse errors" [] r.W.errors;
+              (r.W.analyzed, r.W.cached)
+            in
+            let pair = Alcotest.(pair int int) in
+            Alcotest.check pair "cold run analyzes both" (2, 0) (counts ());
+            Alcotest.check pair "warm run hits both" (0, 2) (counts ());
+            write
+              (Filename.concat dir "r9_good.ml")
+              (L.read_file (fx "r9_good.ml") ^ "\nlet touched = ()\n");
+            Alcotest.check pair "edit re-analyzes exactly one" (1, 1) (counts ())));
   ]
 
 let suite =

@@ -9,6 +9,7 @@ open Dsp_core
 module Rng = Dsp_util.Rng
 module Trace = Dsp_instance.Trace
 module Session = Dsp_engine.Session
+module Naive = Dsp_bench.Naive
 
 let policies = Session.policies ~k:2 @ [ Session.bounded_migration ~k:0 ]
 
@@ -262,36 +263,31 @@ let migration_budget_respected () =
 
 (* ---- migrate-k against a reference repair loop ---- *)
 
-(* The migrate-k policy written out on the flat-array Profile.Naive
-   with linear scans: best-fit, then up to k repairs, each trying
+(* The migrate-k policy written out on a plain load array with the
+   linear scans of [Naive]: best-fit, then up to k repairs, each trying
    every earlier live item over the rightmost peak column, tallest
    first (ties by id); the arriving item itself stays put.  A try
    removes the item, re-places it at the leftmost start whose window
    stays under pk - 1, and is kept iff the peak drops.  Returns the
    event log and the final peak. *)
 let reference_migrate ~k (tr : Trace.t) =
-  let width = tr.Trace.width and q = Profile.Naive.create tr.Trace.width in
+  let width = tr.Trace.width and q = Array.make tr.Trace.width 0 in
   let live = ref [] (* (id, w, h, start) in id order *) and log = ref [] and next = ref 0 in
-  let add (_, w, h, s) sign = Profile.Naive.add q ~start:s ~len:w ~height:(sign * h) in
-  let window s w = Profile.Naive.peak_in q ~start:s ~len:w in
-  let rec leftmost w ok s =
-    if s + w > width then None else if ok s then Some s else leftmost w ok (s + 1)
-  in
+  let add (_, w, h, s) sign = Naive.add q ~lo:s ~hi:(s + w) (sign * h) in
   let rec repair ~h n migs =
-    let pk = Profile.Naive.peak q in
+    let pk = Naive.max_all q in
     if n = k || pk <= h then List.rev migs
     else begin
-      let col = ref 0 in
-      Array.iteri (fun x v -> if v = pk then col := x) (Profile.Naive.to_array q);
-      let over = List.filter (fun (_, w, _, s) -> s <= !col && !col < s + w) !live in
+      let col = Naive.last_above q ~lo:0 ~hi:width (pk - 1) in
+      let over = List.filter (fun (_, w, _, s) -> s <= col && col < s + w) !live in
       let rec attempt = function
         | [] -> List.rev migs
         | ((id, w, h', _) as it) :: rest -> (
             add it (-1);
-            let dest = leftmost w (fun d -> window d w + h' <= pk - 1) 0 in
+            let dest = Naive.first_fit q ~from:0 ~len:w ~height:h' ~limit:(pk - 1) in
             Option.iter (fun d -> add (id, w, h', d) 1) dest;
             match dest with
-            | Some d when Profile.Naive.peak q < pk ->
+            | Some d when Naive.max_all q < pk ->
                 live :=
                   List.map (fun ((j, _, _, _) as x) -> if j = id then (id, w, h', d) else x) !live;
                 repair ~h (n + 1) ((id, d) :: migs)
@@ -308,21 +304,18 @@ let reference_migrate ~k (tr : Trace.t) =
       | Trace.Arrive { w; h } ->
           let id = !next in
           incr next;
-          let best = ref 0 in
-          for s = 1 to width - w do
-            if window s w < window !best w then best := s
-          done;
-          add (id, w, h, !best) 1;
+          let best, _ = Option.get (Naive.best_start q ~len:w) in
+          add (id, w, h, best) 1;
           let migrations = repair ~h 0 [] in
-          live := !live @ [ (id, w, h, !best) ];
-          log := Arrived { id; start = !best; migrations } :: !log
+          live := !live @ [ (id, w, h, best) ];
+          log := Arrived { id; start = best; migrations } :: !log
       | Trace.Depart { arrival } ->
           let ((_, _, _, s) as it) = List.find (fun (j, _, _, _) -> j = arrival) !live in
           add it (-1);
           live := List.filter (fun (j, _, _, _) -> j <> arrival) !live;
           log := Departed { id = arrival; start = s } :: !log)
     tr.Trace.events;
-  (List.rev !log, Profile.Naive.peak q)
+  (List.rev !log, Naive.max_all q)
 
 (* Two item heights and many narrow items on a wide strip: the peak
    often sits in several disjoint places at once. *)

@@ -2,6 +2,7 @@
 
 open Dsp_core
 module Ta = Dsp_algo.Tall_assignment
+module Naive = Dsp_bench.Naive
 
 (* Fill a box of [box_height] with random tall items by first fit;
    returns items with start columns (a feasible box content). *)
@@ -12,24 +13,12 @@ let random_box rng ~quarter ~box_height ~len =
   for _ = 1 to 8 do
     let w = Dsp_util.Rng.int_in rng 1 (max 1 (len / 2)) in
     let h = Dsp_util.Rng.int_in rng (quarter + 1) box_height in
-    let rec try_start s =
-      if s + w > len then ()
-      else begin
-        let ok = ref true in
-        for x = s to s + w - 1 do
-          if profile.(x) + h > box_height then ok := false
-        done;
-        if !ok then begin
-          for x = s to s + w - 1 do
-            profile.(x) <- profile.(x) + h
-          done;
-          items := (Item.make ~id:!id ~w ~h, s) :: !items;
-          incr id
-        end
-        else try_start (s + 1)
-      end
-    in
-    try_start 0
+    match Naive.first_fit profile ~from:0 ~len:w ~height:h ~limit:box_height with
+    | Some s ->
+        Naive.add profile ~lo:s ~hi:(s + w) h;
+        items := (Item.make ~id:!id ~w ~h, s) :: !items;
+        incr id
+    | None -> ()
   done;
   !items
 

@@ -21,7 +21,7 @@ let usage () =
     "  --root DIR       project root (default .); sets rule scopes and the";
   prerr_endline "                   .cmt search path for R6-R9";
   prerr_endline
-    "  --format FMT     output format: text (default), json, or sarif";
+    "  --format FMT     output format: text (default) or sarif";
   prerr_endline
     "  --cache-dir DIR  whole-program summary cache (default:";
   prerr_endline "                   <root>/_build/.lint-cache)";
@@ -81,11 +81,9 @@ let () =
         (format :=
            match fmt with
            | "text" -> `Text
-           | "json" -> `Json
            | "sarif" -> `Sarif
            | _ ->
-               Printf.eprintf
-                 "dsp_lint: bad --format %S (text, json or sarif)\n" fmt;
+               Printf.eprintf "dsp_lint: bad --format %S (text or sarif)\n" fmt;
                exit 2);
         parse rest
     | "--cache-dir" :: dir :: rest ->
@@ -150,7 +148,6 @@ let () =
   List.iter prerr_endline errors;
   (match !format with
   | `Text -> print_string (Lint_report.to_text findings)
-  | `Json -> print_string (Lint_report.to_json ~errors findings)
   | `Sarif -> print_string (Lint_report.to_sarif findings));
   (match whole_result with
   | Some r ->

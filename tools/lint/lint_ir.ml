@@ -26,7 +26,7 @@
      it runs.
 
    Name discipline: qualified names are component lists.  Definitions
-   carry their full module stack ("Profile" :: "Naive" :: "add");
+   carry their full module stack ("Pts" :: "Inst" :: "of_dims");
    call sites carry the most qualified name the front-end can see, and
    [Lint_callgraph] resolves by peeling prefixes.  Component lists are
    already normalized: "Dsp_core__Segtree" splits into its "__" parts

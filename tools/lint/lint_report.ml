@@ -1,7 +1,7 @@
 (* Output emitters for dsp_lint: the classic `file:line:col [R#] msg`
-   text lines, a machine-readable JSON document, and SARIF 2.1.0 for
-   CI annotation uploads.  Both structured formats are hand-rolled —
-   the payload is flat and the toolchain ships no JSON library. *)
+   text lines, and SARIF 2.1.0 for CI annotation uploads.  The SARIF
+   is hand-rolled — the payload is flat and the toolchain ships no
+   JSON library. *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -24,26 +24,6 @@ let quote s = "\"" ^ json_escape s ^ "\""
 let to_text (findings : Lint_core.finding list) =
   String.concat ""
     (List.map (fun f -> Lint_core.finding_to_string f ^ "\n") findings)
-
-let to_json ~errors (findings : Lint_core.finding list) =
-  let finding (f : Lint_core.finding) =
-    Printf.sprintf
-      "    {\"rule\": %s, \"file\": %s, \"line\": %d, \"col\": %d, \
-       \"message\": %s}"
-      (quote (Lint_core.rule_name f.Lint_core.rule))
-      (quote f.Lint_core.file) f.Lint_core.line f.Lint_core.col
-      (quote f.Lint_core.msg)
-  in
-  String.concat "\n"
-    ([ "{"; "  \"findings\": [" ]
-    @ [ String.concat ",\n" (List.map finding findings) ]
-    @ [
-        "  ],";
-        Printf.sprintf "  \"errors\": [%s]"
-          (String.concat ", " (List.map quote errors));
-        "}";
-        "";
-      ])
 
 (* Minimal SARIF 2.1.0: one run, one driver, the rule catalogue, one
    result per finding.  Columns are 0-based internally and 1-based in
