@@ -3,10 +3,10 @@
    Experiments register metrics (wall-clock seconds, peak heights,
    node counts, speedups) under their experiment id while they run;
    the harness then serializes everything to BENCH.json so later PRs
-   have a perf trajectory to regress against.  The writer is
-   hand-rolled so the file keeps its layout and "%.6f" floats; the
-   validating reader parses with the daemon's codec ({!Dsp_serve.Json})
-   and checks the container shape on its value type.
+   have a perf trajectory to regress against.  Metrics are values of
+   the daemon's codec ({!Dsp_serve.Json}): the writer prints them with
+   its encoder, one metric per line, and the validating reader parses
+   with its decoder and checks the container shape.
 
    The schema (documented in EXPERIMENTS.md) is one container,
    {"schema", "experiments": [{"id", <metrics>...}]}.  A metric is a
@@ -27,22 +27,13 @@
 
 module Json = Dsp_serve.Json
 
-type value =
-  | Int of int
-  | Float of float
-  | String of string
-  | Bool of bool
-  | Group of (string * value) list
-      (* one level deep: fields must be scalars (enforced on record) *)
-
 let schema_version = "dsp-bench/7"
 
 (* Insertion-ordered: experiment ids in run order, metrics in record
-   order within an experiment.  The store is shared mutable state and
-   experiments may record from pool workers, so every access to
-   [experiments] (and to the per-experiment row refs) happens under
-   [m]. *)
-let experiments : (string * (string * value) list ref) list ref = ref []
+   order within an experiment.  The store is shared mutable state, so
+   every access to [experiments] (and to the per-experiment row refs)
+   happens under [m]. *)
+let experiments : (string * (string * Json.t) list ref) list ref = ref []
 let m = Mutex.create ()
 let locked f = Mutex.lock m; Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
@@ -60,61 +51,46 @@ let record ~experiment key value =
       in
       row := !row @ [ (key, value) ])
 
+let is_scalar = function Json.List _ | Json.Obj _ -> false | _ -> true
+
 (* A one-level metric group.  Nesting is a schema violation, so it is
    refused at record time rather than surfacing as an unreadable
    BENCH.json later. *)
 let record_group ~experiment key fields =
   List.iter
     (fun (k, v) ->
-      match v with
-      | Group _ ->
-          invalid_arg
-            (Printf.sprintf "Bench_json.record_group: nested group %S in %S" k
-               key)
-      | _ -> ())
+      if not (is_scalar v) then
+        invalid_arg
+          (Printf.sprintf "Bench_json.record_group: nested group %S in %S" k
+             key))
     fields;
-  record ~experiment key (Group fields)
+  record ~experiment key (Json.Obj fields)
 
 let record_counters ~experiment ~solver counters =
   List.iter
-    (fun (name, v) -> record ~experiment (solver ^ "." ^ name) (Int v))
+    (fun (name, v) -> record ~experiment (solver ^ "." ^ name) (Json.Int v))
     counters
 
-(* A JSON string literal, quotes included. *)
-let quote s = Json.to_string (Json.String s)
-
-let rec value_to_string = function
-  | Int i -> string_of_int i
-  | Float f ->
-      if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
-  | String s -> quote s
-  | Bool b -> if b then "true" else "false"
-  | Group fields ->
-      Printf.sprintf "{%s}"
-        (String.concat ", "
-           (List.map
-              (fun (k, v) ->
-                Printf.sprintf "%s: %s" (quote k) (value_to_string v))
-              fields))
-
+(* One metric per line, each key and value in the daemon's encoding
+   (so a non-finite float is written as null). *)
 let render () =
   (* Snapshot under the lock, serialize outside it. *)
   let snapshot =
     locked (fun () -> List.map (fun (id, metrics) -> (id, !metrics)) !experiments)
   in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"schema\": \"%s\",\n  \"experiments\": ["
-       schema_version);
+  Printf.bprintf buf "{\n  \"schema\": \"%s\",\n  \"experiments\": ["
+    schema_version;
   List.iteri
     (fun i (id, metrics) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\n    {\n      \"id\": %s" (quote id));
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf ",\n      %s: %s" (quote k) (value_to_string v)))
-        metrics;
+      Buffer.add_string buf (if i > 0 then ",\n    {" else "\n    {");
+      List.iteri
+        (fun j (k, v) ->
+          Printf.bprintf buf "%s\n      %s: %s"
+            (if j > 0 then "," else "")
+            (Json.to_string (Json.String k))
+            (Json.to_string v))
+        (("id", Json.String id) :: metrics);
       Buffer.add_string buf "\n    }")
     snapshot;
   Buffer.add_string buf "\n  ]\n}\n";
@@ -146,8 +122,33 @@ let write path =
 
 type parsed = {
   schema : string;
-  parsed_experiments : (string * (string * value) list) list;
+  parsed_experiments : (string * (string * Json.t) list) list;
 }
+
+(* The name of a metric that breaks the one-level rule: a list, or a
+   group holding a non-scalar field. *)
+let non_scalar (k, v) =
+  match v with
+  | Json.List _ -> Some k
+  | Json.Obj fields ->
+      List.find_map
+        (fun (gk, gv) -> if is_scalar gv then None else Some (k ^ "." ^ gk))
+        fields
+  | _ -> None
+
+let experiment_of = function
+  | Json.Obj fields -> (
+      match List.assoc_opt "id" fields with
+      | Some (Json.String id) -> (
+          let metrics = List.filter (fun (k, _) -> k <> "id") fields in
+          match List.find_map non_scalar metrics with
+          | Some k ->
+              Error
+                (Printf.sprintf "experiment %S: metric %S is not a scalar" id k)
+          | None -> Ok (id, metrics))
+      | Some _ -> Error "experiment entry: \"id\" is not a string"
+      | None -> Error "experiment entry: missing \"id\"")
+  | _ -> Error "\"experiments\" element is not an object"
 
 (* Validate the container shape, with errors naming the offending
    experiment/metric. *)
@@ -161,67 +162,15 @@ let of_json = function
             Error
               (Printf.sprintf "unknown schema %S (expected %s)" schema
                  schema_version)
-          else begin
-            let exp_of = function
-              | Json.Obj fields -> (
-                  match List.assoc_opt "id" fields with
-                  | Some (Json.String id) ->
-                      let scalar k v =
-                        match v with
-                        | Json.Int i -> Ok (Int i)
-                        | Json.Float f -> Ok (Float f)
-                        | Json.String s -> Ok (String s)
-                        | Json.Bool b -> Ok (Bool b)
-                        | Json.Null -> Ok (Float Float.nan)
-                        | Json.List _ | Json.Obj _ ->
-                            Error
-                              (Printf.sprintf
-                                 "experiment %S: metric %S is not a scalar" id
-                                 k)
-                      in
-                      let metric (k, v) =
-                        if k = "id" then Ok None
-                        else
-                          match v with
-                          | Json.Obj fields ->
-                              (* A group: exactly one level of scalars. *)
-                              let rec go acc = function
-                                | [] -> Ok (Some (k, Group (List.rev acc)))
-                                | (gk, gv) :: rest -> (
-                                    match
-                                      scalar (k ^ "." ^ gk) gv
-                                    with
-                                    | Ok s -> go ((gk, s) :: acc) rest
-                                    | Error e -> Error e)
-                              in
-                              go [] fields
-                          | _ -> (
-                              match scalar k v with
-                              | Ok s -> Ok (Some (k, s))
-                              | Error e -> Error e)
-                      in
-                      let rec metrics acc = function
-                        | [] -> Ok (id, List.rev acc)
-                        | kv :: rest -> (
-                            match metric kv with
-                            | Ok (Some m) -> metrics (m :: acc) rest
-                            | Ok None -> metrics acc rest
-                            | Error e -> Error e)
-                      in
-                      metrics [] fields
-                  | Some _ -> Error "experiment entry: \"id\" is not a string"
-                  | None -> Error "experiment entry: missing \"id\"")
-              | _ -> Error "\"experiments\" element is not an object"
-            in
+          else
             let rec all acc = function
               | [] -> Ok { schema; parsed_experiments = List.rev acc }
               | e :: rest -> (
-                  match exp_of e with
+                  match experiment_of e with
                   | Ok x -> all (x :: acc) rest
                   | Error msg -> Error msg)
             in
             all [] entries
-          end
       | Some (Json.String _), Some _ -> Error "\"experiments\" is not an array"
       | Some _, _ -> Error "\"schema\" is not a string")
   | _ -> Error "top-level value is not an object"

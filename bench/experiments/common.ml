@@ -6,6 +6,7 @@ module Registry = Dsp_engine.Registry
 module Solver = Dsp_engine.Solver
 module Report = Dsp_engine.Report
 module Runner = Dsp_engine.Runner
+module Json = Dsp_serve.Json
 
 let section id title = Printf.printf "\n=== %s: %s ===\n" id title
 
@@ -50,7 +51,7 @@ let base_seed () =
 let seed_for site = base_seed () + site
 
 let record_seed ~experiment =
-  Bench_json.record ~experiment "seed" (Bench_json.Int (base_seed ()))
+  Bench_json.record ~experiment "seed" (Json.Int (base_seed ()))
 
 let time_reps f =
   let reps = bench_reps () in
@@ -69,25 +70,8 @@ let time_reps f =
 let record_gc ~experiment key (gc : Dsp_util.Xutil.gc_stats) =
   Bench_json.record_group ~experiment key
     [
-      ("minor_words", Bench_json.Float gc.Dsp_util.Xutil.minor_words);
-      ("promoted_words", Bench_json.Float gc.Dsp_util.Xutil.promoted_words);
-      ("minor_collections", Bench_json.Int gc.Dsp_util.Xutil.minor_collections);
-      ("major_collections", Bench_json.Int gc.Dsp_util.Xutil.major_collections);
+      ("minor_words", Json.Float gc.Dsp_util.Xutil.minor_words);
+      ("promoted_words", Json.Float gc.Dsp_util.Xutil.promoted_words);
+      ("minor_collections", Json.Int gc.Dsp_util.Xutil.minor_collections);
+      ("major_collections", Json.Int gc.Dsp_util.Xutil.major_collections);
     ]
-
-(* Per-instance parallelism for the data-heavy experiments (E8's
-   exact-optimum filtering, E9's sweeps).  Off by default: without
-   DSP_JOBS the mapping is a plain [List.map], so the default bench
-   run is byte-identical to the serial harness.  With DSP_JOBS=k > 1
-   the work fans out over a short-lived pool; results come back in
-   input order, so callers print after the map and output stays
-   deterministic either way. *)
-let bench_jobs () =
-  match Option.bind (Sys.getenv_opt "DSP_JOBS") int_of_string_opt with
-  | Some j when j > 1 -> j
-  | _ -> 1
-
-let par_map f xs =
-  let jobs = min (bench_jobs ()) (List.length xs) in
-  if jobs <= 1 then List.map f xs
-  else Dsp_util.Pool.with_pool ~jobs (fun pool -> Dsp_util.Pool.map pool f xs)

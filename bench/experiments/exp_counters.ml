@@ -12,6 +12,7 @@ module Solver = Dsp_engine.Solver
 module Report = Dsp_engine.Report
 module Runner = Dsp_engine.Runner
 module Rng = Dsp_util.Rng
+module Json = Dsp_serve.Json
 
 let standard_set () =
   let mk f seed = f (Rng.create (Common.seed_for seed)) in
@@ -92,9 +93,9 @@ let counters () =
         unregistered;
       Bench_json.record ~experiment:"counters"
         (s.Solver.name ^ ".unregistered_sites")
-        (Bench_json.Int (List.length unregistered));
+        (Json.Int (List.length unregistered));
       Bench_json.record ~experiment:"counters" (s.Solver.name ^ ".solved")
-        (Bench_json.Int !solved);
+        (Json.Int !solved);
       Bench_json.record_counters ~experiment:"counters" ~solver:s.Solver.name
         merged;
       Printf.printf "\n%s (%d/%d instances within budget):\n" s.Solver.name

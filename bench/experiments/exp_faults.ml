@@ -21,6 +21,7 @@ module Solver = Dsp_engine.Solver
 module Report = Dsp_engine.Report
 module Fault = Dsp_util.Fault
 module Rng = Dsp_util.Rng
+module Json = Dsp_serve.Json
 
 (* One instrumented site per solver family, chosen to be hit early on
    the test instance.  Sites come from the canonical Instr.Sites
@@ -82,7 +83,7 @@ let run ~experiment ~timeout_ms ~sizes () =
             kind;
           Bench_json.record ~experiment
             (Printf.sprintf "%s.%s.%s" solver_name site action_name)
-            (Bench_json.String kind))
+            (Json.String kind))
         actions)
     matrix;
   (* Fallback pass: the chain must absorb a fault in its first stage
@@ -102,13 +103,13 @@ let run ~experiment ~timeout_ms ~sizes () =
         (List.length res.Runner.failures);
       Bench_json.record ~experiment
         (Printf.sprintf "chain.bb.nodes.%s.winner" action_name)
-        (Bench_json.String res.Runner.winner);
+        (Json.String res.Runner.winner);
       Bench_json.record ~experiment
         (Printf.sprintf "chain.bb.nodes.%s.failures" action_name)
-        (Bench_json.Int (List.length res.Runner.failures)))
+        (Json.Int (List.length res.Runner.failures)))
     actions;
-  Bench_json.record ~experiment "absorbed" (Bench_json.Int !absorbed);
-  Bench_json.record ~experiment "injected" (Bench_json.Int !total);
+  Bench_json.record ~experiment "absorbed" (Json.Int !absorbed);
+  Bench_json.record ~experiment "injected" (Json.Int !total);
   Printf.printf "absorbed %d of %d injected faults\n" !absorbed !total
 
 let faults () = run ~experiment:"faults" ~timeout_ms:2_000 ~sizes:(24, 40) ()

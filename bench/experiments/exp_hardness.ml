@@ -8,6 +8,7 @@ module Registry = Dsp_engine.Registry
 module Report = Dsp_engine.Report
 module Runner = Dsp_engine.Runner
 module Rng = Dsp_util.Rng
+module Json = Dsp_serve.Json
 
 let e4 () =
   Common.section "E4" "hardness family: 3-Partition -> PTS(m=4) -> DSP (Theorem 1)";
@@ -27,8 +28,8 @@ let e4 () =
       | Ok r -> (string_of_int r.Report.peak, Report.counter r "bb.nodes")
       | Error _ -> ("?", budget)
     in
-    Bench_json.record ~experiment:"E4" (name ^ ".bb_nodes") (Bench_json.Int bb_nodes);
-    Bench_json.record ~experiment:"E4" (name ^ ".tp_nodes") (Bench_json.Int tp_nodes);
+    Bench_json.record ~experiment:"E4" (name ^ ".bb_nodes") (Json.Int bb_nodes);
+    Bench_json.record ~experiment:"E4" (name ^ ".tp_nodes") (Json.Int tp_nodes);
     Printf.printf "%-18s %5s %5s %9d %11d %6d %6d %6d\n" name
       (if solvable then "yes" else "no")
       opt_str tp_nodes bb_nodes

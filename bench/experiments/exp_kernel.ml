@@ -26,6 +26,7 @@
 
 open Dsp_core
 module Rng = Dsp_util.Rng
+module Json = Dsp_serve.Json
 
 (* The placement-churn storm on the flat kernel.  The checksum folds
    every query result so the compiler cannot drop work, and doubles as
@@ -128,9 +129,9 @@ let alloc_probe ~experiment w =
     (if per_op < 0.01 then " (zero steady-state allocation)" else " !!");
   ignore !sink;
   Bench_json.record ~experiment "flat_alloc_words_per_op"
-    (Bench_json.Float per_op);
+    (Json.Float per_op);
   Bench_json.record ~experiment "flat_alloc_zero"
-    (Bench_json.Int (if per_op < 0.01 then 1 else 0))
+    (Json.Int (if per_op < 0.01 then 1 else 0))
 
 let kernel_at ~experiment widths () =
   Common.section "kernel"
@@ -249,8 +250,8 @@ let kernel_at ~experiment widths () =
            domains)\n"
           par_flat_sum flat_sum domains;
       let key fmt = Printf.sprintf "W%d.%s" w fmt in
-      let rec_f k v = Bench_json.record ~experiment (key k) (Bench_json.Float v) in
-      let rec_i k v = Bench_json.record ~experiment (key k) (Bench_json.Int v) in
+      let rec_f k v = Bench_json.record ~experiment (key k) (Json.Float v) in
+      let rec_i k v = Bench_json.record ~experiment (key k) (Json.Int v) in
       let rec_gc k gc = Common.record_gc ~experiment (key k) gc in
       rec_i "n" n;
       rec_f "bfd_naive_seconds" bfd_naive_s;

@@ -18,6 +18,7 @@
 module Rng = Dsp_util.Rng
 module Trace = Dsp_instance.Trace
 module Session = Dsp_engine.Session
+module Json = Dsp_serve.Json
 
 let offline_solvers = [ "bfd-height"; "approx54" ]
 
@@ -62,18 +63,18 @@ let run_policy ~experiment ~family ~offline trace policy =
      smoke stage greps for. *)
   let _ = Session.snapshot s in
   let key k = Printf.sprintf "%s.%s.%s" family policy.Session.pname k in
-  Bench_json.record ~experiment (key "final_peak") (Bench_json.Int st.Session.peak_now);
-  Bench_json.record ~experiment (key "max_peak") (Bench_json.Int maxpk);
-  Bench_json.record ~experiment (key "migrations") (Bench_json.Int st.Session.migrations);
-  Bench_json.record ~experiment (key "replay_seconds") (Bench_json.Float seconds);
+  Bench_json.record ~experiment (key "final_peak") (Json.Int st.Session.peak_now);
+  Bench_json.record ~experiment (key "max_peak") (Json.Int maxpk);
+  Bench_json.record ~experiment (key "migrations") (Json.Int st.Session.migrations);
+  Bench_json.record ~experiment (key "replay_seconds") (Json.Float seconds);
   Common.record_gc ~experiment (key "gc") gc;
   let lat_us q = us (Dsp_util.Xutil.percentile lats q) in
   Bench_json.record_group ~experiment (key "latency")
     [
-      ("p50_us", Bench_json.Float (lat_us 0.50));
-      ("p95_us", Bench_json.Float (lat_us 0.95));
-      ("p99_us", Bench_json.Float (lat_us 0.99));
-      ("max_us", Bench_json.Float (lat_us 1.0));
+      ("p50_us", Json.Float (lat_us 0.50));
+      ("p95_us", Json.Float (lat_us 0.95));
+      ("p99_us", Json.Float (lat_us 0.99));
+      ("max_us", Json.Float (lat_us 1.0));
     ];
   let ratios =
     List.map
@@ -81,7 +82,7 @@ let run_policy ~experiment ~family ~offline trace policy =
         let r = float_of_int st.Session.peak_now /. float_of_int off_pk in
         Bench_json.record ~experiment
           (key ("ratio_" ^ name))
-          (Bench_json.Float r);
+          (Json.Float r);
         (name, r))
       offline
   in
@@ -99,9 +100,9 @@ let run_family ~experiment (family, trace) =
     (Trace.n_arrivals trace) (Trace.n_departures trace) trace.Trace.width;
   let live, _ = Trace.live_instance trace in
   Bench_json.record ~experiment (family ^ ".events")
-    (Bench_json.Int (List.length trace.Trace.events));
+    (Json.Int (List.length trace.Trace.events));
   Bench_json.record ~experiment (family ^ ".lower_bound")
-    (Bench_json.Int (Dsp_core.Instance.lower_bound live));
+    (Json.Int (Dsp_core.Instance.lower_bound live));
   let offline =
     List.map (fun name -> (name, Common.height_by_name name live)) offline_solvers
   in
@@ -109,7 +110,7 @@ let run_family ~experiment (family, trace) =
     (fun (name, pk) ->
       Bench_json.record ~experiment
         (Printf.sprintf "%s.offline_%s" family name)
-        (Bench_json.Int pk))
+        (Json.Int pk))
     offline;
   Printf.printf "offline:";
   List.iter (fun (name, pk) -> Printf.printf " %s=%d" name pk) offline;
@@ -128,9 +129,9 @@ let run_family ~experiment (family, trace) =
   in
   let g1 = gain_of 1 and g3 = gain_of 3 in
   Bench_json.record ~experiment (family ^ ".migration_gain_k1")
-    (Bench_json.Float g1);
+    (Json.Float g1);
   Bench_json.record ~experiment (family ^ ".migration_gain_k3")
-    (Bench_json.Float g3);
+    (Json.Float g3);
   Printf.printf "migration gain vs k=0: k=1 %+.3f, k=3 %+.3f ratio points\n" g1
     g3;
   Float.max g1 g3
@@ -156,9 +157,9 @@ let run ~experiment ~smoke () =
      else "online sessions vs offline solvers");
   let gains = List.map (run_family ~experiment) (traces ~smoke) in
   let best = List.fold_left max neg_infinity gains in
-  Bench_json.record ~experiment "migration_gain_best" (Bench_json.Float best);
+  Bench_json.record ~experiment "migration_gain_best" (Json.Float best);
   Bench_json.record ~experiment "migration_improves"
-    (Bench_json.Int (if best > 0. then 1 else 0));
+    (Json.Int (if best > 0. then 1 else 0));
   Printf.printf "\nbest migration gain across families: %+.3f\n" best
 
 let experiments =

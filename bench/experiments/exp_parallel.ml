@@ -31,6 +31,7 @@ module Registry = Dsp_engine.Registry
 module Runner = Dsp_engine.Runner
 module Pool = Dsp_util.Pool
 module Packing = Dsp_core.Packing
+module Json = Dsp_serve.Json
 
 let timeit = Dsp_util.Xutil.timeit
 
@@ -60,7 +61,7 @@ let solve_par_height ~jobs ~stats inst =
 let nodes_group (st : Bb.par_stats) =
   Array.to_list
     (Array.mapi
-       (fun i n -> (Printf.sprintf "d%d" i, Bench_json.Int n))
+       (fun i n -> (Printf.sprintf "d%d" i, Json.Int n))
        st.Bb.nodes_per_domain)
 
 (* One curve point: the stealing solver at [jobs] domains, recorded
@@ -74,9 +75,9 @@ let curve_point ~experiment ~name ~jobs inst =
   in
   let st = Option.get !stats in
   let prefix = Printf.sprintf "d%d_%s" jobs name in
-  record (prefix ^ "_seconds") (Bench_json.Float seconds);
-  record (prefix ^ "_steals") (Bench_json.Int st.Bb.steals);
-  record (prefix ^ "_steal_fails") (Bench_json.Int st.Bb.steal_fails);
+  record (prefix ^ "_seconds") (Json.Float seconds);
+  record (prefix ^ "_steals") (Json.Int st.Bb.steals);
+  record (prefix ^ "_steal_fails") (Json.Int st.Bb.steal_fails);
   Bench_json.record_group ~experiment (prefix ^ "_nodes") (nodes_group st);
   Printf.printf
     "curve   %-9s jobs=%d: %.3fs  steals=%-5d fails=%-5d nodes=[%s]\n" name
@@ -96,7 +97,7 @@ let curve ~experiment ~name ~domain_counts inst =
   let agree = List.for_all (fun (opt, _) -> opt = serial_opt) points in
   Bench_json.record ~experiment
     (name ^ "_curve_agree")
-    (Bench_json.Int (if agree then 1 else 0));
+    (Json.Int (if agree then 1 else 0));
   points
 
 let parallel () =
@@ -106,8 +107,8 @@ let parallel () =
     "work-stealing B&B: domain curve, pool sweep, portfolio race";
   Common.record_seed ~experiment;
   let jobs = 4 in
-  record "jobs" (Bench_json.Int jobs);
-  record "domains_available" (Bench_json.Int (Domain.recommended_domain_count ()));
+  record "jobs" (Json.Int jobs);
+  record "domains_available" (Json.Int (Domain.recommended_domain_count ()));
 
   (* Cross-instance sweep: same solves, serial loop vs pool.  Seeds
      picked so every instance actually closes (64k..1.3M nodes each)
@@ -122,10 +123,10 @@ let parallel () =
   let par_peaks, sweep_par =
     timeit (fun () -> Pool.with_pool ~jobs (fun pool -> Pool.map pool peak insts))
   in
-  record "sweep_serial_seconds" (Bench_json.Float sweep_serial);
-  record "sweep_par_seconds" (Bench_json.Float sweep_par);
-  record "sweep_speedup" (Bench_json.Float (speedup sweep_serial sweep_par));
-  record "sweep_optima_match" (Bench_json.Bool (serial_peaks = par_peaks));
+  record "sweep_serial_seconds" (Json.Float sweep_serial);
+  record "sweep_par_seconds" (Json.Float sweep_par);
+  record "sweep_speedup" (Json.Float (speedup sweep_serial sweep_par));
+  record "sweep_optima_match" (Json.Bool (serial_peaks = par_peaks));
   Printf.printf "sweep   (%d instances): serial %.3fs  %d-domain %.3fs  (%.2fx)\n"
     (List.length insts) sweep_serial jobs sweep_par
     (speedup sweep_serial sweep_par);
@@ -154,15 +155,15 @@ let parallel () =
         Pool.with_pool ~jobs (fun pool ->
             Runner.race ~timeout_ms ~node_budget ~chain ~pool big))
   in
-  record "portfolio_serial_seconds" (Bench_json.Float chain_serial);
-  record "portfolio_race_seconds" (Bench_json.Float chain_race);
-  record "portfolio_speedup" (Bench_json.Float (speedup chain_serial chain_race));
-  record "portfolio_serial_winner" (Bench_json.String serial_res.Runner.winner);
-  record "portfolio_race_winner" (Bench_json.String race_res.Runner.winner);
+  record "portfolio_serial_seconds" (Json.Float chain_serial);
+  record "portfolio_race_seconds" (Json.Float chain_race);
+  record "portfolio_speedup" (Json.Float (speedup chain_serial chain_race));
+  record "portfolio_serial_winner" (Json.String serial_res.Runner.winner);
+  record "portfolio_race_winner" (Json.String race_res.Runner.winner);
   record "portfolio_serial_peak"
-    (Bench_json.Int serial_res.Runner.report.Dsp_engine.Report.peak);
+    (Json.Int serial_res.Runner.report.Dsp_engine.Report.peak);
   record "portfolio_race_peak"
-    (Bench_json.Int race_res.Runner.report.Dsp_engine.Report.peak);
+    (Json.Int race_res.Runner.report.Dsp_engine.Report.peak);
   Printf.printf
     "portfolio (n=40, %dms): serial chain %.3fs (winner %s)  race %.3fs (winner \
      %s)  (%.2fx)\n"
@@ -182,8 +183,8 @@ let parallel_smoke () =
   Common.section experiment "work-stealing perf-gate slice (CI-sized)";
   Common.record_seed ~experiment;
   let jobs = 2 in
-  record "jobs" (Bench_json.Int jobs);
-  record "domains_available" (Bench_json.Int (Domain.recommended_domain_count ()));
+  record "jobs" (Json.Int jobs);
+  record "domains_available" (Json.Int (Domain.recommended_domain_count ()));
   let balanced = uniform ~seed:7 ~n:20 ~width:20 in
   let skew = skewed ~seed:35 ~n:28 ~width:24 in
   ignore (curve ~experiment ~name:"balanced" ~domain_counts:[ 1; jobs ] balanced);

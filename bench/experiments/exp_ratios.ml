@@ -1,9 +1,7 @@
 (* E8: approximation ratios against exact optima (Theorem 5).  Every
    registered heuristic solver is measured; the solver list is the
-   registry, not a private table.  The dominant cost — the exact
-   branch-and-bound filtering of 25 seeds per family — runs through
-   Common.par_map (serial unless DSP_JOBS=k), and the printed table is
-   identical either way because results land in seed order. *)
+   registry, not a private table.  The dominant cost is the exact
+   branch-and-bound filtering of 25 seeds per family. *)
 
 module Solver = Dsp_engine.Solver
 module Rng = Dsp_util.Rng
@@ -40,7 +38,7 @@ let e8 () =
     (fun (fam, gen) ->
       let instances =
         List.filter_map Fun.id
-          (Common.par_map
+          (List.map
              (fun seed ->
                let inst = gen seed in
                match
@@ -73,7 +71,7 @@ let e8 () =
     (fun (label, eps) ->
       let ratios =
         List.filter_map Fun.id
-          (Common.par_map
+          (List.map
              (fun seed ->
                let rng = Rng.create (Common.seed_for seed) in
                let inst =

@@ -189,20 +189,20 @@ let run_variant ~experiment ~shards ~households ~seed (variant, wal_cfg) =
               let agree = if served = expected then 1 else 0 in
               let key k = Printf.sprintf "%s.%s" variant k in
               Bench_json.record ~experiment (key "requests")
-                (Bench_json.Int n);
+                (Json.Int n);
               Bench_json.record ~experiment (key "drive_seconds")
-                (Bench_json.Float seconds);
+                (Json.Float seconds);
               Bench_json.record ~experiment (key "req_per_s")
-                (Bench_json.Float rps);
+                (Json.Float rps);
               Bench_json.record ~experiment (key "peak_agree")
-                (Bench_json.Int agree);
+                (Json.Int agree);
               Common.record_gc ~experiment (key "gc") gc;
               Bench_json.record_group ~experiment (key "latency")
                 [
-                  ("p50_us", Bench_json.Float (us (percentile lats 0.50)));
-                  ("p95_us", Bench_json.Float (us (percentile lats 0.95)));
-                  ("p99_us", Bench_json.Float (us (percentile lats 0.99)));
-                  ("max_us", Bench_json.Float (us (percentile lats 1.0)));
+                  ("p50_us", Json.Float (us (percentile lats 0.50)));
+                  ("p95_us", Json.Float (us (percentile lats 0.95)));
+                  ("p99_us", Json.Float (us (percentile lats 0.99)));
+                  ("max_us", Json.Float (us (percentile lats 1.0)));
                 ];
               Printf.printf
                 "%-10s %6d req %8.0f req/s  p50 %7.1fus  p95 %7.1fus  p99 \
@@ -242,7 +242,7 @@ let run_variant ~experiment ~shards ~households ~seed (variant, wal_cfg) =
                   let ragree = if cold_peaks = expected then 1 else 0 in
                   Server.close cold;
                   Bench_json.record ~experiment (key "recover_agree")
-                    (Bench_json.Int ragree);
+                    (Json.Int ragree);
                   Printf.printf
                     "%-10s recovery: %d sessions, recover_agree=%d\n" variant
                     (List.length recovered) ragree))
@@ -256,7 +256,7 @@ let run ~experiment ~smoke () =
     [ ("mem", None); ("wal", Some (Wal.Every 8)) ]
     @ if smoke then [] else [ ("wal-sync", Some Wal.Always) ]
   in
-  Bench_json.record ~experiment "shards" (Bench_json.Int shards);
+  Bench_json.record ~experiment "shards" (Json.Int shards);
   List.iter (run_variant ~experiment ~shards ~households ~seed:9300) variants
 
 let experiments =

@@ -29,6 +29,7 @@
    Exit 0 clean, 1 on regression, 2 on usage or unreadable input. *)
 
 open Dsp_bench
+module Json = Dsp_serve.Json
 
 let tolerance = 0.30 (* +30% wall-clock *)
 let abs_floor = 0.05 (* seconds; below this, deltas are noise *)
@@ -61,11 +62,6 @@ let metrics_of (p : Bench_json.parsed) experiment path =
   | None ->
       Printf.eprintf "gate: %s: no experiment %S\n" path experiment;
       exit 2
-
-let as_float = function
-  | Bench_json.Float f -> Some f
-  | Bench_json.Int i -> Some (float_of_int i)
-  | _ -> None
 
 let has_suffix sfx s =
   let n = String.length s and m = String.length sfx in
@@ -100,15 +96,17 @@ let () =
   in
   (* A crashed candidate experiment is an automatic gate failure. *)
   (match List.assoc_opt "status" cand with
-  | Some (Bench_json.String "ok") -> ()
-  | Some (Bench_json.String s) ->
+  | Some (Json.String "ok") -> ()
+  | Some (Json.String s) ->
       fail "FAIL %s: status %S (expected \"ok\")\n" experiment s
   | _ -> fail "FAIL %s: no status metric in candidate\n" experiment);
   (* Wall-clock: every timing both files carry. *)
   List.iter
     (fun (k, bv) ->
       if has_suffix "_seconds" k then
-        match (as_float bv, Option.bind (List.assoc_opt k cand) as_float) with
+        match
+          (Json.to_float bv, Option.bind (List.assoc_opt k cand) Json.to_float)
+        with
         | Some b, Some c ->
             let limit = b *. (1. +. tolerance) in
             if c > limit && c -. b > abs_floor then
@@ -126,12 +124,15 @@ let () =
   List.iter
     (fun (gk, bv) ->
       match (bv, List.assoc_opt gk cand) with
-      | Bench_json.Group bfields, Some (Bench_json.Group cfields) ->
+      | Json.Obj bfields, Some (Json.Obj cfields) ->
           List.iter
             (fun (fk, bfv) ->
               if has_suffix "_us" fk && fk <> "max_us" then
                 let name = gk ^ "." ^ fk in
-                match (as_float bfv, Option.bind (List.assoc_opt fk cfields) as_float) with
+                match
+                  ( Json.to_float bfv,
+                    Option.bind (List.assoc_opt fk cfields) Json.to_float )
+                with
                 | Some b, Some c ->
                     let limit = b *. (1. +. lat_tolerance) in
                     if c > limit && c -. b > lat_floor_us then
@@ -142,13 +143,13 @@ let () =
                 | Some _, None -> fail "FAIL %-28s missing from candidate\n" name
                 | None, _ -> ())
             bfields
-      | Bench_json.Group _, _ ->
+      | Json.Obj _, _ ->
           (* a whole group the candidate dropped: only gate it when it
              holds latency fields, silence would hide an SLA metric *)
           if
             List.exists
               (fun (fk, _) -> has_suffix "_us" fk)
-              (match bv with Bench_json.Group f -> f | _ -> [])
+              (match bv with Json.Obj f -> f | _ -> [])
           then fail "FAIL %-28s latency group missing from candidate\n" gk
       | _ -> ())
     base;
@@ -157,7 +158,7 @@ let () =
      has no flat kernel loop to measure). *)
   if List.mem_assoc "flat_alloc_words_per_op" base then begin
     (match
-       Option.bind (List.assoc_opt "flat_alloc_words_per_op" cand) as_float
+       Option.bind (List.assoc_opt "flat_alloc_words_per_op" cand) Json.to_float
      with
     | Some w when w < alloc_threshold ->
         Printf.printf "ok   %-28s %.6f words/op\n" "flat_alloc_words_per_op" w
@@ -166,7 +167,7 @@ let () =
           "flat_alloc_words_per_op" w
     | None -> fail "FAIL flat_alloc_words_per_op missing from candidate\n");
     match List.assoc_opt "flat_alloc_zero" cand with
-    | Some (Bench_json.Int 1) -> ()
+    | Some (Json.Int 1) -> ()
     | _ -> fail "FAIL flat_alloc_zero is not 1 in candidate\n"
   end;
   (* Correctness cross-checks recorded by the experiment itself. *)
@@ -174,7 +175,7 @@ let () =
     (fun (k, v) ->
       if has_suffix "agree" k then
         match v with
-        | Bench_json.Int 1 -> ()
+        | Json.Int 1 -> ()
         | _ -> fail "FAIL %-28s not 1 (implementations disagree)\n" k)
     cand;
   if !failures > 0 then begin

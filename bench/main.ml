@@ -19,13 +19,8 @@
      dune exec bench/main.exe -- serve        # service daemon over its socket
      dune exec bench/main.exe -- serve-smoke  # CI-sized daemon run
 
-   DSP_JOBS=k runs the coarse experiments k at a time on a domain pool
-   (and fans out per-instance work inside E8/E9); timing-sensitive
-   experiments stay sequential regardless (see [serial_only]).
-   Concurrent experiments may interleave their stdout — BENCH.json is
-   the authoritative record either way, and its writes are
-   domain-safe.  Without DSP_JOBS everything runs exactly as the
-   serial harness always has.
+   Experiments run one at a time, in the order given (registration
+   order when none are named).
 
    Results files: the canonical record of a run is
    bench/results/latest.json (plus its timestamped sibling); the
@@ -62,6 +57,7 @@
    reference scripts/perf_gate.sh compares against in CI. *)
 
 open Dsp_bench
+module Json = Dsp_serve.Json
 
 let experiments =
   Exp_gap.experiments @ Exp_transform.experiments @ Exp_hardness.experiments
@@ -71,17 +67,6 @@ let experiments =
   @ Exp_structure.experiments @ Exp_kernel.experiments
   @ Exp_counters.experiments @ Exp_faults.experiments @ Exp_parallel.experiments
   @ Exp_online.experiments @ Exp_serve.experiments
-
-(* Experiments that must not share the process with concurrent load:
-   kernel timings and the parallel experiment's serial-vs-pool
-   comparison would be skewed, the counters experiment asserts exact
-   Instr deltas for a single solve at a time, the fault matrix arms
-   process-global fault plans, and the online and serve experiments
-   report per-event / per-request latency percentiles (serve also
-   spawns its own daemon domain). *)
-let serial_only =
-  [ "kernel"; "kernel-smoke"; "counters"; "faults"; "faults-smoke"; "parallel";
-    "parallel-smoke"; "online"; "online-smoke"; "serve"; "serve-smoke" ]
 
 (* None when BENCH_JSON=none: the bench/results/ archive is the
    canonical record; the root BENCH.json is a convenience copy that
@@ -141,11 +126,9 @@ let run_experiment (name, f) =
   in
   match Dsp_util.Xutil.timeit f with
   | (), seconds ->
-      (* Under DSP_JOBS this wall-clock overlaps with concurrent
-         experiments; read it relative to the serial baseline only. *)
-      Bench_json.record ~experiment:name "seconds" (Bench_json.Float seconds);
+      Bench_json.record ~experiment:name "seconds" (Json.Float seconds);
       Common.record_seed ~experiment:name;
-      Bench_json.record ~experiment:name "status" (Bench_json.String "ok");
+      Bench_json.record ~experiment:name "status" (Json.String "ok");
       checkpoint ();
       true
   | exception e ->
@@ -155,38 +138,14 @@ let run_experiment (name, f) =
       Dsp_util.Fault.disarm ();
       let msg = Printexc.to_string e in
       Printf.printf "\n[%s CRASHED: %s]\n" name msg;
-      Bench_json.record ~experiment:name "status" (Bench_json.String "crashed");
-      Bench_json.record ~experiment:name "error" (Bench_json.String msg);
+      Bench_json.record ~experiment:name "status" (Json.String "crashed");
+      Bench_json.record ~experiment:name "error" (Json.String msg);
       checkpoint ();
       false
 
-(* Coarse-grained scheduling: pooled experiments first (k at a time
-   under DSP_JOBS=k), then the serial-only tail one by one.  With no
-   DSP_JOBS both lists run sequentially in registration order.  True
-   when every experiment finished without crashing. *)
+(* True when every experiment finished without crashing. *)
 let run_selected selected =
-  let jobs =
-    match Option.bind (Sys.getenv_opt "DSP_JOBS") int_of_string_opt with
-    | Some j when j > 1 -> j
-    | _ -> 1
-  in
-  let pooled, serial =
-    List.partition (fun (name, _) -> not (List.mem name serial_only)) selected
-  in
-  let pooled_ok =
-    if jobs > 1 && List.length pooled > 1 then begin
-      Printf.printf
-        "[DSP_JOBS=%d: %d experiments on the pool; stdout may interleave, \
-         BENCH.json is authoritative]\n"
-        jobs (List.length pooled);
-      Dsp_util.Pool.with_pool
-        ~jobs:(min jobs (List.length pooled))
-        (fun pool -> Dsp_util.Pool.map pool run_experiment pooled)
-    end
-    else List.map run_experiment pooled
-  in
-  let serial_ok = List.map run_experiment serial in
-  List.for_all Fun.id (pooled_ok @ serial_ok)
+  List.for_all Fun.id (List.map run_experiment selected)
 
 let () =
   let ran, ok =

@@ -138,8 +138,6 @@ let arrival_dims t =
     (function Arrive { w; h } -> Some (w, h) | Depart _ -> None)
     t.events
 
-let to_instance t = Instance.of_dims ~width:t.width (arrival_dims t)
-
 let live_instance t =
   let dims = Array.of_list (arrival_dims t) in
   let live = Array.make (Array.length dims) true in

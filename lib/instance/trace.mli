@@ -58,11 +58,6 @@ val of_string : string -> (t, error) result
 val n_arrivals : t -> int
 val n_departures : t -> int
 
-val to_instance : t -> Instance.t
-(** The batch instance of {e all} arrivals, in arrival order (item ids
-    equal arrival indices) — the offline yardstick for arrivals-only
-    traces. *)
-
 val live_instance : t -> Instance.t * int list
 (** The instance of the arrivals still live after the whole trace,
     paired with their original arrival indices (in arrival order) —

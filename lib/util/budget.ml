@@ -91,7 +91,6 @@ let within ~nodes f =
   | exception Expired Nodes -> None
 
 let node_cap t = t.nodes
-let ticks t = t.ticks
 let elapsed t = Xutil.now () -. t.started
 
 let remaining_ms t =

@@ -85,9 +85,6 @@ val node_cap : t -> int option
 (** The node cap, for a parallel search that counts its workers' nodes
     against it in one shared counter (see {!child}). *)
 
-val ticks : t -> int
-(** Checkpoints counted so far by {!check}. *)
-
 val elapsed : t -> float
 (** Seconds since creation. *)
 

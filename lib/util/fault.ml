@@ -54,9 +54,6 @@ let armed () = Option.map (fun st -> st.plan) (Atomic.get current)
 let fired () =
   match Atomic.get current with Some st -> Atomic.get st.fired | None -> false
 
-let hits () =
-  match Atomic.get current with Some st -> Atomic.get st.hits | None -> 0
-
 let take_corruption () = Atomic.exchange pending_corruption false
 let take_short_write () = Atomic.exchange pending_short false
 

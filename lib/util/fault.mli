@@ -55,9 +55,6 @@ val armed : unit -> plan option
 val fired : unit -> bool
 (** Whether the armed plan has triggered (plans are one-shot). *)
 
-val hits : unit -> int
-(** Hits recorded on the armed plan's site so far. *)
-
 val take_corruption : unit -> bool
 (** Consume the pending-corruption flag set by a fired {!Corrupt}
     plan.  The runner calls this once per completed solve and, when

@@ -42,8 +42,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let geometric t p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric";
-  let u = Stdlib.max 1e-12 (float t 1.0) in
-  1 + int_of_float (Float.floor (log u /. log (1.0 -. p)))

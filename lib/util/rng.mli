@@ -38,7 +38,3 @@ val choose : t -> 'a array -> 'a
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val geometric : t -> float -> int
-(** [geometric t p] draws from the geometric distribution with success
-    probability [p]; result is >= 1. *)

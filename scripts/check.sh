@@ -22,26 +22,6 @@ dune build
 # with `dune exec tools/lint/dsp_lint.exe -- --only R3`.
 dune build @lint
 
-# Whole-program summary cache: run R6-R9 twice against a fresh cache
-# and report cold vs warm timing.  The warm run must analyze zero
-# units — a regression here means every CI run re-reads every .cmt.
-lint_cache=$(mktemp -d -t lint-cache.XXXXXX)
-lint_exe=./_build/default/tools/lint/dsp_lint.exe
-ms() { date +%s%3N; }
-t0=$(ms)
-"$lint_exe" --root . --cache-dir "$lint_cache" --only R6,R7,R8,R9 \
-  >/dev/null 2>&1
-t1=$(ms)
-warm_stats=$("$lint_exe" --root . --cache-dir "$lint_cache" \
-  --only R6,R7,R8,R9 2>&1 >/dev/null)
-t2=$(ms)
-rm -rf "$lint_cache"
-echo "lint-cache: cold $((t1 - t0))ms warm $((t2 - t1))ms"
-echo "$warm_stats" | grep -q "(0 analyzed" \
-  || { echo "FAIL: warm lint cache re-analyzed units: $warm_stats" >&2
-       exit 1; }
-echo "ok: warm lint rerun served every summary from the cache"
-
 dune runtest
 
 # --- kernel perf gate -------------------------------------------------

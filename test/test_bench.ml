@@ -2,6 +2,7 @@
    descriptive errors on load. *)
 
 module Bj = Dsp_bench.Bench_json
+module Json = Dsp_serve.Json
 
 let with_clean f =
   Bj.clear ();
@@ -23,11 +24,11 @@ let roundtrip_tests =
       (fun () ->
         with_clean (fun () ->
             in_temp_dir (fun dir ->
-                Bj.record ~experiment:"E1" "seconds" (Bj.Float 1.25);
-                Bj.record ~experiment:"E1" "status" (Bj.String "ok");
-                Bj.record ~experiment:"E2" "nodes" (Bj.Int 42);
-                Bj.record ~experiment:"E2" "status" (Bj.String "crashed");
-                Bj.record ~experiment:"E2" "error" (Bj.String "boom \"quoted\"");
+                Bj.record ~experiment:"E1" "seconds" (Json.Float 1.25);
+                Bj.record ~experiment:"E1" "status" (Json.String "ok");
+                Bj.record ~experiment:"E2" "nodes" (Json.Int 42);
+                Bj.record ~experiment:"E2" "status" (Json.String "crashed");
+                Bj.record ~experiment:"E2" "error" (Json.String "boom \"quoted\"");
                 let path = Filename.concat dir "BENCH.json" in
                 Bj.write path;
                 match Bj.load path with
@@ -39,18 +40,18 @@ let roundtrip_tests =
                       (List.map fst p.Bj.parsed_experiments);
                     let e2 = List.assoc "E2" p.Bj.parsed_experiments in
                     Alcotest.(check bool) "int metric" true
-                      (List.assoc "nodes" e2 = Bj.Int 42);
+                      (List.assoc "nodes" e2 = Json.Int 42);
                     Alcotest.(check bool) "escaped string metric" true
-                      (List.assoc "error" e2 = Bj.String "boom \"quoted\""))));
+                      (List.assoc "error" e2 = Json.String "boom \"quoted\""))));
     Alcotest.test_case "gc groups round-trip through write/load" `Quick
       (fun () ->
         with_clean (fun () ->
             in_temp_dir (fun dir ->
-                Bj.record ~experiment:"kernel" "status" (Bj.String "ok");
+                Bj.record ~experiment:"kernel" "status" (Json.String "ok");
                 Bj.record_group ~experiment:"kernel" "storm_flat_gc"
                   [
-                    ("minor_words", Bj.Float 0.25);
-                    ("minor_collections", Bj.Int 0);
+                    ("minor_words", Json.Float 0.25);
+                    ("minor_collections", Json.Int 0);
                   ];
                 let path = Filename.concat dir "BENCH.json" in
                 Bj.write path;
@@ -60,11 +61,24 @@ let roundtrip_tests =
                     let k = List.assoc "kernel" p.Bj.parsed_experiments in
                     Alcotest.(check bool) "group metric" true
                       (List.assoc "storm_flat_gc" k
-                      = Bj.Group
+                      = Json.Obj
                           [
-                            ("minor_words", Bj.Float 0.25);
-                            ("minor_collections", Bj.Int 0);
+                            ("minor_words", Json.Float 0.25);
+                            ("minor_collections", Json.Int 0);
                           ]))));
+    Alcotest.test_case "a non-finite metric is written as null, loads as Null"
+      `Quick (fun () ->
+        with_clean (fun () ->
+            in_temp_dir (fun dir ->
+                Bj.record ~experiment:"E1" "t_seconds" (Json.Float Float.nan);
+                let path = Filename.concat dir "BENCH.json" in
+                Bj.write path;
+                match Bj.load path with
+                | Error e -> Alcotest.fail e
+                | Ok p ->
+                    let e1 = List.assoc "E1" p.Bj.parsed_experiments in
+                    Alcotest.(check bool) "null metric" true
+                      (List.assoc "t_seconds" e1 = Json.Null))));
     Alcotest.test_case "record_group rejects nested groups" `Quick (fun () ->
         with_clean (fun () ->
             Alcotest.check_raises "nested group"
@@ -72,18 +86,18 @@ let roundtrip_tests =
                  "Bench_json.record_group: nested group \"inner\" in \"outer\"")
               (fun () ->
                 Bj.record_group ~experiment:"kernel" "outer"
-                  [ ("inner", Bj.Group []) ])));
+                  [ ("inner", Json.Obj []) ])));
     Alcotest.test_case "write is atomic: no temp debris, old file survives a \
                         crashing render"
       `Quick (fun () ->
         with_clean (fun () ->
             in_temp_dir (fun dir ->
                 let path = Filename.concat dir "BENCH.json" in
-                Bj.record ~experiment:"E1" "status" (Bj.String "ok");
+                Bj.record ~experiment:"E1" "status" (Json.String "ok");
                 Bj.write path;
                 (* Overwrite with new content; the only files left must
                    be the destination itself — no orphaned temps. *)
-                Bj.record ~experiment:"E1" "seconds" (Bj.Float 0.5);
+                Bj.record ~experiment:"E1" "seconds" (Json.Float 0.5);
                 Bj.write path;
                 Alcotest.(check (list string))
                   "directory contents" [ "BENCH.json" ]
@@ -137,10 +151,10 @@ let validation_tests =
             let e1 = List.assoc "E1" p.Bj.parsed_experiments in
             Alcotest.(check bool) "group parsed" true
               (List.assoc "gc" e1
-              = Bj.Group
+              = Json.Obj
                   [
-                    ("minor_words", Bj.Float 0.5);
-                    ("minor_collections", Bj.Int 3);
+                    ("minor_words", Json.Float 0.5);
+                    ("minor_collections", Json.Int 3);
                   ])
         | Error e -> Alcotest.fail e);
     check_error "truncated document"

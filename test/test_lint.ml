@@ -167,7 +167,7 @@ let wcfg =
 
 (* Each case loads only some fixtures, so it keeps just the roots whose
    unit it loads: a root missing from the call graph is a finding. *)
-let wrun ?only ?cache_dir ?(config = wcfg) paths =
+let wrun ?only ?(config = wcfg) paths =
   let units = List.map Lint_ir.Of_parsetree.unit_name_of_file paths in
   let loaded r = List.mem (List.hd (String.split_on_char '.' r)) units in
   let config =
@@ -176,7 +176,7 @@ let wrun ?only ?cache_dir ?(config = wcfg) paths =
       r8_roots = List.filter loaded config.W.r8_roots;
     }
   in
-  let res = W.run_files ?only ?cache_dir ~config paths in
+  let res = W.run_files ?only ~config paths in
   Alcotest.(check (list string)) "no parse errors" [] res.W.errors;
   List.map
     (fun f -> (L.rule_name f.L.rule, Filename.basename f.L.file, f.L.line))
@@ -244,49 +244,5 @@ let whole_rule_tests =
              [ fx "suppress_whole.ml" ]));
   ]
 
-let cache_tests =
-  let write path text =
-    let oc = open_out_bin path in
-    output_string oc text;
-    close_out oc
-  in
-  let rec remove_tree path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  [
-    case "summary cache: warm reruns hit, an edit re-analyzes one unit"
-      (fun () ->
-        (* A fresh directory per run, so the cold run is really cold. *)
-        let dir = Filename.temp_file "lint_cache" "" in
-        Sys.remove dir;
-        Sys.mkdir dir 0o700;
-        Fun.protect
-          ~finally:(fun () -> remove_tree dir)
-          (fun () ->
-            let cache_dir = Filename.concat dir "cache" in
-            let names = [ "r6_good.ml"; "r9_good.ml" ] in
-            List.iter
-              (fun n -> write (Filename.concat dir n) (L.read_file (fx n)))
-              names;
-            let paths = List.map (Filename.concat dir) names in
-            let counts () =
-              let r = W.run_files ~cache_dir ~config:wcfg paths in
-              Alcotest.(check (list string)) "no parse errors" [] r.W.errors;
-              (r.W.analyzed, r.W.cached)
-            in
-            let pair = Alcotest.(pair int int) in
-            Alcotest.check pair "cold run analyzes both" (2, 0) (counts ());
-            Alcotest.check pair "warm run hits both" (0, 2) (counts ());
-            write
-              (Filename.concat dir "r9_good.ml")
-              (L.read_file (fx "r9_good.ml") ^ "\nlet touched = ()\n");
-            Alcotest.check pair "edit re-analyzes exactly one" (1, 1) (counts ())));
-  ]
-
 let suite =
   rule_tests @ suppression_tests @ plumbing_tests @ whole_rule_tests
-  @ cache_tests

@@ -3,8 +3,8 @@
    R1–R5 are per-file parsetree rules over the given paths; R6–R9 are
    whole-program rules over the compiler's .cmt typedtree artifacts
    (discovered under <root>/_build/default, or under <root> itself
-   when already inside the build tree), with per-digest summary
-   caching.
+   when already inside the build tree).  They are read as they are on
+   disk; `dune build @lint` rebuilds every one before it runs this.
 
    Exit status: 0 when clean, 1 when findings were reported, 2 on
    usage/parse errors. *)
@@ -22,10 +22,6 @@ let usage () =
   prerr_endline "                   .cmt search path for R6-R9";
   prerr_endline
     "  --format FMT     output format: text (default) or sarif";
-  prerr_endline
-    "  --cache-dir DIR  whole-program summary cache (default:";
-  prerr_endline "                   <root>/_build/.lint-cache)";
-  prerr_endline "  --no-cache       disable the summary cache";
   prerr_endline
     "  PATH...          files or directories for R1-R5 (default: lib bin \
      bench)";
@@ -63,7 +59,6 @@ let () =
   let only = ref None in
   let except = ref [] in
   let format = ref `Text in
-  let cache = ref `Default in
   let paths = ref [] in
   let rec parse = function
     | [] -> ()
@@ -86,14 +81,8 @@ let () =
                Printf.eprintf "dsp_lint: bad --format %S (text or sarif)\n" fmt;
                exit 2);
         parse rest
-    | "--cache-dir" :: dir :: rest ->
-        cache := `Dir dir;
-        parse rest
-    | "--no-cache" :: rest ->
-        cache := `Off;
-        parse rest
-    | ("--help" | "-h" | "--only" | "--except" | "--root" | "--format"
-      | "--cache-dir") :: _ ->
+    | p :: _ when String.starts_with ~prefix:"-" p ->
+        (* --help, an option missing its argument, or an unknown one *)
         usage ()
     | p :: rest ->
         paths := p :: !paths;
@@ -126,15 +115,9 @@ let () =
     if syntactic = [] then None
     else Some (Lint_core.run ~only:syntactic (Lint_core.project_config ~root:!root) paths)
   in
-  let cache_dir =
-    match !cache with
-    | `Off -> None
-    | `Dir d -> Some d
-    | `Default -> Some (Filename.concat !root "_build/.lint-cache")
-  in
   let whole_result =
     if whole = [] then None
-    else Some (Lint_whole.run_project ~only:whole ?cache_dir ~root:!root ())
+    else Some (Lint_whole.run_project ~only:whole ~root:!root ())
   in
   let findings =
     (match syn_result with Some r -> r.Lint_core.findings | None -> [])
@@ -151,9 +134,7 @@ let () =
   | `Sarif -> print_string (Lint_report.to_sarif findings));
   (match whole_result with
   | Some r ->
-      Printf.eprintf
-        "dsp_lint: whole-program: %d units (%d analyzed, %d cached)\n"
-        r.Lint_whole.units r.Lint_whole.analyzed r.Lint_whole.cached
+      Printf.eprintf "dsp_lint: whole-program: %d units\n" r.Lint_whole.units
   | None -> ());
   let n = List.length findings in
   let files =

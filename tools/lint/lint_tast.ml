@@ -233,11 +233,11 @@ let summarize_cmt path : (Ir.summary, string) result =
 
 (* Find the .cmt files dune wrote for the production tree.  When run
    from the project root the artifacts live under _build/default; when
-   run *inside* _build/default (the @lint rule does) the .objs
+   run *inside* _build/default (the @lint rule does, after building
+   every one through its (alias_rec check) dependency) the .objs
    directories are directly beneath the given root.  Returns sorted
-   paths; the caller filters by each summary's source file, so the
-   artifacts are only unmarshalled once (and not at all on a cache
-   hit). *)
+   paths; the caller filters by each summary's source file, so each
+   artifact is unmarshalled once. *)
 let discover_cmts ~root =
   let base =
     let b = Filename.concat root "_build/default" in

@@ -1,15 +1,12 @@
 (* Whole-program analysis driver for R6–R9: loads per-module event
    summaries (typedtree .cmt artifacts in production, parsetree
-   fixtures in tests), caches them per content digest, builds the
-   cross-module call graph and runs the four rules, then applies the
-   same waiver channels the per-file rules honour.
+   fixtures in tests), builds the cross-module call graph and runs the
+   four rules, then applies the same waiver channels the per-file
+   rules honour.
 
-   The cache makes warm reruns cheap: a summary is recomputed only
-   when its .cmt (or fixture source) digest changed, so an edit to one
-   module re-analyzes one module.  Rule evaluation itself always runs
-   — it is interprocedural, so any summary change can change any
-   finding — but it is linear in the summary sizes and costs
-   milliseconds. *)
+   Every run summarizes every unit afresh.  Incrementality is dune's
+   job: the @lint rule depends on every typedtree, so it reruns
+   exactly when one changes, and it reads what that build wrote. *)
 
 module Ir = Lint_ir
 
@@ -38,60 +35,7 @@ type result = {
   findings : Lint_core.finding list;
   errors : string list;
   units : int;  (* summaries in the call graph *)
-  analyzed : int;  (* summaries recomputed this run *)
-  cached : int;  (* summaries served from the digest cache *)
 }
-
-(* ----- summary cache --------------------------------------------------- *)
-
-(* Bump when the IR or a front-end changes shape: stale caches must
-   miss, not misparse. *)
-let cache_version = 1
-
-let mkdir_p dir =
-  let rec go d =
-    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
-
-let cache_key name =
-  String.map (fun c -> if c = '/' || c = '\\' || c = ':' then '_' else c) name
-
-let cache_path dir key = Filename.concat dir (cache_key key ^ ".sum")
-
-let cache_get ~cache_dir ~key ~digest : Ir.summary option =
-  match cache_dir with
-  | None -> None
-  | Some dir -> (
-      let path = cache_path dir key in
-      match open_in_bin path with
-      | exception Sys_error _ -> None
-      | ic -> (
-          let r =
-            match Marshal.from_channel ic with
-            | exception _ -> None
-            | v, d, (s : Ir.summary) ->
-                if v = cache_version && d = digest then Some s else None
-          in
-          close_in_noerr ic;
-          r))
-
-let cache_put ~cache_dir ~key ~digest (s : Ir.summary) =
-  match cache_dir with
-  | None -> ()
-  | Some dir -> (
-      try
-        mkdir_p dir;
-        let path = cache_path dir key in
-        let tmp = path ^ ".tmp" in
-        let oc = open_out_bin tmp in
-        Marshal.to_channel oc (cache_version, digest, s) [];
-        close_out oc;
-        Sys.rename tmp path
-      with Sys_error _ -> ())
 
 (* ----- rule evaluation ------------------------------------------------- *)
 
@@ -187,8 +131,8 @@ let dedup_sorted findings =
 
 (* ----- fixture entry point (parsetree front-end) ----------------------- *)
 
-let run_files ?only ?cache_dir ~config paths =
-  let analyzed = ref 0 and cached = ref 0 and errors = ref [] in
+let run_files ?only ~config paths =
+  let errors = ref [] in
   let summaries =
     List.filter_map
       (fun path ->
@@ -197,95 +141,58 @@ let run_files ?only ?cache_dir ~config paths =
             errors := Printf.sprintf "%s: %s" path e :: !errors;
             None
         | text -> (
-            let digest = Digest.string text in
-            match cache_get ~cache_dir ~key:path ~digest with
-            | Some s ->
-                incr cached;
-                Some s
-            | None -> (
-                let lexbuf = Lexing.from_string text in
-                Location.init lexbuf path;
-                match Parse.implementation lexbuf with
-                | exception e ->
-                    errors :=
-                      Printf.sprintf "%s: parse error: %s" path
-                        (Printexc.to_string e)
-                      :: !errors;
-                    None
-                | structure ->
-                    let s =
-                      Ir.Of_parsetree.of_structure ~file:path structure
-                    in
-                    incr analyzed;
-                    cache_put ~cache_dir ~key:path ~digest s;
-                    Some s)))
+            let lexbuf = Lexing.from_string text in
+            Location.init lexbuf path;
+            match Parse.implementation lexbuf with
+            | exception e ->
+                errors :=
+                  Printf.sprintf "%s: parse error: %s" path
+                    (Printexc.to_string e)
+                  :: !errors;
+                None
+            | structure ->
+                Some (Ir.Of_parsetree.of_structure ~file:path structure)))
       (List.sort_uniq compare paths)
   in
   let findings =
     analyze ?only ~config summaries |> apply_waivers ~root:"." |> dedup_sorted
   in
-  {
-    findings;
-    errors = List.rev !errors;
-    units = List.length summaries;
-    analyzed = !analyzed;
-    cached = !cached;
-  }
+  { findings; errors = List.rev !errors; units = List.length summaries }
 
 (* ----- production entry point (typedtree front-end) -------------------- *)
 
 let src_prefixes = [ "lib/"; "bin/"; "bench/" ]
 
-let run_project ?only ?cache_dir ~root () =
-  let analyzed = ref 0 and cached = ref 0 and errors = ref [] in
+let run_project ?only ~root () =
+  let errors = ref [] in
   let seen_units = Hashtbl.create 64 in
   let summaries =
     List.filter_map
       (fun cmt ->
-        match Digest.file cmt with
-        | exception Sys_error _ -> None
-        | digest -> (
-            let summary =
-              match cache_get ~cache_dir ~key:cmt ~digest with
-              | Some s -> Some (s, true)
-              | None -> (
-                  match Lint_tast.summarize_cmt cmt with
-                  | Ok s ->
-                      cache_put ~cache_dir ~key:cmt ~digest s;
-                      Some (s, false)
-                  | Error _ ->
-                      (* interface-only or pack artifact: not a unit *)
-                      None)
-            in
-            match summary with
-            | None -> None
-            | Some (s, was_cached) ->
-                if
-                  Lint_tast.src_in_prefixes src_prefixes s.Ir.src_file
-                  && not (Hashtbl.mem seen_units s.Ir.unit_name)
-                then begin
-                  Hashtbl.add seen_units s.Ir.unit_name ();
-                  if was_cached then incr cached else incr analyzed;
-                  Some s
-                end
-                else None))
+        match Lint_tast.summarize_cmt cmt with
+        | Error _ ->
+            (* interface-only or pack artifact: not a unit *)
+            None
+        | Ok s ->
+            if
+              Lint_tast.src_in_prefixes src_prefixes s.Ir.src_file
+              && not (Hashtbl.mem seen_units s.Ir.unit_name)
+            then begin
+              Hashtbl.add seen_units s.Ir.unit_name ();
+              Some s
+            end
+            else None)
       (Lint_tast.discover_cmts ~root)
   in
   if summaries = [] then
     errors :=
       Printf.sprintf
-        "no .cmt artifacts found under %s — run `dune build` first so the \
-         whole-program rules have typedtrees to analyze"
+        "no .cmt artifacts found under %s — run `dune build @check` first \
+         so the whole-program rules have typedtrees to analyze"
         root
       :: !errors;
   let findings =
     analyze ?only ~config:project_config summaries
     |> apply_waivers ~root |> dedup_sorted
   in
-  {
-    findings;
-    errors = List.rev !errors;
-    units = List.length summaries;
-    analyzed = !analyzed;
-    cached = !cached;
-  }
+  { findings; errors = List.rev !errors; units = List.length summaries }
