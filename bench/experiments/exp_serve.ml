@@ -40,10 +40,11 @@ let scratch name =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "dsp-serve-bench-%d-%s" (Unix.getpid ()) name)
 
+let clear_dir path =
+  Array.iter (fun f -> Sys.remove (Filename.concat path f)) (Sys.readdir path)
+
 let fresh_dir path =
-  if Sys.file_exists path then
-    Array.iter (fun f -> Sys.remove (Filename.concat path f)) (Sys.readdir path)
-  else Unix.mkdir path 0o755;
+  if Sys.file_exists path then clear_dir path else Unix.mkdir path 0o755;
   path
 
 (* One session per shard; events merged round-robin so the stream
@@ -164,7 +165,13 @@ let run_variant ~experiment ~shards ~households ~seed (variant, wal_cfg) =
       | Ok () -> ()
       | Error m -> failwith ("serve bench: daemon: " ^ m));
       Server.close server;
-      if Sys.file_exists sock then Sys.remove sock)
+      if Sys.file_exists sock then Sys.remove sock;
+      (* by now the cold-recovery check has closed its server too *)
+      Option.iter
+        (fun dir ->
+          clear_dir dir;
+          Sys.rmdir dir)
+        cfg.Server.wal_dir)
     (fun () ->
       (* rpc retries the connect, absorbing daemon start-up. *)
       ignore (ok_body "ping" (Client.rpc ~path:sock {|{"op":"ping"}|}));

@@ -1,7 +1,11 @@
 (* Incremental solve sessions.  The profile is the only geometric
-   state; the slots table maps arrival ids to live placements, so
-   departures and migrations are O(1) table updates plus O(log width)
-   kernel updates. *)
+   state.  The live items sit in one flat int array, four cells per
+   entry (id, w, h, start) in arrival order, so ids ascend and an id is
+   found by binary search.  A departure marks its entry (w = 0), and
+   [depart_result] squeezes the marked entries out in place once they
+   outnumber a quarter of the live ones: nothing is kept per departed
+   arrival, and an id below [n_arrived] with no live entry has
+   departed.  Every walk (the repair scan, [live_items]) is O(live). *)
 
 open Dsp_core
 
@@ -16,12 +20,16 @@ let c_migrations =
 let c_trials =
   Dsp_util.Instr.counter Dsp_util.Instr.Sites.session_migration_trials
 
-type slot = Empty | Live of Item.t * int | Gone
+let c_scan = Dsp_util.Instr.counter Dsp_util.Instr.Sites.session_scan_entries
 
 type t = {
   swidth : int;
   sprofile : Profile.t;
-  mutable slots : slot array;
+  mutable ents : int array;
+      (* [n_ents] entries at cell offsets 0, 4, 8, ...: id, w, h, start;
+         w = 0 marks a departed entry not yet compacted away *)
+  mutable n_ents : int;
+  mutable cand : int array;  (* repair candidates: cell offsets in [ents] *)
   mutable n_arrived : int;
   mutable n_live : int;
   mutable n_departed : int;
@@ -42,23 +50,39 @@ let policy t = t.spolicy
 let profile t = t.sprofile
 let peak t = Profile.peak t.sprofile
 
+(* Cell offset of the live entry of [id], or -1 when the id never
+   arrived or its item departed. *)
+let live_offset t id =
+  if id < 0 || id >= t.n_arrived then -1
+  else begin
+    let e = t.ents and lo = ref 0 and hi = ref (t.n_ents - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if e.(4 * mid) < id then lo := mid + 1 else hi := mid
+    done;
+    let o = 4 * !lo in
+    if !lo < t.n_ents && e.(o) = id && e.(o + 1) > 0 then o else -1
+  end
+
 let start_of t id =
-  if id < 0 || id >= t.n_arrived then None
-  else match t.slots.(id) with Live (_, s) -> Some s | Empty | Gone -> None
+  let o = live_offset t id in
+  if o < 0 then None else Some t.ents.(o + 3)
 
 let set_start t id s =
   if id < 0 || id >= t.n_arrived then
     invalid_arg "Session.set_start: unknown id";
-  match t.slots.(id) with
-  | Live (it, _) -> t.slots.(id) <- Live (it, s)
-  | Empty | Gone -> invalid_arg "Session.set_start: item not live"
+  let o = live_offset t id in
+  if o < 0 then invalid_arg "Session.set_start: item not live";
+  t.ents.(o + 3) <- s
 
 let live_items t =
-  let acc = ref [] in
-  for id = t.n_arrived - 1 downto 0 do
-    match t.slots.(id) with
-    | Live (it, s) -> acc := (id, it, s) :: !acc
-    | Empty | Gone -> ()
+  let e = t.ents and acc = ref [] in
+  for i = t.n_ents - 1 downto 0 do
+    let o = 4 * i in
+    if e.(o + 1) > 0 then
+      acc :=
+        (e.(o), Item.make ~id:e.(o) ~w:e.(o + 1) ~h:e.(o + 2), e.(o + 3))
+        :: !acc
   done;
   !acc
 
@@ -104,49 +128,78 @@ let best_fit =
   }
 
 (* Live items whose span covers every peak column, i.e. all of
-   [first, last], the tallest first (ties by id): removing a tall
-   culprit is the move most likely to lower the global peak.  No other
-   item can: one that misses a peak column leaves it at the peak.  And
-   removing one of these drops every column below the peak, which is
-   what lets [try_repair] keep any destination it finds. *)
+   [first, last]: their cell offsets go to [t.cand] and the count is
+   returned.  No other item can lower the peak: one that misses a peak
+   column leaves it at the peak.  And removing one of these drops every
+   column below the peak, which is what lets [attempt] keep any
+   destination it finds.  A departed entry (w = 0) never qualifies,
+   since its span [s, s) covers nothing. *)
 let covering t ~first ~last =
-  let acc = ref [] in
-  for id = t.n_arrived - 1 downto 0 do
-    match t.slots.(id) with
-    | Live (it, s) when s <= first && last < s + it.Item.w ->
-        acc := (id, it, s) :: !acc
-    | _ -> ()
+  let n = t.n_ents in
+  if Array.length t.cand < n then
+    (* lint: ok R7 — grows only after [ents] has, to its capacity *)
+    t.cand <- Array.make (Array.length t.ents / 4) 0;
+  let e = t.ents and cand = t.cand and c = ref 0 in
+  for i = 0 to n - 1 do
+    let o = 4 * i in
+    let s = e.(o + 3) in
+    if s <= first && last < s + e.(o + 1) then begin
+      cand.(!c) <- o;
+      incr c
+    end
   done;
-  List.sort
-    (fun (_, (a : Item.t), _) (_, (b : Item.t), _) -> compare b.h a.h)
-    !acc
+  Dsp_util.Instr.add c_scan n;
+  !c
 
-(* One repair move: remove a live item over every peak column and
+(* Index in [t.cand] of the tallest of the first [n] candidates, ties
+   to the lowest id: removing a tall culprit is the move most likely to
+   lower the global peak.  Ids are compared explicitly because [attempt]
+   reorders the candidates it drops. *)
+let tallest t n =
+  let e = t.ents and cand = t.cand in
+  let best = ref 0 and bh = ref e.(cand.(0) + 2) and bid = ref e.(cand.(0)) in
+  for j = 1 to n - 1 do
+    let o = cand.(j) in
+    let h = e.(o + 2) in
+    if h > !bh || (h = !bh && e.(o) < !bid) then begin
+      best := j;
+      bh := h;
+      bid := e.(o)
+    end
+  done;
+  !best
+
+(* Try the [n] remaining candidates tallest first: remove one and
    re-place it first-fit with its window peak under [pk - 1]; an item
-   with no such start goes back where it was.  A found destination
-   always lowers the global peak: the removal leaves every column
-   below [pk], and the new window stays at most [pk - 1]. *)
+   with no such start goes back where it was and leaves the candidates.
+   A found destination always lowers the global peak: the removal
+   leaves every column below [pk], and the new window stays at most
+   [pk - 1]. *)
+let rec attempt t pk n =
+  if n = 0 then None
+  else begin
+    let p = t.sprofile and j = tallest t n in
+    let e = t.ents and o = t.cand.(j) in
+    let w = e.(o + 1) and h = e.(o + 2) and cur = e.(o + 3) in
+    Dsp_util.Instr.bump c_trials;
+    Profile.add p ~start:cur ~len:w ~height:(-h);
+    match Profile.first_fit_start p ~len:w ~height:h ~budget:(pk - 1) with
+    | Some dest ->
+        Profile.add p ~start:dest ~len:w ~height:h;
+        e.(o + 3) <- dest;
+        Dsp_util.Instr.bump c_migrations;
+        Some (e.(o), dest)
+    | None ->
+        Profile.add p ~start:cur ~len:w ~height:h;
+        t.cand.(j) <- t.cand.(n - 1);
+        attempt t pk (n - 1)
+  end
+
+(* One repair move over the items under every peak column. *)
 let try_repair t pk =
-  let p = t.sprofile in
-  match Profile.peak_span p with
+  match Profile.peak_span t.sprofile with
   | None -> None
-  | Some (first, last) ->
-      let rec attempt = function
-        | [] -> None
-        | (id, (it : Item.t), cur) :: rest -> (
-            Dsp_util.Instr.bump c_trials;
-            Profile.remove_item p it ~start:cur;
-            match Profile.first_fit_start p ~len:it.w ~height:it.h ~budget:(pk - 1) with
-            | Some dest ->
-                Profile.add_item p it ~start:dest;
-                set_start t id dest;
-                Dsp_util.Instr.bump c_migrations;
-                Some (id, dest)
-            | None ->
-                Profile.add_item p it ~start:cur;
-                attempt rest)
-      in
-      attempt (covering t ~first ~last)
+  | Some (first, last) -> attempt t pk (covering t ~first ~last)
 
 let bounded_migration ~k =
   if k < 0 then invalid_arg "Session.bounded_migration: k must be >= 0";
@@ -191,7 +244,9 @@ let create ?(policy = best_fit) ~width () =
   {
     swidth = width;
     sprofile = Profile.create width;
-    slots = Array.make 16 Empty;
+    ents = Array.make 64 0;
+    n_ents = 0;
+    cand = [||];
     n_arrived = 0;
     n_live = 0;
     n_departed = 0;
@@ -201,19 +256,45 @@ let create ?(policy = best_fit) ~width () =
 
 let reset t =
   Profile.reset t.sprofile;
-  Array.fill t.slots 0 (Array.length t.slots) Empty;
+  t.n_ents <- 0;
   t.n_arrived <- 0;
   t.n_live <- 0;
   t.n_departed <- 0;
   t.n_migrations <- 0
 
-let ensure_capacity t n =
-  let cap = Array.length t.slots in
-  if n > cap then begin
-    let grown = Array.make (max n (2 * cap)) Empty in
-    Array.blit t.slots 0 grown 0 cap;
-    t.slots <- grown
-  end
+(* Append a live entry; ids must ascend. *)
+let push t ~id ~w ~h ~start =
+  let o = 4 * t.n_ents in
+  if o = Array.length t.ents then begin
+    let grown = Array.make (2 * o) 0 in
+    Array.blit t.ents 0 grown 0 o;
+    t.ents <- grown
+  end;
+  let e = t.ents in
+  e.(o) <- id;
+  e.(o + 1) <- w;
+  e.(o + 2) <- h;
+  e.(o + 3) <- start;
+  t.n_ents <- t.n_ents + 1;
+  t.n_live <- t.n_live + 1
+
+(* Squeeze the departed entries out of [ents], keeping arrival order. *)
+let compact t =
+  let e = t.ents and d = ref 0 in
+  for i = 0 to t.n_ents - 1 do
+    let o = 4 * i in
+    if e.(o + 1) > 0 then begin
+      let k = !d in
+      if k < o then begin
+        e.(k) <- e.(o);
+        e.(k + 1) <- e.(o + 1);
+        e.(k + 2) <- e.(o + 2);
+        e.(k + 3) <- e.(o + 3)
+      end;
+      d := k + 4
+    end
+  done;
+  t.n_ents <- !d / 4
 
 let arrive ?budget t ~w ~h =
   (* Mirror Io's hardened checks so a hand-built event stream fails
@@ -226,12 +307,9 @@ let arrive ?budget t ~w ~h =
       (Printf.sprintf
          "Session.arrive: demand %d exceeds the strip width %d" w t.swidth);
   let id = t.n_arrived in
-  let it = Item.make ~id ~w ~h in
-  let pl = t.spolicy.place ~budget t it in
-  ensure_capacity t (id + 1);
-  t.slots.(id) <- Live (it, pl.start);
+  let pl = t.spolicy.place ~budget t (Item.make ~id ~w ~h) in
+  push t ~id ~w ~h ~start:pl.start;
   t.n_arrived <- id + 1;
-  t.n_live <- t.n_live + 1;
   t.n_migrations <- t.n_migrations + List.length pl.migrations;
   Dsp_util.Instr.bump c_arrivals;
   id
@@ -247,16 +325,19 @@ let depart_error_to_string = function
 let depart_result t id =
   if id < 0 || id >= t.n_arrived then Error (Never_arrived id)
   else
-    match t.slots.(id) with
-    | Live (it, s) ->
-        Profile.remove_item t.sprofile it ~start:s;
-        t.slots.(id) <- Gone;
-        t.n_live <- t.n_live - 1;
-        t.n_departed <- t.n_departed + 1;
-        Dsp_util.Instr.bump c_departures;
-        Ok s
-    | Gone -> Error (Already_departed id)
-    | Empty -> Error (Never_arrived id)
+    let o = live_offset t id in
+    if o < 0 then Error (Already_departed id)
+    else begin
+      let e = t.ents in
+      let s = e.(o + 3) in
+      Profile.add t.sprofile ~start:s ~len:e.(o + 1) ~height:(-e.(o + 2));
+      e.(o + 1) <- 0;
+      t.n_live <- t.n_live - 1;
+      t.n_departed <- t.n_departed + 1;
+      if 4 * (t.n_ents - t.n_live) > t.n_live then compact t;
+      Dsp_util.Instr.bump c_departures;
+      Ok s
+    end
 
 let depart t id =
   match depart_result t id with
@@ -283,29 +364,24 @@ let replay ?policy ?budget (tr : Dsp_instance.Trace.t) =
 (* Rebuild a session from snapshot state (the WAL's compaction
    records): explicit placements bypass the policy, so the restored
    profile is bit-identical to the snapshotted one no matter which
-   policy produced it.  Ids below [n_arrived] that are not listed live
-   are marked departed. *)
+   policy produced it.  [live] may come in any order; sorted by id, a
+   duplicate sits next to its twin.  Ids below [n_arrived] that are not
+   listed live have departed. *)
 let restore ?(policy = best_fit) ~width ~n_arrived ~n_migrations ~live () =
   if width < 1 then invalid_arg "Session.restore: width must be >= 1";
   if n_arrived < 0 then invalid_arg "Session.restore: n_arrived must be >= 0";
   if n_migrations < 0 then
     invalid_arg "Session.restore: n_migrations must be >= 0";
   let t = create ~policy ~width () in
-  ensure_capacity t n_arrived;
   t.n_arrived <- n_arrived;
-  for id = 0 to n_arrived - 1 do
-    t.slots.(id) <- Gone
-  done;
   List.iter
     (fun (id, w, h, start) ->
       if id < 0 || id >= n_arrived then
         invalid_arg
           (Printf.sprintf "Session.restore: live id %d outside [0, %d)" id
              n_arrived);
-      (match t.slots.(id) with
-      | Gone -> ()
-      | Empty | Live _ ->
-          invalid_arg (Printf.sprintf "Session.restore: duplicate live id %d" id));
+      if t.n_ents > 0 && t.ents.(4 * (t.n_ents - 1)) = id then
+        invalid_arg (Printf.sprintf "Session.restore: duplicate live id %d" id);
       if w < 1 || h < 1 then
         invalid_arg
           (Printf.sprintf
@@ -315,11 +391,9 @@ let restore ?(policy = best_fit) ~width ~n_arrived ~n_migrations ~live () =
           (Printf.sprintf
              "Session.restore: item %d at start %d width %d overflows strip %d"
              id start w width);
-      let it = Item.make ~id ~w ~h in
-      Profile.add_item t.sprofile it ~start;
-      t.slots.(id) <- Live (it, start);
-      t.n_live <- t.n_live + 1)
-    live;
+      Profile.add t.sprofile ~start ~len:w ~height:h;
+      push t ~id ~w ~h ~start)
+    (List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) live);
   t.n_departed <- n_arrived - t.n_live;
   t.n_migrations <- n_migrations;
   t

@@ -16,6 +16,12 @@
     finds no destination re-adds its item at its old start, so an
     abandoned trial costs two kernel updates, never a profile copy.
 
+    A session keeps only its live items, in one flat array: a departed
+    item leaves nothing behind, so the session's memory and the cost of
+    every walk over its items (the repair scan, {!live_items}) follow
+    the live set, however many arrivals it has seen.  Ids are found by
+    binary search, in O(log live).
+
     Sessions are single-domain values, like the budgets that meter
     them; create one per domain. *)
 
@@ -113,21 +119,21 @@ val profile : t -> Profile.t
 
 val snapshot : t -> Packing.t
 (** A validated packing of the currently-live items (ids re-numbered
-    densely in arrival order).  O(arrivals so far): it walks every
-    arrival id ever issued, as {!live_items} does. *)
+    densely in arrival order).  O(live items), as {!live_items}. *)
 
 val live_items : t -> (int * Item.t * int) list
 (** [(id, item, start)] for every live item, in arrival order.
-    O(arrivals so far), not O(live items): it walks every arrival id
-    ever issued. *)
+    O(live items). *)
 
 val start_of : t -> int -> int option
-(** Start of a live item, [None] once departed / never arrived. *)
+(** Start of a live item, [None] once departed / never arrived.
+    O(log live items). *)
 
 val set_start : t -> int -> int -> unit
 (** Move a live item in the item table — policy-side API for committed
     migrations; the caller has already moved its demand in the
-    profile.  Raises [Invalid_argument] on a non-live id. *)
+    profile.  O(log live items).  Raises [Invalid_argument] on a
+    non-live id. *)
 
 (** {2 Trace replay} *)
 
@@ -147,10 +153,10 @@ val restore :
   unit ->
   t
 (** Rebuild a session from snapshot state — the WAL's compaction path.
-    [live] lists [(id, w, h, start)] for every live item; placements
-    are applied verbatim (no policy involved), so the restored profile
-    equals the snapshotted one exactly.  Ids in [\[0, n_arrived)] not
-    listed live are marked departed.
+    [live] lists [(id, w, h, start)] for every live item, in any
+    order; placements are applied verbatim (no policy involved), so the
+    restored profile equals the snapshotted one exactly.  Ids in
+    [\[0, n_arrived)] not listed live have departed.
     Raises [Invalid_argument] on out-of-range ids, duplicate ids,
     non-positive dimensions, or a placement overflowing the strip. *)
 

@@ -61,6 +61,10 @@ module Sites = struct
   let session_migrations = "session.migrations"
   let session_migration_trials = "session.migration_trials"
 
+  (* Entries walked by the migration repair scan, one add per scan:
+     the scan's cost in live entries, flat at a fixed live set. *)
+  let session_scan_entries = "session.scan_entries"
+
   (* Write-ahead-log IO (lib/serve/wal.ml).  These double as the
      IO-layer fault points: a Raise at [wal_fsyncs] models a failed
      fsync, Corrupt at [wal_appends] is corrupt-on-write, Short at
@@ -98,6 +102,7 @@ module Sites = struct
       session_departures;
       session_migrations;
       session_migration_trials;
+      session_scan_entries;
       wal_appends;
       wal_fsyncs;
       wal_records_recovered;

@@ -56,6 +56,7 @@ module Sites : sig
   val session_departures : string
   val session_migrations : string
   val session_migration_trials : string
+  val session_scan_entries : string
   val wal_appends : string
   val wal_fsyncs : string
   val wal_records_recovered : string

@@ -150,6 +150,21 @@ let plumbing_tests =
           [ "lib/util"; "lib/core"; "lib/exact"; "lib/engine"; "lib/serve" ];
         Alcotest.(check bool) "augment is outside the engine cone" false
           (List.mem "lib/augment" dirs));
+    case "the CLI rejects a PATH that does not exist" (fun () ->
+        let err = Filename.temp_file "dsp_lint" ".err" in
+        let lint args =
+          Sys.command
+            (Printf.sprintf "../tools/lint/dsp_lint.exe --only R1,R3 %s 2>%s"
+               args (Filename.quote err))
+        in
+        let exists = lint (fx "r1_good.ml") in
+        let missing = lint (fx "r1_good.ml" ^ " ../lib/nosuchdir") in
+        let msg = In_channel.with_open_text err In_channel.input_all in
+        Sys.remove err;
+        Alcotest.(check int) "an existing path lints clean" 0 exists;
+        Alcotest.(check int) "a missing one is a usage error" 2 missing;
+        Alcotest.(check string) "the message names it"
+          "dsp_lint: no such path \"../lib/nosuchdir\"\n" msg);
   ]
 
 (* ----- whole-program rules (R6-R9, parsetree front-end) -------------- *)

@@ -699,7 +699,19 @@ let restore_tests =
               ~live:[ (0, 2, 2, 0); (0, 1, 1, 3) ] ());
         expects_invalid (fun () ->
             Session.restore ~width:5 ~n_arrived:1 ~n_migrations:0
-              ~live:[ (0, 4, 2, 3) ] ()));
+              ~live:[ (0, 4, 2, 3) ] ());
+        (* [live] may list ids in any order, so a duplicate need not
+           sit next to its twin *)
+        let restore live =
+          Session.restore ~width:5 ~n_arrived:4 ~n_migrations:0 ~live ()
+        in
+        let live = [ (0, 2, 1, 0); (2, 1, 3, 4); (3, 2, 2, 1) ] in
+        Alcotest.(check bool)
+          "out of id order: same session" true
+          (session_fingerprint (restore live)
+          = session_fingerprint (restore (List.rev live)));
+        expects_invalid (fun () ->
+            restore [ (0, 2, 2, 0); (1, 1, 1, 3); (0, 1, 1, 4) ]));
   ]
 
 (* ---- overload shedding and SLAs ---- *)

@@ -441,7 +441,127 @@ let depart_typed_errors () =
   Alcotest.(check bool)
     "messages distinguish the two causes" false
     (Session.depart_error_to_string (Session.Never_arrived 5)
-    = Session.depart_error_to_string (Session.Already_departed 5))
+    = Session.depart_error_to_string (Session.Already_departed 5));
+  (* Past a compaction: of 8 arrivals the even ids depart, and the
+     departed entries are squeezed out once they outnumber a quarter of
+     the live ones (after ids 2 and 6), so only [n_arrived] is left to
+     tell a departed id from one never handed out.  A restored session
+     never had entries for its departed ids. *)
+  let s = Session.create ~width:10 () in
+  let ids = List.init 8 (fun _ -> Session.arrive s ~w:1 ~h:1) in
+  let stale name s =
+    List.iter
+      (fun id ->
+        if id mod 2 = 0 then begin
+          check_err
+            (Printf.sprintf "%s: departed %d" name id)
+            (Session.depart_error_to_string (Session.Already_departed id))
+            (Session.depart_result s id);
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s: start_of departed %d" name id)
+            None (Session.start_of s id)
+        end
+        else
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d still live" name id)
+            true
+            (Session.start_of s id <> None))
+      ids;
+    List.iter
+      (fun id ->
+        check_err
+          (Printf.sprintf "%s: id %d never arrived" name id)
+          (Session.depart_error_to_string (Session.Never_arrived id))
+          (Session.depart_result s id);
+        Alcotest.(check (option int))
+          (Printf.sprintf "%s: start_of unissued %d" name id)
+          None (Session.start_of s id))
+      [ 8; 9; max_int ]
+  in
+  List.iter (fun id -> if id mod 2 = 0 then Session.depart s id) ids;
+  stale "session" s;
+  let restored =
+    Session.restore ~width:10 ~n_arrived:8 ~n_migrations:0
+      ~live:
+        (List.map
+           (fun (id, (it : Item.t), start) -> (id, it.w, it.h, start))
+           (Session.live_items s))
+      ()
+  in
+  stale "restored" restored;
+  Alcotest.(check int) "ids continue after compaction" 8
+    (Session.arrive s ~w:1 ~h:1)
+
+(* ---- a long-lived session at a fixed live set ---- *)
+
+(* Steady churn at L = 100 live items on W = 96 (widths 1-32, heights
+   1-50): each step arrives one item and, once L are live, departs a
+   random one.  A session that keeps only its live set retains as many
+   words at 65,536 arrivals as at 4,096, and its repair scan walks as
+   many entries per scan over the 4,096 arrivals before each point.
+   Scans are counted by the instrumentation hook: the scan makes one
+   [Instr.add] per walk. *)
+let fixed_live_set () =
+  let module Instr = Dsp_util.Instr in
+  let site = Instr.Sites.session_scan_entries in
+  let entries = Instr.counter site and scans = ref 0 in
+  Instr.set_on_hit (Some (fun name -> if name = site then incr scans));
+  Fun.protect
+    ~finally:(fun () -> Instr.set_on_hit None)
+    (fun () ->
+      List.iter
+        (fun policy ->
+          let name = policy.Session.pname in
+          let rng = Rng.create 4242 and l = 100 in
+          let s = Session.create ~policy ~width:96 () in
+          let live = Array.make l 0 and n = ref 0 in
+          let step () =
+            let id =
+              Session.arrive s ~w:(Rng.int_in rng 1 32) ~h:(Rng.int_in rng 1 50)
+            in
+            if !n < l then begin
+              live.(!n) <- id;
+              incr n
+            end
+            else begin
+              let j = Rng.int rng l in
+              Session.depart s live.(j);
+              live.(j) <- id
+            end
+          in
+          (* retained words at [upto] arrivals, and the scans and
+             entries walked over the 4,096 arrivals before it *)
+          let window upto =
+            while (Session.stats s).Session.arrivals < upto - 4096 do
+              step ()
+            done;
+            let e0 = Instr.value entries and c0 = !scans in
+            for _ = 1 to 4096 do
+              step ()
+            done;
+            ( Obj.reachable_words (Obj.repr s),
+              !scans - c0,
+              Instr.value entries - e0 )
+          in
+          let words_a, scans_a, entries_a = window 4096 in
+          let words_b, scans_b, entries_b = window 65536 in
+          if words_b > words_a then
+            Alcotest.failf "%s: retained words grew from %d to %d" name words_a
+              words_b;
+          if policy == Session.best_fit then
+            Alcotest.(check int)
+              (name ^ ": no repair scans") 0 (scans_a + scans_b)
+          else begin
+            if scans_a < 100 || scans_b < 100 then
+              Alcotest.failf "%s: too few repairs to compare (%d, %d)" name
+                scans_a scans_b;
+            let mean e c = float_of_int e /. float_of_int c in
+            let a = mean entries_a scans_a and b = mean entries_b scans_b in
+            if Float.abs (b -. a) >= 0.1 *. a then
+              Alcotest.failf "%s: entries per scan moved from %.1f to %.1f" name
+                a b
+          end)
+        [ Session.best_fit; Session.bounded_migration ~k:2 ])
 
 let suite =
   [
@@ -466,4 +586,6 @@ let suite =
       arrive_rejects_bad_dims;
     Alcotest.test_case "depart_result types stale departures" `Quick
       depart_typed_errors;
+    Alcotest.test_case "a fixed live set holds memory and scan cost flat" `Slow
+      fixed_live_set;
   ]

@@ -23,8 +23,9 @@ let usage () =
   prerr_endline
     "  --format FMT     output format: text (default) or sarif";
   prerr_endline
-    "  PATH...          files or directories for R1-R5 (default: lib bin \
-     bench)";
+    "  PATH...          files or directories for R1-R5, each of which must \
+     exist";
+  prerr_endline "                   (default: lib bin bench)";
   exit 2
 
 let list_rules () =
@@ -109,7 +110,14 @@ let () =
         [ "lib"; "bin"; "bench" ]
         |> List.map (Filename.concat !root)
         |> List.filter Sys.file_exists
-    | ps -> ps
+    | ps ->
+        (* A mistyped path would otherwise lint nothing and pass. *)
+        (match List.filter (fun p -> not (Sys.file_exists p)) ps with
+        | [] -> ()
+        | missing ->
+            List.iter (Printf.eprintf "dsp_lint: no such path %S\n") missing;
+            exit 2);
+        ps
   in
   let syn_result =
     if syntactic = [] then None

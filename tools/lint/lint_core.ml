@@ -85,7 +85,8 @@ let rule_summary = function
   | R7 ->
       "allocation-freedom: no allocating construct (closure, tuple, \
        non-constant constructor, record, boxed float, allocating stdlib \
-       call) may be reachable from the flat Segtree hot-path entry points"
+       call) may be reachable from the flat Segtree hot-path entry points \
+       or the session's repair scan"
   | R8 ->
       "write-ahead ordering: on every path through Server.handle, request \
        validation must dominate Wal.append, and Wal.append must dominate \

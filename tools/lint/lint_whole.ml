@@ -16,7 +16,8 @@ type config = {
 }
 
 (* The production configuration: the flat Segtree kernel's hot-path
-   entry points (the ones the perf gate's alloc probe samples) and the
+   entry points (the ones the perf gate's alloc probe samples), the
+   session's migration repair scan and candidate selection, and the
    serve daemon's request dispatcher. *)
 let project_config =
   {
@@ -27,6 +28,8 @@ let project_config =
         "Segtree.first_fit_from_i";
         "Segtree.find_last_above_i";
         "Segtree.first_above";
+        "Session.covering";
+        "Session.tallest";
       ];
     r8_roots = [ "Server.handle" ];
   }
