@@ -43,10 +43,18 @@ let daemon socket stdio wal_dir fsync queue compact_every retry_after jobs =
     prerr_endline "error: daemon needs --socket PATH or --stdio";
     exit 2
   end;
-  if queue < 1 then begin
-    prerr_endline "error: --queue must be >= 1";
-    exit 2
-  end;
+  (* out-of-range numbers are usage errors, checked before the pool
+     exists (Pool.create raises on jobs < 1) *)
+  let at_least flag lo v =
+    if v < lo then begin
+      Printf.eprintf "error: %s must be >= %d\n" flag lo;
+      exit 2
+    end
+  in
+  at_least "--queue" 1 queue;
+  Option.iter (at_least "--jobs" 1) jobs;
+  at_least "--compact-every" 0 compact_every;
+  at_least "--retry-after-ms" 0 retry_after;
   (* a client vanishing mid-reply must surface as EPIPE on the write,
      not kill the daemon *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;

@@ -214,6 +214,23 @@ if [ "$(printf '%s\n' "$stdio_out" | grep -c '"ok":true')" -ne 2 ] \
 fi
 echo "ok: stdio daemon answers pool solves in order"
 
+# Out-of-range daemon numbers are usage errors (exit 2), rejected
+# before the worker pool exists, not uncaught exceptions (125).
+expect_daemon_usage_error() {
+  local status=0
+  timeout 30 "$served" daemon --stdio "$@" </dev/null >/dev/null 2>&1 \
+    || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: dsp_served daemon $* exited $status (want usage error 2)" >&2
+    exit 1
+  fi
+  echo "ok: dsp_served daemon $* is a usage error"
+}
+
+expect_daemon_usage_error --jobs 0
+expect_daemon_usage_error --compact-every=-5
+expect_daemon_usage_error --retry-after-ms=-1
+
 # and the CI-sized serve bench experiment end to end
 BENCH_JSON=none DSP_BENCH_RESULTS=none \
   timeout 120 dune exec bench/main.exe -- serve-smoke >/dev/null

@@ -167,9 +167,23 @@ let plumbing_tests =
           "dsp_lint: no such path \"../lib/nosuchdir\"\n" msg);
   ]
 
-(* ----- whole-program rules (R6-R9, parsetree front-end) -------------- *)
+(* ----- whole-program rules (R6-R9, compiled fixtures) ---------------- *)
 
 module W = Lint_whole
+
+(* The R6-R9 fixtures compile into the lint_fixtures library
+   (tools/lint/fixtures/dune), and the rules read their .cmt
+   typedtrees through Lint_tast, as `dune build @lint` does for the
+   production tree.  test/dune builds them first. *)
+let fixture_cmts = Filename.concat fixtures ".lint_fixtures.objs/byte"
+
+let unit_of path = Filename.remove_extension (Filename.basename path)
+
+let cmt_of path =
+  let cmt = Filename.concat fixture_cmts (unit_of path ^ ".cmt") in
+  if not (Sys.file_exists cmt) then
+    Alcotest.failf "%s has no %s: add it to the lint_fixtures modules" path cmt;
+  cmt
 
 (* Fixture roots: each fixture's entry points stand in for the
    production Segtree hot paths / Server.handle. *)
@@ -180,10 +194,11 @@ let wcfg =
     r8_roots = [ "R8_bad.handle"; "R8_good.handle"; "Suppress_whole.handle" ];
   }
 
-(* Each case loads only some fixtures, so it keeps just the roots whose
-   unit it loads: a root missing from the call graph is a finding. *)
+(* Each case loads only some fixtures (and the two stubs), so it keeps
+   just the roots whose unit it loads: a root missing from the call
+   graph is a finding. *)
 let wrun ?only ?(config = wcfg) paths =
-  let units = List.map Lint_ir.Of_parsetree.unit_name_of_file paths in
+  let units = List.map (fun p -> String.capitalize_ascii (unit_of p)) paths in
   let loaded r = List.mem (List.hd (String.split_on_char '.' r)) units in
   let config =
     {
@@ -191,8 +206,12 @@ let wrun ?only ?(config = wcfg) paths =
       r8_roots = List.filter loaded config.W.r8_roots;
     }
   in
-  let res = W.run_files ?only ~config paths in
-  Alcotest.(check (list string)) "no parse errors" [] res.W.errors;
+  let cmts = List.map cmt_of (paths @ [ fx "wal.ml"; fx "protocol.ml" ]) in
+  let res =
+    W.run ?only ~config ~root:".." ~src_prefixes:[ "tools/lint/fixtures/" ] cmts
+  in
+  Alcotest.(check (list string)) "no errors" [] res.W.errors;
+  Alcotest.(check int) "every fixture is a unit" (List.length cmts) res.W.units;
   List.map
     (fun f -> (L.rule_name f.L.rule, Filename.basename f.L.file, f.L.line))
     res.W.findings
@@ -229,6 +248,8 @@ let whole_rule_tests =
             ("R9", "r9_bad.ml", 9);
             ("R9", "r9_bad.ml", 14);
             ("R9", "r9_bad.ml", 23);
+            ("R9", "r9_bad.ml", 25);
+            ("R9", "r9_bad.ml", 27);
           ]
           (wrun ~only:[ L.R9 ] [ fx "r9_bad.ml" ]));
     case "R9 accepts IO outside the section and Condition.wait" (fun () ->
@@ -257,6 +278,16 @@ let whole_rule_tests =
           (wrun
              ~only:[ L.R6; L.R7; L.R8; L.R9 ]
              [ fx "suppress_whole.ml" ]));
+    case "every R6-R9 fixture is compiled into lint_fixtures" (fun () ->
+        let whole f =
+          Filename.check_suffix f ".ml"
+          && List.exists
+               (fun p -> String.starts_with ~prefix:p f)
+               [ "r6_"; "r7_"; "r8_"; "r9_"; "suppress_whole." ]
+        in
+        let files = List.filter whole (Array.to_list (Sys.readdir fixtures)) in
+        Alcotest.(check bool) "fixtures found" true (files <> []);
+        List.iter (fun f -> ignore (cmt_of (fx f))) files);
   ]
 
 let suite =

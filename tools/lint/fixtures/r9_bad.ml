@@ -21,3 +21,7 @@ let locked f =
   r
 
 let via_closure fd = locked (fun () -> Unix.fsync fd)
+
+let via_apply fd = locked @@ fun () -> Unix.fsync fd
+
+let via_pipe fd = (fun () -> Unix.fsync fd) |> locked

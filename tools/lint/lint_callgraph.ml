@@ -87,8 +87,9 @@ let resolve t comps =
   match try_cands (candidates comps) with
   | Some name -> Some name
   | None -> (
-      (* Unique suffix match on the final component, e.g. a fixture
-         call [U.f] against a definition [U.M.f]. *)
+      (* Unique suffix match on the final component, for typed paths
+         that stop short of the definition: [Inst.job] called inside
+         [Pts.Schedule] against the definition [Pts.Inst.job]. *)
       match List.rev comps with
       | last :: _ -> (
           match Hashtbl.find_opt t.by_last last with

@@ -1,7 +1,7 @@
-(* Typedtree front-end for the whole-program rules: loads the
-   compiler's .cmt artifacts (written by dune next to every compiled
-   module) and lowers each implementation to the [Lint_ir] event
-   summary.  Working on the *typed* tree means call sites arrive as
+(* The one front-end of the whole-program rules: loads the compiler's
+   .cmt artifacts (written by dune next to every compiled module, the
+   lint fixtures' included) and lowers each implementation to the
+   [Lint_ir] event summary.  Working on the *typed* tree means call sites arrive as
    resolved [Path.t]s — "Dsp_serve__Session.arrive", not whatever
    alias the source spelled — which is what makes cross-module
    resolution in [Lint_callgraph] reliable.
@@ -14,7 +14,13 @@
 open Typedtree
 module Ir = Lint_ir
 
-let pos_of_loc = Ir.pos_of_loc ?file:None
+let pos_of_loc (loc : Location.t) =
+  let p = loc.Location.loc_start in
+  {
+    Ir.file = p.Lexing.pos_fname;
+    line = p.Lexing.pos_lnum;
+    col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
+  }
 
 let path_components p = Ir.normalize_path_name (Path.name p)
 

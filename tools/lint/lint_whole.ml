@@ -1,8 +1,9 @@
-(* Whole-program analysis driver for R6–R9: loads per-module event
-   summaries (typedtree .cmt artifacts in production, parsetree
-   fixtures in tests), builds the cross-module call graph and runs the
-   four rules, then applies the same waiver channels the per-file
-   rules honour.
+(* Whole-program analysis driver for R6–R9: lowers .cmt typedtrees to
+   per-module event summaries through [Lint_tast], builds the
+   cross-module call graph and runs the four rules, then applies the
+   same waiver channels the per-file rules honour.  [run] serves the
+   production tree (`@lint`) and the compiled fixtures (the golden
+   tests) alike.
 
    Every run summarizes every unit afresh.  Incrementality is dune's
    job: the @lint rule depends on every typedtree, so it reruns
@@ -132,50 +133,20 @@ let dedup_sorted findings =
   in
   uniq sorted
 
-(* ----- fixture entry point (parsetree front-end) ----------------------- *)
+(* ----- entry points ---------------------------------------------------- *)
 
-let run_files ?only ~config paths =
-  let errors = ref [] in
-  let summaries =
-    List.filter_map
-      (fun path ->
-        match Lint_core.read_file path with
-        | exception Sys_error e ->
-            errors := Printf.sprintf "%s: %s" path e :: !errors;
-            None
-        | text -> (
-            let lexbuf = Lexing.from_string text in
-            Location.init lexbuf path;
-            match Parse.implementation lexbuf with
-            | exception e ->
-                errors :=
-                  Printf.sprintf "%s: parse error: %s" path
-                    (Printexc.to_string e)
-                  :: !errors;
-                None
-            | structure ->
-                Some (Ir.Of_parsetree.of_structure ~file:path structure)))
-      (List.sort_uniq compare paths)
-  in
-  let findings =
-    analyze ?only ~config summaries |> apply_waivers ~root:"." |> dedup_sorted
-  in
-  { findings; errors = List.rev !errors; units = List.length summaries }
-
-(* ----- production entry point (typedtree front-end) -------------------- *)
-
-let src_prefixes = [ "lib/"; "bin/"; "bench/" ]
-
-let run_project ?only ~root () =
-  let errors = ref [] in
+(* Analyze the implementation .cmts among [cmts] whose source file
+   sits under one of [src_prefixes] (root-relative, e.g. "lib/"); the
+   first unit of each name wins.  Interface-only and pack artifacts
+   are not units and are skipped.  Waivers are read from the sources
+   under [root]. *)
+let run ?only ~config ~root ~src_prefixes cmts =
   let seen_units = Hashtbl.create 64 in
   let summaries =
     List.filter_map
       (fun cmt ->
         match Lint_tast.summarize_cmt cmt with
-        | Error _ ->
-            (* interface-only or pack artifact: not a unit *)
-            None
+        | Error _ -> None
         | Ok s ->
             if
               Lint_tast.src_in_prefixes src_prefixes s.Ir.src_file
@@ -185,17 +156,21 @@ let run_project ?only ~root () =
               Some s
             end
             else None)
-      (Lint_tast.discover_cmts ~root)
+      cmts
   in
-  if summaries = [] then
-    errors :=
-      Printf.sprintf
-        "no .cmt artifacts found under %s — run `dune build @check` first \
-         so the whole-program rules have typedtrees to analyze"
-        root
-      :: !errors;
+  let errors =
+    if summaries <> [] then []
+    else
+      [ Printf.sprintf "no .cmt artifacts found under %s — run `dune build \
+                        @check` first so the whole-program rules have \
+                        typedtrees to analyze" root ]
+  in
   let findings =
-    analyze ?only ~config:project_config summaries
-    |> apply_waivers ~root |> dedup_sorted
+    analyze ?only ~config summaries |> apply_waivers ~root |> dedup_sorted
   in
-  { findings; errors = List.rev !errors; units = List.length summaries }
+  { findings; errors; units = List.length summaries }
+
+let run_project ?only ~root () =
+  run ?only ~config:project_config ~root
+    ~src_prefixes:[ "lib/"; "bin/"; "bench/" ]
+    (Lint_tast.discover_cmts ~root)
