@@ -1,8 +1,15 @@
 type t = { width : int; items : Item.t array }
 
-let reindex items = Array.mapi (fun i (it : Item.t) -> { it with Item.id = i }) items
+(* The seed of every items array built here.  The runtime's
+   [Array.make n x], for an [x] in the minor heap and more than 256
+   words, runs a minor collection first, and in OCaml 5 that stops
+   every domain.  [Array.of_list], [Array.map] and [Array.mapi] seed
+   with a fresh item; a static literal is never in the minor heap. *)
+let placeholder = { Item.id = 0; w = 1; h = 1 }
 
-let make ~width items =
+(* Checks [items], an array no caller holds, and re-ids its items to
+   their positions in place. *)
+let own ~width items =
   if width < 1 then invalid_arg "Instance.make: width must be >= 1";
   Array.iter
     (fun (it : Item.t) ->
@@ -11,13 +18,17 @@ let make ~width items =
           (Printf.sprintf "Instance.make: item of width %d exceeds strip width %d"
              it.Item.w width))
     items;
-  { width; items = reindex items }
+  Array.iteri
+    (fun i (it : Item.t) -> if it.Item.id <> i then items.(i) <- { it with Item.id = i })
+    items;
+  { width; items }
+
+let make ~width items = own ~width (Array.copy items)
 
 let of_dims ~width dims =
-  let items =
-    List.mapi (fun i (w, h) -> Item.make ~id:i ~w ~h) dims |> Array.of_list
-  in
-  make ~width items
+  let items = Array.make (List.length dims) placeholder in
+  List.iteri (fun i (w, h) -> items.(i) <- Item.make ~id:i ~w ~h) dims;
+  own ~width items
 
 let n_items t = Array.length t.items
 let item t i = t.items.(i)
@@ -34,11 +45,14 @@ let column_lower_bound t =
 let lower_bound t =
   max (area_lower_bound t) (max (max_height t) (column_lower_bound t))
 
+let map_items f t =
+  let items = Array.make (n_items t) placeholder in
+  Array.iteri (fun i it -> items.(i) <- f it) t.items;
+  own ~width:t.width items
+
 let scale_heights k t =
   if k < 1 then invalid_arg "Instance.scale_heights";
-  { t with items = Array.map (Item.scale_height k) t.items }
-
-let map_items f t = make ~width:t.width (Array.map f t.items)
+  map_items (Item.scale_height k) t
 
 let equal a b =
   a.width = b.width

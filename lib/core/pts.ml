@@ -14,7 +14,14 @@ end
 module Inst = struct
   type t = { machines : int; jobs : Job.t array }
 
-  let make ~machines jobs =
+  (* A static seed for [of_dims], as [Instance.placeholder]: an array
+     of more than 256 words seeded with a fresh job costs a minor
+     collection. *)
+  let placeholder = { Job.id = 0; p = 1; q = 1 }
+
+  (* Checks [jobs], an array no caller holds, and re-ids its jobs to
+     their positions in place. *)
+  let own ~machines jobs =
     if machines < 1 then invalid_arg "Pts.Inst.make: machines must be >= 1";
     Array.iter
       (fun (j : Job.t) ->
@@ -23,13 +30,17 @@ module Inst = struct
             (Printf.sprintf "Pts.Inst.make: job needs %d of %d machines" j.q
                machines))
       jobs;
-    { machines; jobs = Array.mapi (fun i (j : Job.t) -> { j with Job.id = i }) jobs }
+    Array.iteri
+      (fun i (j : Job.t) -> if j.Job.id <> i then jobs.(i) <- { j with Job.id = i })
+      jobs;
+    { machines; jobs }
+
+  let make ~machines jobs = own ~machines (Array.copy jobs)
 
   let of_dims ~machines dims =
-    let jobs =
-      List.mapi (fun i (p, q) -> Job.make ~id:i ~p ~q) dims |> Array.of_list
-    in
-    make ~machines jobs
+    let jobs = Array.make (List.length dims) placeholder in
+    List.iteri (fun i (p, q) -> jobs.(i) <- Job.make ~id:i ~p ~q) dims;
+    own ~machines jobs
 
   let n_jobs t = Array.length t.jobs
   let job t i = t.jobs.(i)
@@ -104,7 +115,11 @@ module Schedule = struct
     (match error inst ~sigma ~rho with
     | Some msg -> invalid_arg ("Pts.Schedule.make: " ^ msg)
     | None -> ());
-    { inst; sigma = Array.copy sigma; rho = Array.map (List.sort_uniq compare) rho }
+    (* Seeded with [[]], an immediate: [Array.map] would seed with a
+       fresh list and so, past 256 jobs, force a minor collection. *)
+    let sorted = Array.make (Array.length rho) [] in
+    Array.iteri (fun i ms -> sorted.(i) <- List.sort_uniq compare ms) rho;
+    { inst; sigma = Array.copy sigma; rho = sorted }
 
   let makespan t =
     let m = ref 0 in

@@ -1,5 +1,6 @@
 open Dsp_core
 
+(* One decision round at guess [target]. *)
 let attempt (inst : Instance.t) ~target =
   if target < Instance.lower_bound inst then None
   else begin
@@ -49,5 +50,3 @@ let solve (inst : Instance.t) =
            Steinberg packing itself. *)
         Baselines.steinberg2 inst
   end
-
-let height inst = Packing.height (solve inst)

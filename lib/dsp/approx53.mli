@@ -11,8 +11,4 @@
 
 open Dsp_core
 
-val attempt : Instance.t -> target:int -> Packing.t option
-(** One decision round at guess [target]. *)
-
 val solve : Instance.t -> Packing.t
-val height : Instance.t -> int

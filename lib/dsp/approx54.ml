@@ -19,6 +19,8 @@ let floor_frac frac scale = Rat.floor (Rat.mul frac (Rat.of_int scale))
 let c_guesses = Dsp_util.Instr.counter Dsp_util.Instr.Sites.approx54_guesses
 let c_attempts = Dsp_util.Instr.counter Dsp_util.Instr.Sites.approx54_attempts
 
+(* One decision round at guess [target]: [Some] iff every class fit
+   within its budget. *)
 let attempt ?(eps = Rat.make 1 4) ?budget (inst : Instance.t) ~target =
   Dsp_util.Instr.bump c_attempts;
   Dsp_util.Budget.poll_opt budget;
@@ -251,4 +253,3 @@ let solve_with_stats ?eps ?budget (inst : Instance.t) =
   end
 
 let solve ?eps ?budget inst = fst (solve_with_stats ?eps ?budget inst)
-let height ?eps ?budget inst = Packing.height (solve ?eps ?budget inst)

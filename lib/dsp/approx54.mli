@@ -41,20 +41,10 @@ type stats = {
   lp_fallbacks : int;  (** vertical fillings that fell back to greedy *)
 }
 
-val attempt :
-  ?eps:Rat.t ->
-  ?budget:Dsp_util.Budget.t ->
-  Instance.t ->
-  target:int ->
-  (Packing.t * stats) option
-(** One decision round at guess [target]: [Some] iff every class fit
-    within its budget.  Default ε = 1/4.  The optional [budget] is
-    polled (deadline only) in the backbone enumeration and the
-    configuration-LP pivots; {!Dsp_util.Budget.Expired} escapes to the
-    caller. *)
-
 val solve_with_stats :
   ?eps:Rat.t -> ?budget:Dsp_util.Budget.t -> Instance.t -> Packing.t * stats
+(** Default ε = 1/4.  The optional [budget] is polled (deadline only)
+    in each decision round's backbone enumeration and configuration-LP
+    pivots; {!Dsp_util.Budget.Expired} escapes to the caller. *)
 
 val solve : ?eps:Rat.t -> ?budget:Dsp_util.Budget.t -> Instance.t -> Packing.t
-val height : ?eps:Rat.t -> ?budget:Dsp_util.Budget.t -> Instance.t -> int

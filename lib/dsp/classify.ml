@@ -13,32 +13,45 @@ type classes = {
   medium : Item.t list;
 }
 
-(* h > delta * target, etc.: exact rational comparisons against the
-   integer dimensions. *)
-let gt_frac value frac scale = Rat.(of_int value > mul frac (of_int scale))
-let ge_frac value frac scale = Rat.(of_int value >= mul frac (of_int scale))
-let le_frac value frac scale = Rat.(of_int value <= mul frac (of_int scale))
-let lt_frac value frac scale = Rat.(of_int value < mul frac (of_int scale))
+(* The class boundaries of one (params, strip width) as integer
+   cut-offs.  Dimensions are integers, and for an integer v and a
+   rational r, v > r iff v > ⌊r⌋ and v >= r iff v >= ⌈r⌉, so each
+   boundary is rounded once here and every per-item test compares
+   ints. *)
+type cuts = {
+  tall_h : int;  (* ⌈(1/4+ε)H'⌉ *)
+  delta_h : int;  (* ⌊δH'⌋ *)
+  eps_h : int;  (* ⌈εH'⌉ *)
+  mu_h : int;  (* ⌊μH'⌋ *)
+  delta_w : int;  (* ⌈δW⌉ *)
+  mu_w : int;  (* ⌊μW⌋ *)
+}
 
-let tall_threshold eps = Rat.(add (make 1 4) eps)
+let cuts (p : params) ~width =
+  let scaled frac scale = Rat.mul frac (Rat.of_int scale) in
+  let tall = Rat.(add (make 1 4) p.eps) in
+  {
+    tall_h = Rat.ceil (scaled tall p.target);
+    delta_h = Rat.floor (scaled p.delta p.target);
+    eps_h = Rat.ceil (scaled p.eps p.target);
+    mu_h = Rat.floor (scaled p.mu p.target);
+    delta_w = Rat.ceil (scaled p.delta width);
+    mu_w = Rat.floor (scaled p.mu width);
+  }
 
-let category (p : params) (inst : Instance.t) (it : Item.t) =
+let category c (it : Item.t) =
   let w = it.Item.w and h = it.Item.h in
-  let tgt = p.target and width = inst.Instance.width in
-  let thr = tall_threshold p.eps in
-  if ge_frac h thr tgt && lt_frac w p.delta width then `Tall
-  else if gt_frac h p.delta tgt && ge_frac w p.delta width then `Large
-  else if gt_frac h p.delta tgt && lt_frac h thr tgt && le_frac w p.mu width then
-    `Vertical
-  else if
-    ge_frac h p.eps tgt && lt_frac h thr tgt
-    && gt_frac w p.mu width && lt_frac w p.delta width
-  then `Medium_vertical
-  else if le_frac h p.mu tgt && ge_frac w p.delta width then `Horizontal
-  else if le_frac h p.mu tgt && le_frac w p.mu width then `Small
+  if h >= c.tall_h && w < c.delta_w then `Tall
+  else if h > c.delta_h && w >= c.delta_w then `Large
+  else if h > c.delta_h && h < c.tall_h && w <= c.mu_w then `Vertical
+  else if h >= c.eps_h && h < c.tall_h && w > c.mu_w && w < c.delta_w then
+    `Medium_vertical
+  else if h <= c.mu_h && w >= c.delta_w then `Horizontal
+  else if h <= c.mu_h && w <= c.mu_w then `Small
   else `Medium
 
-let classify inst p =
+let classify (inst : Instance.t) p =
+  let c = cuts p ~width:inst.Instance.width in
   let push cls it acc =
     match cls with
     | `Large -> { acc with large = it :: acc.large }
@@ -60,14 +73,16 @@ let classify inst p =
       medium = [];
     }
   in
-  Array.fold_left
-    (fun acc it -> push (category p inst it) it acc)
-    empty inst.Instance.items
+  Array.fold_left (fun acc it -> push (category c it) it acc) empty inst.Instance.items
 
-let medium_area inst p =
-  let cls = classify inst p in
-  Dsp_util.Xutil.sum_by Item.area cls.medium
-  + Dsp_util.Xutil.sum_by Item.area cls.medium_vertical
+let medium_area (inst : Instance.t) p =
+  let c = cuts p ~width:inst.Instance.width in
+  Array.fold_left
+    (fun acc it ->
+      match category c it with
+      | `Medium | `Medium_vertical -> acc + Item.area it
+      | `Large | `Tall | `Vertical | `Horizontal | `Small -> acc)
+    0 inst.Instance.items
 
 let choose_params ?(f = Fun.id) (inst : Instance.t) ~target ~eps =
   let feps = f eps in

@@ -19,7 +19,13 @@
     - medium-vertical:  εH' ≤ h < (1/4+ε)H' and μW < w < δW
     - horizontal:       h ≤ μH' and w ≥ δW
     - small:            h ≤ μH' and w ≤ μW
-    - medium:           everything else. *)
+    - medium:           everything else.
+
+    The tests are exact.  Dimensions are integers, and for an integer
+    v and a rational r, v > r iff v > ⌊r⌋ and v ≥ r iff v ≥ ⌈r⌉, so
+    {!classify} and {!medium_area} round each boundary to an integer
+    cut-off once per call (once per guess and δ/μ pair) and compare
+    ints per item. *)
 
 open Dsp_core
 module Rat = Dsp_util.Rat

@@ -3,24 +3,37 @@ module Rat = Dsp_util.Rat
 
 type t = { original : Instance.t; rounded : Instance.t }
 
+(* Scales past this one are not searched: an item that reaches it
+   takes its grid. *)
+let max_level = 63
+
 let round_heights (inst : Instance.t) (p : Classify.params) =
-  let tgt = Rat.of_int p.Classify.target in
-  let threshold = Rat.mul p.Classify.delta tgt in
+  let eps = p.Classify.eps and tgt = Rat.of_int p.Classify.target in
+  (* Heights are integers, so h <= δH' iff h <= ⌊δH'⌋. *)
+  let threshold = Rat.floor (Rat.mul p.Classify.delta tgt) in
+  (* An item's scale is the least ℓ >= 1 with h >= ε^ℓ·H', and its
+     grid ε^(ℓ+1)·H'.  The ladder of scales is shared by every item and
+     built only as far as some item needs: level ℓ holds ⌈ε^ℓ·H'⌉ and
+     max 1 ⌊ε^(ℓ+1)·H'⌋. *)
+  let lowest = Array.make (max_level + 1) 0 and grid = Array.make (max_level + 1) 0 in
+  let built = ref 0 and bound = ref tgt in
+  let extend () =
+    let b = Rat.mul !bound eps in
+    incr built;
+    lowest.(!built) <- Rat.ceil b;
+    grid.(!built) <- max 1 (Rat.floor (Rat.mul b eps));
+    bound := b
+  in
+  let rec grid_of h level =
+    if level > !built then extend ();
+    if h >= lowest.(level) || level >= max_level then grid.(level)
+    else grid_of h (level + 1)
+  in
   let round_item (it : Item.t) =
-    if Rat.(of_int it.Item.h <= threshold) then it
-    else begin
-      (* Scale ℓ: smallest ℓ >= 1 with h >= eps^ℓ · H'; the grid for
-         that scale is eps^(ℓ+1) · H'. *)
-      let rec find_scale level bound =
-        let bound = Rat.mul bound p.Classify.eps in
-        if Rat.(of_int it.Item.h >= bound) || level > 62 then (level, bound)
-        else find_scale (level + 1) bound
-      in
-      let _, scale_bound = find_scale 1 tgt in
-      let grid_rat = Rat.mul scale_bound p.Classify.eps in
-      let grid = max 1 (Rat.floor grid_rat) in
-      { it with Item.h = Dsp_util.Xutil.ceil_div it.Item.h grid * grid }
-    end
+    if it.Item.h <= threshold then it
+    else
+      let g = grid_of it.Item.h 1 in
+      { it with Item.h = Dsp_util.Xutil.ceil_div it.Item.h g * g }
   in
   { original = inst; rounded = Instance.map_items round_item inst }
 

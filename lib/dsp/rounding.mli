@@ -10,7 +10,9 @@
     Item dimensions are integers, so the grid is floored to an
     integer (a grid below one unit means the scale needs no rounding —
     the instance is already at least as fine as the analysis
-    requires). *)
+    requires).  For the same reason the scale tests are exact integer
+    cut-offs, computed once per call (once per guess): h ≤ δH' iff
+    h ≤ ⌊δH'⌋, and h ≥ ε^ℓH' iff h ≥ ⌈ε^ℓH'⌉. *)
 
 open Dsp_core
 module Rat = Dsp_util.Rat

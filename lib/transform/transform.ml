@@ -2,21 +2,20 @@ open Dsp_core
 
 type stats = { events : int; repairs : int }
 
+(* Both directions go through [of_dims], whose arrays are seeded with
+   a static placeholder: an [Array.map] over the items or jobs would
+   force a minor collection on every instance of more than 256. *)
 let dsp_to_pts_instance (inst : Instance.t) ~machines =
-  let jobs =
-    Array.map
-      (fun (it : Item.t) -> Pts.Job.make ~id:it.Item.id ~p:it.Item.w ~q:it.Item.h)
-      inst.Instance.items
-  in
-  Pts.Inst.make ~machines jobs
+  Pts.Inst.of_dims ~machines
+    (Array.fold_right
+       (fun (it : Item.t) acc -> (it.Item.w, it.Item.h) :: acc)
+       inst.Instance.items [])
 
 let pts_to_dsp_instance (inst : Pts.Inst.t) ~width =
-  let items =
-    Array.map
-      (fun (j : Pts.Job.t) -> Item.make ~id:j.Pts.Job.id ~w:j.Pts.Job.p ~h:j.Pts.Job.q)
-      inst.Pts.Inst.jobs
-  in
-  Instance.make ~width items
+  Instance.of_dims ~width
+    (Array.fold_right
+       (fun (j : Pts.Job.t) acc -> (j.Pts.Job.p, j.Pts.Job.q) :: acc)
+       inst.Pts.Inst.jobs [])
 
 let schedule_to_packing (sched : Pts.Schedule.t) =
   let inst =

@@ -295,3 +295,23 @@ if [ "$capped_out" != "node budget exhausted (limit 1000)" ]; then
   exit 1
 fi
 echo "ok: dsp exact reports a spent node cap ($capped_out)"
+
+# approx54's search: on a fixed correlated instance the (5/4+eps)
+# algorithm must reach the pinned peak with exactly the pinned work.
+# The counts are deterministic outputs of its guesses, classification,
+# rounding and placements, so a change to any of them shows here; a
+# change that moves them on purpose updates the lines and says why.
+corr=$(mktemp -t approx54-pin.XXXXXX.dsp)
+trap 'rm -f "$perfect" "$corr"; cleanup_serve' EXIT
+dune exec bin/dsp_cli.exe -- generate --kind correlated -n 70 --width 100 --seed 5 > "$corr"
+a54_out=$(timeout 60 dune exec bin/dsp_cli.exe -- solve --algo approx54 --stats "$corr")
+for pin in '^peak:[[:space:]]+242$' \
+           '^[[:space:]]*approx54\.attempts[[:space:]]+7$' \
+           '^[[:space:]]*budget_fit\.best_fit_probes[[:space:]]+1470$' \
+           '^[[:space:]]*segtree\.range_add[[:space:]]+4830$' \
+           '^[[:space:]]*segtree\.range_max[[:space:]]+48$'; do
+  printf '%s\n' "$a54_out" | grep -qE "$pin" \
+    || { echo "FAIL: approx54 on correlated n=70 W=100 seed 5 lacks /$pin/:" >&2
+         echo "$a54_out" >&2; exit 1; }
+done
+echo "ok: approx54 reproduces its pinned peak and work counts"

@@ -18,6 +18,28 @@ let build width ops =
     ops;
   (t, a)
 
+(* Runs [f] [calls] times, each from an empty minor heap, and fails if
+   the calls ran more minor collections than the words they allocated
+   fill, plus two.  A collection the runtime forces on every call (an
+   [Array.make] of more than 256 words seeded with a minor-heap block)
+   counts once or more per call.  The collections that pace a long
+   run, a full minor heap or a full remembered set (minor_heap_size/8
+   old-to-young pointers), cannot fall inside one call that starts
+   from an empty heap and stores a few hundred pointers. *)
+let check_no_forced_minor ?(calls = 200) name f =
+  let collections = ref 0 and words = ref 0. in
+  for _ = 1 to calls do
+    Gc.minor ();
+    let c0 = (Gc.quick_stat ()).Gc.minor_collections and w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    collections := !collections + (Gc.quick_stat ()).Gc.minor_collections - c0;
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  let due = !words /. float_of_int (Gc.get ()).Gc.minor_heap_size in
+  if float_of_int !collections > due +. 2. then
+    Alcotest.failf "%s: %d minor collections in %d calls, %.1f due from %.0f words"
+      name !collections calls due !words
+
 (* QCheck generator for a small DSP instance: width in [2, max_width],
    items with dims bounded by the width / max_h. *)
 let instance_gen ?(max_width = 16) ?(max_n = 10) ?(max_h = 8) () =

@@ -55,6 +55,12 @@ let instance_tests =
       (Helpers.instance_arb ~max_width:10 ~max_n:6 ()) (fun inst ->
         Instance.total_area (Instance.scale_heights 3 inst)
         = 3 * Instance.total_area inst);
+    Alcotest.test_case "building 300 items forces no minor collection" `Quick
+      (fun () ->
+        let dims = List.init 300 (fun i -> (1 + (i mod 7), 1 + (i mod 11))) in
+        let taller (it : Item.t) = { it with Item.h = it.Item.h + 1 } in
+        Helpers.check_no_forced_minor "of_dims, map_items" (fun () ->
+            Instance.map_items taller (Instance.of_dims ~width:10 dims)));
   ]
 
 let suite = item_tests @ instance_tests

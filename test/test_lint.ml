@@ -250,6 +250,7 @@ let whole_rule_tests =
             ("R9", "r9_bad.ml", 23);
             ("R9", "r9_bad.ml", 25);
             ("R9", "r9_bad.ml", 27);
+            ("R9", "r9_bad.ml", 35);
           ]
           (wrun ~only:[ L.R9 ] [ fx "r9_bad.ml" ]));
     case "R9 accepts IO outside the section and Condition.wait" (fun () ->

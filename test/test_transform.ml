@@ -48,6 +48,14 @@ let transform_tests =
         Array.for_all2
           (fun (a : Pts.Job.t) (b : Pts.Job.t) -> a.p = b.p && a.q = b.q)
           inst.Pts.Inst.jobs back.Pts.Inst.jobs);
+    Alcotest.test_case "instance transformations force no minor collection"
+      `Quick (fun () ->
+        let dims = List.init 300 (fun i -> (1 + (i mod 7), 1 + (i mod 11))) in
+        let inst = Instance.of_dims ~width:10 dims in
+        Helpers.check_no_forced_minor "dsp_to_pts_instance, pts_to_dsp_instance"
+          (fun () ->
+            Transform.pts_to_dsp_instance ~width:10
+              (Transform.dsp_to_pts_instance inst ~machines:11)));
   ]
 
 let duality_tests =

@@ -25,3 +25,11 @@ let via_closure fd = locked (fun () -> Unix.fsync fd)
 let via_apply fd = locked @@ fun () -> Unix.fsync fd
 
 let via_pipe fd = (fun () -> Unix.fsync fd) |> locked
+
+let locked_by mu f =
+  Mutex.lock mu;
+  let r = f () in
+  Mutex.unlock mu;
+  r
+
+let via_partial fd = locked_by m @@ fun () -> Unix.fsync fd

@@ -152,6 +152,11 @@ and apply ~stack pos (head : expression) args =
                   cargs = List.map (body_events ~stack) closures;
                 };
             ])
+  | Texp_apply (h, inner) ->
+      (* A partial application used as a function, [f m @@ fun () ->
+         ...] once the typechecker drops the [@@]: one call to [f]
+         with every argument, so its closures run under [f]'s locks. *)
+      apply ~stack pos h (inner @ args)
   | _ -> List.concat_map (events_of ~stack) (head :: arg_exprs)
 
 (* An argument the callee invokes itself: a literal inlines to its
