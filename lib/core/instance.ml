@@ -50,10 +50,6 @@ let map_items f t =
   Array.iteri (fun i it -> items.(i) <- f it) t.items;
   own ~width:t.width items
 
-let scale_heights k t =
-  if k < 1 then invalid_arg "Instance.scale_heights";
-  map_items (Item.scale_height k) t
-
 let equal a b =
   a.width = b.width
   && Array.length a.items = Array.length b.items

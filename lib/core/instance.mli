@@ -27,15 +27,9 @@ val area_lower_bound : t -> int
 
 val lower_bound : t -> int
 (** The best combinatorial lower bound available without search:
-    max of {!area_lower_bound}, {!max_height}, and the
-    {!column_lower_bound}. *)
-
-val column_lower_bound : t -> int
-(** Items wider than half the strip all overlap the middle column, so
-    their heights stack; this bound is the sum of heights of items with
-    [2 * w > width]. *)
-
-val scale_heights : int -> t -> t
+    max of {!area_lower_bound}, {!max_height}, and the column bound:
+    items wider than half the strip all overlap the middle column, so
+    the heights of the items with [2 * w > width] stack. *)
 
 val map_items : (Item.t -> Item.t) -> t -> t
 (** Applies [f] to every item; the results are re-ided to their array

@@ -6,10 +6,7 @@ let make ~id ~w ~h =
   { id; w; h }
 
 let area t = t.w * t.h
-let scale_height k t = { t with h = t.h * k }
-let scale_width k t = { t with w = t.w * k }
 let equal a b = a.id = b.id && a.w = b.w && a.h = b.h
-let compare a b = Stdlib.compare (a.id, a.w, a.h) (b.id, b.w, b.h)
 
 let compare_by_height_desc a b =
   match Stdlib.compare b.h a.h with

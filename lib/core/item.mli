@@ -15,13 +15,7 @@ val make : id:int -> w:int -> h:int -> t
 
 val area : t -> int
 
-val scale_height : int -> t -> t
-(** [scale_height k item] multiplies the height by [k]. *)
-
-val scale_width : int -> t -> t
-
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val compare_by_height_desc : t -> t -> int
 (** Descending height, ties by descending width, then by id — a total

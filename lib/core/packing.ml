@@ -40,7 +40,3 @@ let shift t i s =
   let starts = Array.copy t.starts in
   starts.(i) <- s;
   make t.instance starts
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>packing height=%d@,starts=%a@]" (height t)
-    Dsp_util.Xutil.pp_int_list (Array.to_list t.starts)

@@ -22,7 +22,6 @@ val validate : t -> (unit, string) result
 (** Re-checks all invariants, for tests and for packings produced by
     transformation pipelines. *)
 
+(* lint: ok R10 test-only; ROADMAP item 15 deletes it with its one test next *)
 val shift : t -> int -> int -> t
 (** [shift p i s] re-places item [i] at start [s]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -16,7 +16,6 @@ let add t ~start ~len ~height =
 
 let add_item t (it : Item.t) ~start = add t ~start ~len:it.w ~height:it.h
 let remove_item t (it : Item.t) ~start = add t ~start ~len:it.w ~height:(-it.h)
-let load t x = Segtree.get t.tree x
 
 (* Peaks are clamped at 0: loads can only go negative through
    explicit negative adds, and the empty window has peak 0. *)
@@ -30,7 +29,6 @@ let peak_in t ~start ~len =
 
 let copy t = { tree = Segtree.copy t.tree }
 let to_array t = Segtree.to_array t.tree
-let reset t = Segtree.reset t.tree
 
 (* The outermost columns attaining the (positive) peak: the first and
    the last column strictly above peak - 1, one descent each. *)
@@ -53,10 +51,6 @@ let of_starts (inst : Instance.t) starts =
   let p = create inst.Instance.width in
   Array.iteri (fun i s -> add_item p (Instance.item inst i) ~start:s) starts;
   p
-
-let pp fmt t =
-  Format.fprintf fmt "@[profile(peak=%d): %a@]" (peak t) Dsp_util.Xutil.pp_int_list
-    (Array.to_list (to_array t))
 
 let render ?(max_rows = 20) t =
   let loads = to_array t in

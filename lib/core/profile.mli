@@ -16,8 +16,6 @@ type t
 val create : int -> t
 (** [create width] is the all-zero profile over [0, width). *)
 
-val width : t -> int
-
 val add : t -> start:int -> len:int -> height:int -> unit
 (** Add [height] to all columns in [start, start + len); [height] may
     be negative (removal).
@@ -25,9 +23,6 @@ val add : t -> start:int -> len:int -> height:int -> unit
 
 val add_item : t -> Item.t -> start:int -> unit
 val remove_item : t -> Item.t -> start:int -> unit
-
-val load : t -> int -> int
-(** Load of one column. *)
 
 val peak : t -> int
 (** Maximum load over all columns; 0 for an empty strip. *)
@@ -37,10 +32,6 @@ val peak_in : t -> start:int -> len:int -> int
 
 val copy : t -> t
 val to_array : t -> int array
-
-val reset : t -> unit
-(** Zero every column in place, reusing the allocated storage
-    ({!Segtree.reset}).  Cheaper than [create] for session reuse. *)
 
 val peak_span : t -> (int * int) option
 (** [(first, last)]: the leftmost and rightmost columns attaining the
@@ -63,8 +54,6 @@ val best_start : t -> len:int -> (int * int) option
 
 val of_starts : Instance.t -> int array -> t
 (** Profile of the packing that starts item [i] at [starts.(i)]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val render : ?max_rows:int -> t -> string
 (** ASCII skyline, one character column per strip column, for the

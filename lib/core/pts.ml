@@ -7,7 +7,6 @@ module Job = struct
     { id; p; q }
 
   let work t = t.p * t.q
-  let equal a b = a.id = b.id && a.p = b.p && a.q = b.q
   let pp fmt t = Format.fprintf fmt "job#%d(p=%d,q=%d)" t.id t.p t.q
 end
 
@@ -168,9 +167,4 @@ module Schedule = struct
     Buffer.add_string buf ("    " ^ String.make horizon '-');
     Buffer.add_string buf (Printf.sprintf "\nmakespan = %d" horizon);
     Buffer.contents buf
-
-  let pp fmt t =
-    Format.fprintf fmt "@[<v>schedule makespan=%d@,sigma=%a@]" (makespan t)
-      Dsp_util.Xutil.pp_int_list
-      (Array.to_list t.sigma)
 end

@@ -14,9 +14,6 @@ module Job : sig
   val make : id:int -> p:int -> q:int -> t
   val work : t -> int
   (** [p * q]. *)
-
-  val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 module Inst : sig
@@ -33,14 +30,11 @@ module Inst : sig
   val n_jobs : t -> int
   val job : t -> int -> Job.t
 
-  val work_lower_bound : t -> int
-  (** ⌈total work / machines⌉. *)
-
   val max_time : t -> int
 
   val lower_bound : t -> int
-  (** max of work bound, longest job, and the stacking bound for jobs
-      with [2q > m]. *)
+  (** max of the work bound ⌈total work / machines⌉, the longest job,
+      and the stacking bound for jobs with [2q > m]. *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -53,19 +47,13 @@ module Schedule : sig
   }
 
   val make : Inst.t -> sigma:int array -> rho:int list array -> t
-  (** @raise Invalid_argument if any validity condition fails (see
-      {!error}). *)
-
-  val error : Inst.t -> sigma:int array -> rho:int list array -> string option
-  (** [None] iff: each job gets exactly [q] distinct machines in
-      range, starts are non-negative, and no machine runs two
-      overlapping jobs. *)
+  (** @raise Invalid_argument unless each job gets exactly [q]
+      distinct machines in range, starts are non-negative, and no
+      machine runs two overlapping jobs. *)
 
   val makespan : t -> int
   val validate : t -> (unit, string) result
 
   val render : t -> string
   (** ASCII Gantt chart, one text row per machine. *)
-
-  val pp : Format.formatter -> t -> unit
 end

@@ -38,9 +38,6 @@ let make inst positions =
   | None -> ());
   { instance = inst; positions = Array.copy positions }
 
-let instance t = t.instance
-let position t i = t.positions.(i)
-
 let height t =
   let m = ref 0 in
   Array.iteri
@@ -56,9 +53,3 @@ let validate t =
   | None -> Ok ()
 
 let to_dsp t = Packing.make t.instance (Array.map (fun p -> p.x) t.positions)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>rect packing height=%d@,%a@]" (height t)
-    (Format.pp_print_seq ~pp_sep:Format.pp_print_space (fun f (i, p) ->
-         Format.fprintf f "#%d@(%d,%d)" i p.x p.y))
-    (Array.to_seqi t.positions)

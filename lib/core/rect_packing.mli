@@ -17,13 +17,9 @@ type t = private { instance : Instance.t; positions : pos array }
 val make : Instance.t -> pos array -> t
 (** @raise Invalid_argument on overlap or overhang. *)
 
-val instance : t -> Instance.t
-val position : t -> int -> pos
 val height : t -> int
 
 val validate : t -> (unit, string) result
 
 val to_dsp : t -> Packing.t
 (** Forget y coordinates; the DSP height is at most {!height}. *)
-
-val pp : Format.formatter -> t -> unit

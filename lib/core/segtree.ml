@@ -169,11 +169,6 @@ let range_add t ~lo ~hi value =
     done
   end
 
-let reset t =
-  A1.fill t.cells 0;
-  Array.fill t.diff 0 (Array.length t.diff) 0;
-  Array.fill t.nonzero 0 (Array.length t.nonzero) 0
-
 (* range_max via two iterative boundary descents: walk down from the
    root to the node where [lo, hi) splits, then resolve the suffix
    query on the left child and the prefix query on the right child,
@@ -263,7 +258,6 @@ let range_max t ~lo ~hi =
   end
 
 let max_all t = range_max t ~lo:0 ~hi:t.n
-let get t i = range_max t ~lo:i ~hi:(i + 1)
 
 (* Rightmost leaf of [v0]'s subtree strictly above [thr]; requires the
    adjusted subtree max ([acc0] = lazies strictly above [v0]) to

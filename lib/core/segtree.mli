@@ -38,16 +38,10 @@ val copy : t -> t
 val range_add : t -> lo:int -> hi:int -> int -> unit
 (** Add a value to all columns in [lo, hi) — [hi] exclusive. *)
 
-val reset : t -> unit
-(** Zero every column in place, reusing the allocated storage.
-    O(size), allocation-free — cheaper than [create] for session
-    reuse. *)
-
 val range_max : t -> lo:int -> hi:int -> int
 (** Maximum over [lo, hi); 0 when the range is empty. *)
 
 val max_all : t -> int
-val get : t -> int -> int
 
 val to_array : t -> int array
 (** Per-column values: the prefix sums of the difference array, one

@@ -64,8 +64,6 @@ let stacked (pk : Packing.t) =
   done;
   { packing = pk; ys }
 
-let packing t = t.packing
-
 let height t =
   let inst = Packing.instance t.packing in
   let m = ref 0 in

@@ -22,14 +22,12 @@ val make : Packing.t -> int array array -> t
 (** @raise Invalid_argument if dimensions mismatch or two slices
     overlap in some column. *)
 
-val error : Packing.t -> int array array -> string option
-
 val stacked : Packing.t -> t
 (** The canonical layout: in every column, active items are stacked
     bottom-up in order of increasing id.  Always feasible and of the
     same height as the packing's profile peak. *)
 
-val packing : t -> Packing.t
+(* lint: ok R10 the tests' check that a layout is as high as its packing *)
 val height : t -> int
 (** Max over columns of the top of the highest slice. *)
 
@@ -38,6 +36,7 @@ val slice_points : t -> int
     its position one column earlier — i.e. the number of vertical cuts
     the layout actually uses. *)
 
+(* lint: ok R10 the tests' check of stacked and the Theorem 1 layouts *)
 val validate : t -> (unit, string) result
 val render : t -> string
 (** ASCII picture, one letter per item. *)

@@ -15,6 +15,7 @@
 open Dsp_core
 module Rat = Dsp_util.Rat
 
+(* lint: ok R10 Lemma 4's step, which the tests check alone *)
 val snap_horizontal_starts :
   Packing.t -> Classify.params -> Packing.t * int
 (** Lemma 4: move every horizontal item's start to the previous

@@ -31,7 +31,6 @@ let unplace t (it : Item.t) =
 let copy t =
   { inst = t.inst; profile = Profile.copy t.profile; starts = Array.copy t.starts }
 
-let starts t = Array.copy t.starts
 let start_of t (it : Item.t) = t.starts.(it.id)
 
 let to_packing t =

@@ -23,9 +23,6 @@ val unplace : state -> Item.t -> unit
 val copy : state -> state
 (** Independent snapshot of the partial packing. *)
 
-val starts : state -> int array
-(** Current starts; -1 for unplaced items. *)
-
 val start_of : state -> Item.t -> int
 (** Recorded start of one item; -1 if unplaced. *)
 

@@ -115,5 +115,3 @@ let class_sizes c =
     ("small", List.length c.small);
     ("medium", List.length c.medium);
   ]
-
-let total_items c = Dsp_util.Xutil.sum_by snd (class_sizes c)

@@ -51,11 +51,10 @@ val choose_params :
 
 val classify : Instance.t -> params -> classes
 
+(* lint: ok R10 Lemma 2's quantity; the tests check its bound and its cut-offs *)
 val medium_area : Instance.t -> params -> int
 (** Total area of the classes [medium ∪ medium_vertical] under the
     given thresholds (the quantity Lemma 2 bounds). *)
 
 val class_sizes : classes -> (string * int) list
 (** For logging and tests. *)
-
-val total_items : classes -> int

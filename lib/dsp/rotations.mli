@@ -16,6 +16,7 @@ open Dsp_core
 
 type orientation = Fixed | Rotated
 
+(* lint: ok R10 the tests rebuild optimal_height's witness with it *)
 val apply : Instance.t -> orientation array -> Instance.t
 (** The instance with each item re-dimensioned by its orientation.
     @raise Invalid_argument if an orientation is inadmissible. *)
@@ -25,6 +26,7 @@ val best_fit_rotating : Instance.t -> Packing.t * orientation array
     better of its two admissible (orientation, best-fit position)
     pairs.  The returned packing is over {!apply}'s instance. *)
 
+(* lint: ok R10 the witness behind rotation_gain, which the capped tests check *)
 val optimal_height :
   ?budget:Dsp_util.Budget.t -> Instance.t -> int * orientation array
 (** Exact optimum over all orientation assignments, and an assignment

@@ -46,7 +46,6 @@ and policy = {
 }
 
 let width t = t.swidth
-let policy t = t.spolicy
 let profile t = t.sprofile
 let peak t = Profile.peak t.sprofile
 
@@ -228,8 +227,6 @@ let bounded_migration ~k =
         { pl with migrations = List.rev !migs });
   }
 
-let policies ~k = [ first_fit; best_fit; bounded_migration ~k ]
-
 let find_policy ?(k = 1) name =
   match name with
   | "first-fit" -> Some first_fit
@@ -253,14 +250,6 @@ let create ?(policy = best_fit) ~width () =
     n_migrations = 0;
     spolicy = policy;
   }
-
-let reset t =
-  Profile.reset t.sprofile;
-  t.n_ents <- 0;
-  t.n_arrived <- 0;
-  t.n_live <- 0;
-  t.n_departed <- 0;
-  t.n_migrations <- 0
 
 (* Append a live entry; ids must ascend. *)
 let push t ~id ~w ~h ~start =
@@ -339,6 +328,7 @@ let depart_result t id =
       Ok s
     end
 
+(* Trace replay's departure: a stale id means a malformed trace. *)
 let depart t id =
   match depart_result t id with
   | Ok _ -> ()

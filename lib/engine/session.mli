@@ -5,7 +5,7 @@
     of currently-placed items.  Items {!arrive} one at
     a time and are placed immediately by the session's policy — the
     online setting: no knowledge of future events — and may later
-    {!depart}, freeing their demand.  The objective is the peak the
+    {!depart_result}, freeing their demand.  The objective is the peak the
     profile ever reaches, measured against offline yardsticks by the
     [online] bench experiment.
 
@@ -67,9 +67,6 @@ val bounded_migration : k:int -> policy
     back where it was and the next is tried.  [k = 0] is exactly
     {!best_fit}. *)
 
-val policies : k:int -> policy list
-(** The built-in policies, with [k] for the migration policy. *)
-
 val find_policy : ?k:int -> string -> policy option
 (** Look up ["first-fit"], ["best-fit"] or ["migrate"] (with [?k],
     default 1) — the CLI/bench vocabulary. *)
@@ -79,12 +76,7 @@ val find_policy : ?k:int -> string -> policy option
 val create : ?policy:policy -> width:int -> unit -> t
 (** Fresh empty session ([policy] defaults to {!best_fit}). *)
 
-val reset : t -> unit
-(** Forget every item, reusing the allocated profile storage
-    ({!Dsp_core.Profile.reset}). *)
-
 val width : t -> int
-val policy : t -> policy
 
 val arrive : ?budget:Dsp_util.Budget.t -> t -> w:int -> h:int -> int
 (** Place a new item with the session's policy and return its id (ids
@@ -103,12 +95,6 @@ val depart_error_to_string : depart_error -> string
 val depart_result : t -> int -> (int, depart_error) result
 (** Remove a live item by id; [Ok start] gives the start the item
     occupied.  Total: every int is a valid argument. *)
-
-val depart : t -> int -> unit
-(** {!depart_result}, raising [Invalid_argument] (with the
-    {!depart_error_to_string} message) on a stale id — the in-process
-    convenience used by trace replay, where a stale id means a
-    malformed trace. *)
 
 val peak : t -> int
 (** Current peak of the live profile. *)
@@ -129,6 +115,7 @@ val start_of : t -> int -> int option
 (** Start of a live item, [None] once departed / never arrived.
     O(log live items). *)
 
+(* lint: ok R10 the call a migrating custom policy must make (see [policy]) *)
 val set_start : t -> int -> int -> unit
 (** Move a live item in the item table — policy-side API for committed
     migrations; the caller has already moved its demand in the
@@ -138,7 +125,9 @@ val set_start : t -> int -> int -> unit
 (** {2 Trace replay} *)
 
 val apply : ?budget:Dsp_util.Budget.t -> t -> Dsp_instance.Trace.event -> unit
-(** Feed one trace event to the session ({!arrive} or {!depart}). *)
+(** Feed one trace event to the session ({!arrive} or
+    {!depart_result}); a departure of a stale id raises
+    [Invalid_argument], since it means a malformed trace. *)
 
 val replay :
   ?policy:policy -> ?budget:Dsp_util.Budget.t -> Dsp_instance.Trace.t -> t

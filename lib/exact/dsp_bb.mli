@@ -103,6 +103,7 @@ val solve_par :
     cancelled mid-search ([Expired Nodes] once the workers have
     jointly spent the node cap). *)
 
+(* lint: ok R10 kept until an A/B with the serial search decides the stealing search's fate *)
 val optimal_height_par :
   ?budget:Dsp_util.Budget.t ->
   ?jobs:int ->

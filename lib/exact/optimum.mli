@@ -17,7 +17,7 @@ val variant :
   incumbent:int ->
   (int -> 'a option) ->
   'a option
-(** One variant of a variant search: one {!Dsp_util.Budget.check} of
+(** One variant of a variant search: one {!Dsp_util.Budget.check_opt} of
     the caller's [budget] (none when it is [None]), then [None] when
     the variant's lower [bound] reaches the [incumbent], else
     [below ~lo:bound ~hi:(incumbent - 1) decide], whose witness beats

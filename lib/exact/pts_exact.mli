@@ -21,6 +21,7 @@ val decide :
     is none.  @raise Dsp_util.Budget.Expired when the optional
     [budget] runs out mid-search. *)
 
+(* lint: ok R10 the schedule behind optimal_makespan, which the duality tests check *)
 val solve : ?budget:Dsp_util.Budget.t -> Pts.Inst.t -> Pts.Schedule.t
 (** Optimal schedule: {!decide} bisected from {!Pts.Inst.lower_bound}
     up to the total processing time.  @raise Dsp_util.Budget.Expired

@@ -77,10 +77,6 @@ let solve ?budget ~numbers ~bound () =
   let _, triples, _ = search ?budget ~numbers ~bound () in
   triples
 
-let solvable ?budget ~numbers ~bound () =
-  let found, _, _ = search ?budget ~numbers ~bound () in
-  found
-
 let count_nodes ?budget ~numbers ~bound () =
   let found, _, nodes = search ?budget ~numbers ~bound () in
   (found, nodes)

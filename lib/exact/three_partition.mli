@@ -19,9 +19,6 @@ val solve :
     @raise Invalid_argument if the array length is not a multiple of 3
     or the sum is not [k * bound]. *)
 
-val solvable :
-  ?budget:Dsp_util.Budget.t -> numbers:int array -> bound:int -> unit -> bool
-
 val count_nodes :
   ?budget:Dsp_util.Budget.t -> numbers:int array -> bound:int -> unit -> bool * int
 (** Decision result together with the number of search nodes visited,

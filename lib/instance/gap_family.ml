@@ -12,9 +12,6 @@ let instance ~scale =
   Instance.of_dims ~width:base_width
     (List.map (fun (w, h) -> (w, h * scale)) base_dims)
 
-let expected_dsp_opt ~scale = 6 * scale
-let expected_sp_opt ~scale = 7 * scale
-
 (* Smaller verified witnesses: (width, dims, dsp_opt, sp_opt). *)
 let small_witnesses =
   [

@@ -21,9 +21,6 @@ val instance : scale:int -> Instance.t
 (** The base gap instance with all heights multiplied by [scale].
     OPT_DSP = 6·scale, OPT_SP = 7·scale. *)
 
-val expected_dsp_opt : scale:int -> int
-val expected_sp_opt : scale:int -> int
-
 val slicing_wins : Instance.t list
 (** Small instances (verified by the exact solvers in the test suite)
     where slicing strictly lowers the optimum, for tests and demos;

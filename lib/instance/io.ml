@@ -42,15 +42,6 @@ let instance_to_string (inst : Instance.t) =
     inst.Instance.items;
   Buffer.contents buf
 
-let pts_to_string (inst : Pts.Inst.t) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "pts %d\n" inst.Pts.Inst.machines);
-  Array.iter
-    (fun (j : Pts.Job.t) ->
-      Buffer.add_string buf (Printf.sprintf "%d %d\n" j.Pts.Job.p j.Pts.Job.q))
-    inst.Pts.Inst.jobs;
-  Buffer.contents buf
-
 (* Lines paired with their 1-based position in the original text, so
    every parse error can point at the offending line; blanks and [#]
    comments are dropped here. *)
@@ -77,22 +68,22 @@ let parse_pairs lines =
   in
   go [] lines
 
-let parse_header keyword s =
+let parse_header s =
   match relevant_lines s with
   | [] -> err ~line:0 Empty_input
   | (line_no, header) :: rest -> (
       match tokens header with
-      | [ kw; v ] when kw = keyword -> (
+      | [ "dsp"; v ] -> (
           match int_of_string_opt v with
           | Some v when v >= 1 -> Ok (v, rest)
           | Some v -> err ~line:line_no (Bad_cap v)
           | None -> err ~line:line_no (Bad_number v))
       | _ -> err ~line:line_no (Bad_header header))
 
-(* The capacity check ([w <= width] / [q <= machines]) re-implements
-   what the constructors enforce, purely to attribute the error to a
-   line; the constructor stays the source of truth and any remaining
-   rejection is wrapped as [Invalid]. *)
+(* The capacity check ([w <= width]) re-implements what the
+   constructor enforces, purely to attribute the error to a line; the
+   constructor stays the source of truth and any remaining rejection
+   is wrapped as [Invalid]. *)
 let check_capacity ~cap pairs =
   let rec go = function
     | [] -> Ok ()
@@ -101,36 +92,13 @@ let check_capacity ~cap pairs =
   in
   go pairs
 
-let parse_with ~keyword ~cap_field ~build s =
-  match parse_header keyword s with
-  | Error e -> Error e
-  | Ok (cap, rest) -> (
-      match parse_pairs rest with
-      | Error e -> Error e
-      | Ok pairs -> (
-          match
-            if cap_field then check_capacity ~cap pairs else Ok ()
-          with
-          | Error e -> Error e
-          | Ok () -> (
-              try Ok (build ~cap (List.map snd pairs))
-              with Invalid_argument msg -> err ~line:0 (Invalid msg))))
-
 let instance_of_string s =
-  parse_with ~keyword:"dsp" ~cap_field:true
-    ~build:(fun ~cap dims -> Instance.of_dims ~width:cap dims)
-    s
-
-let pts_of_string s =
-  parse_with ~keyword:"pts" ~cap_field:false
-    ~build:(fun ~cap dims -> Pts.Inst.of_dims ~machines:cap dims)
-    s
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
+  let ( let* ) = Result.bind in
+  let* width, rest = parse_header s in
+  let* pairs = parse_pairs rest in
+  let* () = check_capacity ~cap:width pairs in
+  try Ok (Instance.of_dims ~width (List.map snd pairs))
+  with Invalid_argument msg -> err ~line:0 (Invalid msg)
 
 let read_file path =
   let ic = open_in path in

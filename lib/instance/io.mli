@@ -1,11 +1,10 @@
-(** Plain-text serialization of DSP and PTS instances.
+(** Plain-text serialization of DSP instances.
 
     Format (line oriented; [#] starts a comment):
     {v
     dsp <width>
     <w> <h>        one line per item
     v}
-    and analogously [pts <machines>] with [<p> <q>] lines.
 
     Parsing returns typed errors carrying the 1-based line number of
     the offending line in the {e original} text (comments and blank
@@ -19,8 +18,8 @@ open Dsp_core
 type error_kind =
   | Empty_input  (** no non-comment lines at all *)
   | Bad_header of string
-      (** first line is not [dsp <width>] / [pts <machines>] *)
-  | Bad_cap of int  (** header width / machine count below 1 *)
+      (** first line is not [dsp <width>] *)
+  | Bad_cap of int  (** header width below 1 *)
   | Truncated_line of string  (** a data line without exactly two tokens *)
   | Bad_number of string  (** a token that is not an integer *)
   | Bad_dimension of int * int  (** a non-positive width or height *)
@@ -35,9 +34,6 @@ val error_to_string : error -> string
 
 val instance_to_string : Instance.t -> string
 val instance_of_string : string -> (Instance.t, error) result
-val pts_to_string : Pts.Inst.t -> string
-val pts_of_string : string -> (Pts.Inst.t, error) result
-val write_file : string -> string -> unit
 val read_file : string -> string
 
 (** {2 Parsing toolkit}

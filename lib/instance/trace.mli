@@ -47,6 +47,7 @@ val error_to_string : error -> string
 (** Human-readable rendering, prefixed with ["line N: "] when
     [line > 0]. *)
 
+(* lint: ok R10 the stream invariants the trace fuzz tests hold of_string to *)
 val validate : t -> (unit, error) result
 (** Check the stream invariants of an in-memory trace (dimensions,
     capacity, departure references).  Errors carry [line = 0];

@@ -181,6 +181,3 @@ let feasible_point ?budget ~a ~b () =
   match phase1 ?budget ~a ~b () with
   | None -> None
   | Some t -> Some (extract_solution t n)
-
-let count_nonzero x =
-  Array.fold_left (fun acc v -> if Rat.sign v <> 0 then acc + 1 else acc) 0 x

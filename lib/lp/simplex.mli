@@ -17,6 +17,7 @@ type result =
   | Unbounded
   | Infeasible
 
+(* lint: ok R10 test-only; ROADMAP item 15 deletes it with its three test_lp cases next *)
 val solve :
   ?budget:Dsp_util.Budget.t ->
   a:Rat.t array array ->
@@ -39,5 +40,3 @@ val feasible_point :
 (** Phase 1 only: a basic feasible solution of [Ax = b, x >= 0], or
     [None].  The returned solution is basic: at most [m] non-zero
     entries, the property Lemmas 10–11 rely on. *)
-
-val count_nonzero : Rat.t array -> int

@@ -54,5 +54,3 @@ let schedule ?(order = Work_first) (inst : Pts.Inst.t) =
           ~rho:sched.Pts.Schedule.rho
     | Error msg -> invalid_arg ("List_scheduling.schedule: " ^ msg)
   end
-
-let makespan ?order inst = Pts.Schedule.makespan (schedule ?order inst)

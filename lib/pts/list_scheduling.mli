@@ -16,5 +16,3 @@ type order = Input | Longest_first | Widest_first | Work_first
 
 val schedule : ?order:order -> Pts.Inst.t -> Pts.Schedule.t
 (** @raise Invalid_argument never; always succeeds. *)
-
-val makespan : ?order:order -> Pts.Inst.t -> int

@@ -22,6 +22,7 @@ type job = private { id : int; times : int array }
 
 type t = private { machines : int; jobs : job array }
 
+(* lint: ok R10 the general constructor, whose validation the tests check *)
 val make : machines:int -> int array list -> t
 (** One time-table per job.
     @raise Invalid_argument on wrong lengths, non-positive times or
@@ -37,6 +38,7 @@ val allot : t -> int array -> Pts.Inst.t
     @raise Invalid_argument if an allotment entry is out of
     [1, machines]. *)
 
+(* lint: ok R10 the schedule behind makespan, which the tests validate *)
 val schedule : t -> Pts.Schedule.t * int array
 (** Two-phase moldable scheduling.  Phase 1 starts every job at q = 1
     and repeatedly widens the job whose processing time dominates the

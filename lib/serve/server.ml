@@ -112,11 +112,6 @@ let create ?pool cfg =
     n_inflight = 0;
   }
 
-let session_names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.sessions [] |> List.sort compare
-
-let inflight t = t.n_inflight
-
 type deferred = { poll : unit -> string option; wait : unit -> unit }
 type reply = Now of string | Later of deferred
 

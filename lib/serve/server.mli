@@ -58,11 +58,13 @@ type deferred
     not on a timer; {!run_socket} sends it then. *)
 type reply = Now of string | Later of deferred
 
+(* lint: ok R10 the in-process driver's way to a reply; the loops await inside *)
 val await : reply -> string
 (** The reply line: a [Now] line at once; a [Later] one once its pool
     task has completed, blocking until then.  Taking a deferred line
-    releases the solve's admission slot, so {!inflight} drops only
-    here (or when {!run_socket} sends it).  Await each reply once. *)
+    releases the solve's admission slot, so the [stats] op's
+    [inflight] drops only here (or when {!run_socket} sends it).
+    Await each reply once. *)
 
 val handle : t -> string -> reply
 (** Process one NDJSON request line.  Total — any input yields a
@@ -74,9 +76,6 @@ val recover_sessions : t -> (string * (int, string) result) list
     per-session [Ok records_replayed] or [Error reason]; a session
     that fails to rebuild is skipped, not fatal.  No-op without a
     [wal_dir]. *)
-
-val session_names : t -> string list
-val inflight : t -> int
 
 val close : t -> unit
 (** Close every session WAL (files are kept — they are the durable

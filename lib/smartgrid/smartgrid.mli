@@ -25,10 +25,6 @@ type appliance = {
   preferred_slot : int;  (** centre of the naive arrival distribution *)
 }
 
-val catalogue : appliance list
-(** Washing machine, dryer, dishwasher, EV charger, oven, water
-    heater, heat pump. *)
-
 type run = { appliance : appliance; arrival : int }
 (** One requested appliance run and the slot its owner started it. *)
 
@@ -57,5 +53,3 @@ val evaluate : run list -> scheduler:(Instance.t -> Packing.t) -> report
 (** Compare the naive schedule with the given DSP scheduler.  Cost is
     the quadratic congestion proxy Σₜ load(t)² — convex, so peak
     shaving lowers it. *)
-
-val quadratic_cost : Profile.t -> int

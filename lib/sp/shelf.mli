@@ -14,6 +14,7 @@
 open Dsp_core
 
 val nfdh : Instance.t -> Rect_packing.t
+(* lint: ok R10 FFDH, the related-work baseline this module documents; tests hold it to NFDH *)
 val ffdh : Instance.t -> Rect_packing.t
 
 val nfdh_height_bound : Instance.t -> int

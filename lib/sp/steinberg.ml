@@ -186,5 +186,3 @@ let pack (inst : Instance.t) =
   in
   if Instance.n_items inst = 0 then Rect_packing.make inst [||]
   else try_heights (height_bound inst)
-
-let height inst = Rect_packing.height (pack inst)

@@ -20,13 +20,11 @@
 
 open Dsp_core
 
-val region_bound : u:int -> w_max:int -> h_max:int -> area:int -> int
-(** Smallest height [v >= h_max] satisfying Steinberg's condition C3
-    for a region of width [u]. *)
-
 val height_bound : Instance.t -> int
-(** {!region_bound} for the instance's strip. *)
+(** Smallest height [v >= h_max] satisfying Steinberg's condition C3
+    for the instance's strip. *)
 
+(* lint: ok R10 Steinberg's region packer, which the tests check alone *)
 val pack_region :
   u:int -> v:int -> Item.t list -> (Item.t * Rect_packing.pos) list option
 (** Try to pack the items into a [u x v] region; positions relative to
@@ -38,5 +36,3 @@ val pack : Instance.t -> Rect_packing.t
     a sure fallback.  The result height is therefore at most
     [2·S/W + h_max] and usually the Steinberg bound
     [≈ 2·max(S/W, h_max)]. *)
-
-val height : Instance.t -> int

@@ -30,8 +30,6 @@ let create ?timeout_ms ?nodes ?cancel () =
     fuse = clock_interval;
   }
 
-let unlimited () = create ()
-
 (* A worker-side view of [t] for fan-out across domains: same absolute
    deadline and (optionally overridden) cancel flag, fresh mutable
    checkpoint state so domains never share unsynchronized fields.  The

@@ -9,8 +9,9 @@
     families a solve can run effectively forever.  A [Budget.t] is
     created once per solve (by {!Dsp_engine.Runner.run_one}, or by
     {!within} for a bare node cap) and threaded into every hot loop,
-    which calls {!check} (search loops whose iterations are "nodes")
-    or {!poll} (loops with no node semantics, e.g. simplex pivots).
+    which calls {!check_opt} (search loops whose iterations are
+    "nodes") or {!poll_opt} (loops with no node semantics, e.g.
+    simplex pivots).
     Both raise {!Expired} when the budget runs out; the engine
     boundary converts the exception into a typed outcome.
 
@@ -29,7 +30,7 @@
 type reason = Deadline | Nodes | Cancelled
 
 exception Expired of reason
-(** Raised by {!check}/{!poll} at the first checkpoint past the
+(** Raised by {!check_opt}/{!poll_opt} at the first checkpoint past the
     budget.  Escapes the solver wholesale (cooperative cancellation);
     catch it only at the engine boundary. *)
 
@@ -37,13 +38,10 @@ type t
 
 val create : ?timeout_ms:int -> ?nodes:int -> ?cancel:bool Atomic.t -> unit -> t
 (** A budget starting now.  [timeout_ms] is a deadline relative to
-    creation; [nodes] caps the number of {!check} checkpoints (search
+    creation; [nodes] caps the number of {!check_opt} checkpoints (search
     nodes); [cancel] is a shared flag that, once set (from any
     domain), makes every checkpoint raise [Expired Cancelled].
     Omitted components are unlimited. *)
-
-val unlimited : unit -> t
-(** A budget that never expires (checkpoints still count ticks). *)
 
 val child : ?cancel:bool Atomic.t -> t -> t
 (** A worker-side copy for fanning a solve out across domains: same
@@ -53,30 +51,23 @@ val child : ?cancel:bool Atomic.t -> t -> t
     searches account nodes in one shared [Atomic.t], not k independent
     caps. *)
 
-val check : t -> unit
-(** Node-counting checkpoint: one tick; raises [Expired Nodes] when
-    the tick count exceeds the node cap, [Expired Cancelled] when the
-    shared cancel flag is set, and [Expired Deadline] when a (batched)
-    clock read lands past the deadline.  Call it once per search
-    node. *)
-
-val poll : t -> unit
-(** Deadline/cancellation-only checkpoint for loops whose iterations
-    are not search nodes (simplex pivots, placement passes): never
-    consumes the node cap, still raises [Expired Deadline] and
-    [Expired Cancelled].  Clock reads are batched exactly as in
-    {!check}. *)
-
 val check_opt : t option -> unit
-(** {!check} when a budget is present, no-op otherwise — for solver
-    internals that take [?budget]. *)
+(** Node-counting checkpoint, a no-op without a budget: one tick;
+    raises [Expired Nodes] when the tick count exceeds the node cap,
+    [Expired Cancelled] when the shared cancel flag is set, and
+    [Expired Deadline] when a (batched) clock read lands past the
+    deadline.  Call it once per search node. *)
 
 val poll_opt : t option -> unit
-(** {!poll} when a budget is present, no-op otherwise. *)
+(** Deadline/cancellation-only checkpoint, a no-op without a budget,
+    for loops whose iterations are not search nodes (simplex pivots,
+    placement passes): never consumes the node cap, still raises
+    [Expired Deadline] and [Expired Cancelled].  Clock reads are
+    batched exactly as in {!check_opt}. *)
 
 val within : nodes:int -> (t -> 'a) -> 'a option
 (** [within ~nodes f] runs [f] under a fresh budget capped at [nodes]
-    {!check} checkpoints: [Some] its answer, or [None] when the cap
+    {!check_opt} checkpoints: [Some] its answer, or [None] when the cap
     runs out.  For callers that skip what a cap cannot finish (the
     exact optima of the experiments and tests); the budget has no
     deadline and no cancel flag. *)

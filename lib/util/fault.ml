@@ -49,8 +49,6 @@ let disarm () =
   Atomic.set pending_short false;
   Instr.set_on_hit None
 
-let armed () = Option.map (fun st -> st.plan) (Atomic.get current)
-
 let fired () =
   match Atomic.get current with Some st -> Atomic.get st.fired | None -> false
 

@@ -188,21 +188,12 @@ let add c n =
   a.(c.key) <- a.(c.key) + n;
   hit c
 
-let all_cells () =
-  Mutex.lock mutex;
-  let cs = !domain_cells in
-  Mutex.unlock mutex;
-  cs
-
 let sum_slot cells key =
   List.fold_left
     (fun acc box ->
       let a = !box in
       acc + if key < Array.length a then a.(key) else 0)
     0 cells
-
-let value c = sum_slot (all_cells ()) c.key
-let name c = c.cname
 
 type snapshot = (string * int) list
 
@@ -219,8 +210,3 @@ let delta ~before ~after =
       let v0 = Option.value (List.assoc_opt name before) ~default:0 in
       if v > v0 then Some (name, v - v0) else None)
     after
-
-let reset () =
-  Mutex.lock mutex;
-  List.iter (fun box -> Array.fill !box 0 (Array.length !box) 0) !domain_cells;
-  Mutex.unlock mutex

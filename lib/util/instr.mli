@@ -13,11 +13,11 @@
     (a domain-local load, a bounds check, and an unboxed add), cheap
     enough to stay enabled in production and inside O(log n)
     kernels.  The global registry is only touched on {!counter}
-    creation and on {!snapshot}/{!reset}.
+    creation and on {!snapshot}.
 
     Multicore: counters are sharded per domain.  Each domain
-    increments its own cell with no synchronization; {!value} and
-    {!snapshot} aggregate by summing the cell across every domain that
+    increments its own cell with no synchronization; {!snapshot}
+    aggregates by summing the cell across every domain that
     ever bumped (cells of exited pool workers are retained, so their
     work is never lost).  Aggregates read while workers are still
     running are racy-but-monotone approximations; after the workers
@@ -90,11 +90,6 @@ val add : counter -> int -> unit
 (** Increment by [n] (negative [n] is rejected: counters are
     monotone). *)
 
-val value : counter -> int
-(** Sum of the counter's per-domain cells (exact at quiescence). *)
-
-val name : counter -> string
-
 val set_on_hit : (string -> unit) option -> unit
 (** Install (or clear) the per-hit hook, called with the counter name
     on every {!bump}/{!add}.  This is how {!Fault} turns every counted
@@ -112,8 +107,3 @@ val delta : before:snapshot -> after:snapshot -> (string * int) list
 (** Per-counter increase between two snapshots, restricted to counters
     that moved (all deltas are [> 0]); sorted by name.  Counters
     created after [before] count from zero. *)
-
-val reset : unit -> unit
-(** Zero every counter (in every domain's cells).  For test
-    isolation; the engine itself only ever diffs snapshots.  Do not
-    call while worker domains are mid-solve. *)

@@ -23,8 +23,6 @@ let make n d =
 let of_int n = { n; d = 1 }
 let zero = of_int 0
 let one = of_int 1
-let num t = t.n
-let den t = t.d
 
 let add a b =
   let g = gcd a.d b.d in
@@ -46,8 +44,6 @@ let mul a b =
 
 let inv a = if a.n = 0 then raise Division_by_zero else make a.d a.n
 let div a b = mul a (inv b)
-let abs a =
-  if a.n = min_int then raise Overflow else { a with n = Stdlib.abs a.n }
 
 let compare a b =
   (* Compare via subtraction sign; exact because [sub] is exact. *)
@@ -55,8 +51,6 @@ let compare a b =
 
 let equal a b = a.n = b.n && a.d = b.d
 let sign a = Stdlib.compare a.n 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let floor a =
   if a.n >= 0 then a.n / a.d
@@ -65,41 +59,9 @@ let floor a =
     if Stdlib.( = ) (a.n mod a.d) 0 then q else Stdlib.( - ) q 1
 
 let ceil a = Stdlib.( ~- ) (floor (neg a))
-let to_float a = float_of_int a.n /. float_of_int a.d
 
-let of_float_approx ?(max_den = 1_000_000) x =
-  if Float.is_nan x || Float.is_integer x then of_int (int_of_float x)
-  else begin
-    (* Stern-Brocot style continued-fraction convergents. *)
-    let neg_input = Stdlib.( < ) x 0.0 in
-    let x = Float.abs x in
-    let rec go x (p0, q0) (p1, q1) depth =
-      let a = int_of_float (Float.floor x) in
-      let p2 = add_check (mul_check a p1) p0
-      and q2 = add_check (mul_check a q1) q0 in
-      if q2 > max_den || depth > 40 then (p1, q1)
-      else
-        let frac = x -. Float.of_int a in
-        if Stdlib.( < ) frac 1e-12 then (p2, q2)
-        else go (1.0 /. frac) (p1, q1) (p2, q2) (Stdlib.( + ) depth 1)
-    in
-    let p, q = go x (0, 1) (1, 0) 0 in
-    let q = if q = 0 then 1 else q in
-    make (if neg_input then Stdlib.( ~- ) p else p) q
-  end
+let to_string a =
+  if a.d = 1 then string_of_int a.n else Printf.sprintf "%d/%d" a.n a.d
 
-let pp fmt a =
-  if a.d = 1 then Format.fprintf fmt "%d" a.n
-  else Format.fprintf fmt "%d/%d" a.n a.d
-
-let to_string a = Format.asprintf "%a" pp a
-
-let ( + ) = add
-let ( - ) = sub
-let ( * ) = mul
-let ( / ) = div
-let ( = ) = equal
-let ( < ) a b = Stdlib.( < ) (compare a b) 0
 let ( <= ) a b = Stdlib.( <= ) (compare a b) 0
-let ( > ) a b = Stdlib.( > ) (compare a b) 0
 let ( >= ) a b = Stdlib.( >= ) (compare a b) 0

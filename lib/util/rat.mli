@@ -27,34 +27,17 @@ val of_int : int -> t
 val zero : t
 val one : t
 
-val num : t -> int
-(** Numerator of the canonical representation. *)
-
-val den : t -> int
-(** Denominator of the canonical representation; always positive. *)
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
 val neg : t -> t
-val abs : t -> t
 val inv : t -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val sign : t -> int
-val min : t -> t -> t
-val max : t -> t -> t
-
-val ( + ) : t -> t -> t
-val ( - ) : t -> t -> t
-val ( * ) : t -> t -> t
-val ( / ) : t -> t -> t
-val ( = ) : t -> t -> bool
-val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
-val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 
 val floor : t -> int
@@ -63,10 +46,5 @@ val floor : t -> int
 val ceil : t -> int
 (** Smallest integer [k] with [k >= t]. *)
 
-val to_float : t -> float
-val of_float_approx : ?max_den:int -> float -> t
-(** Best rational approximation with denominator at most [max_den]
-    (default 1_000_000), via continued fractions. *)
-
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** ["n"] for an integer, ["n/d"] otherwise. *)

@@ -14,7 +14,6 @@ let next_int64 t =
 
 let create seed = { state = mix (Int64.of_int seed) }
 let split t = { state = mix (next_int64 t) }
-let copy t = { state = t.state }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -14,11 +14,10 @@ val create : int -> t
 (** [create seed] is a fresh generator; equal seeds give equal
     streams. *)
 
+(* lint: ok R10 test-only; ROADMAP item 15 deletes it with its one test next *)
 val split : t -> t
 (** [split t] returns a new generator whose stream is independent of
     the remaining stream of [t]; [t] itself advances by one step. *)
-
-val copy : t -> t
 
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound); [bound] must be

@@ -30,24 +30,10 @@ let ceil_div a b =
   if a < 0 then invalid_arg "Xutil.ceil_div: negative dividend";
   (a + b - 1) / b
 
-let group_sorted eq xs =
-  let rec go acc cur = function
-    | [] -> List.rev (List.rev cur :: acc)
-    | x :: rest -> (
-        match cur with
-        | y :: _ when eq x y -> go acc (x :: cur) rest
-        | _ :: _ -> go (List.rev cur :: acc) [ x ] rest
-        | [] -> go acc [ x ] rest)
-  in
-  match xs with [] -> [] | x :: rest -> go [] [ x ] rest
-
 let rec take n = function
   | [] -> []
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
-
-let rec drop n xs =
-  if n <= 0 then xs else match xs with [] -> [] | _ :: rest -> drop (n - 1) rest
 
 let range lo hi =
   let rec go i acc = if i < lo then acc else go (i - 1) (i :: acc) in
@@ -102,10 +88,3 @@ let timeit_gc f =
       minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
       major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
     } )
-
-let pp_int_list fmt xs =
-  Format.fprintf fmt "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun f () -> Format.fprintf f "; ")
-       Format.pp_print_int)
-    xs

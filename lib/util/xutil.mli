@@ -22,11 +22,7 @@ val ceil_div : int -> int -> int
 (** [ceil_div a b] is the smallest [k] with [k * b >= a]; requires
     [b > 0] and [a >= 0]. *)
 
-val group_sorted : ('a -> 'a -> bool) -> 'a list -> 'a list list
-(** Group adjacent equal elements of an already-sorted list. *)
-
 val take : int -> 'a list -> 'a list
-val drop : int -> 'a list -> 'a list
 
 val range : int -> int -> int list
 (** [range lo hi] is [lo; lo+1; ...; hi-1]. *)
@@ -49,8 +45,6 @@ val now : unit -> float
 val timeit : (unit -> 'a) -> 'a * float
 (** Run a thunk and return its result with the elapsed seconds, on
     the monotonic clock ({!now}). *)
-
-val pp_int_list : Format.formatter -> int list -> unit
 
 val sat_sub : int -> int -> int
 (** Saturating native-int subtraction: clamps to [max_int]/[min_int]

@@ -17,8 +17,8 @@ dune build
 # cannot: overflow discipline, domain-safety of toplevel state, budget
 # checkpoints in search loops, the Instr.Sites vocabulary, exception
 # swallowing (R1-R5, per-file), and the whole-program typedtree rules
-# (R6-R9: lock order, hot-path allocation-freedom, WAL ordering,
-# blocking under lock).  Findings fail the build; triage a single rule
+# (R6-R10: lock order, hot-path allocation-freedom, WAL ordering,
+# blocking under lock, dead library exports).  Findings fail the build; triage a single rule
 # with `dune exec tools/lint/dsp_lint.exe -- --only R3`.
 dune build @lint
 

@@ -1,3 +1,13 @@
+(* Test oracle: pseudo-polynomial exact PTS for few machines, which
+   test_pts.ml holds Pts_exact to.  Du and Leung proved PTS solvable in
+   pseudo-polynomial time for m <= 3 and strongly NP-hard from m = 4
+   on, the dividing line the paper's Theorem 1 rides on.  Here m = 1
+   is the sum of processing times, and m = 2 an exact subset-sum
+   dynamic program: jobs with q = 2 are serial blocks, and the q = 1
+   jobs split into two machine loads whose imbalance the DP
+   minimizes.  [supported] says whether an instance is one of these;
+   [optimal_makespan] and [solve] answer [None] otherwise. *)
+
 open Dsp_core
 
 let supported (inst : Pts.Inst.t) = inst.Pts.Inst.machines <= 2

@@ -71,18 +71,7 @@ let pts_arb ?max_m ?max_n ?max_p () =
     ~print:(fun i -> Format.asprintf "%a" Pts.Inst.pp i)
     (pts_gen ?max_m ?max_n ?max_p ())
 
-(* A random valid schedule: place jobs with the list scheduler after a
-   random shuffle of priorities. *)
-let schedule_of_pts seed inst =
-  let _ = seed in
-  Dsp_pts.List_scheduling.schedule ~order:Dsp_pts.List_scheduling.Input inst
-
-let check_packing_valid name pk =
-  match Packing.validate pk with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "%s: invalid packing: %s" name e
-
-let check_schedule_valid name sched =
-  match Pts.Schedule.validate sched with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "%s: invalid schedule: %s" name e
+(* A counter's total, summed over every domain, as the engine reads
+   it: from a snapshot. *)
+let counter_value name =
+  Option.value ~default:0 (List.assoc_opt name (Dsp_util.Instr.snapshot ()))

@@ -8,7 +8,8 @@ let classify_tests =
         let target = max 1 (Instance.lower_bound inst) in
         let p = Dsp_algo.Classify.choose_params inst ~target ~eps:(Rat.make 1 4) in
         let cls = Dsp_algo.Classify.classify inst p in
-        Dsp_algo.Classify.total_items cls = Instance.n_items inst);
+        Dsp_util.Xutil.sum_by snd (Dsp_algo.Classify.class_sizes cls)
+        = Instance.n_items inst);
     Helpers.qtest "chosen thresholds bound the medium area"
       (Helpers.instance_arb ~max_width:20 ~max_n:15 ()) (fun inst ->
         let target = max 1 (Instance.lower_bound inst) in
@@ -62,10 +63,10 @@ let rounding_tests =
 module Oracle = struct
   module C = Dsp_algo.Classify
 
-  let gt v frac scale = Rat.(of_int v > mul frac (of_int scale))
+  let gt v frac scale = not Rat.(of_int v <= mul frac (of_int scale))
   let ge v frac scale = Rat.(of_int v >= mul frac (of_int scale))
   let le v frac scale = Rat.(of_int v <= mul frac (of_int scale))
-  let lt v frac scale = Rat.(of_int v < mul frac (of_int scale))
+  let lt v frac scale = not Rat.(of_int v >= mul frac (of_int scale))
 
   let category (p : C.params) width (it : Item.t) =
     let w = it.Item.w and h = it.Item.h and tgt = p.C.target in
@@ -223,7 +224,7 @@ let cutoff_tests =
       cutoff_arb (fun (width, target, (en, ed), halve, dims, picks) ->
         let module C = Dsp_algo.Classify in
         let eps = Rat.make en ed in
-        let f = if halve then Some (fun e -> Rat.(e / of_int 2)) else None in
+        let f = if halve then Some (fun e -> Rat.div e (Rat.of_int 2)) else None in
         let base = Instance.of_dims ~width dims in
         match Oracle.choose_params ?f base ~target ~eps with
         | exception Rat.Overflow -> true
@@ -285,7 +286,7 @@ let algo_tests =
           (fun inst ->
             let pk =
               s.Dsp_engine.Solver.solve
-                ~budget:(Dsp_util.Budget.unlimited ()) inst
+                ~budget:(Dsp_util.Budget.create ()) inst
             in
             Result.is_ok (Packing.validate pk)
             && Instance.n_items (Packing.instance pk) = Instance.n_items inst);

@@ -28,7 +28,7 @@ let suite =
         let bases_ok =
           List.for_all
             (fun (b : B.free_box) ->
-              b.B.base = Profile.load profile b.B.x
+              b.B.base = Profile.peak_in profile ~start:b.B.x ~len:1
               && b.B.base + b.B.height = cap
               && Profile.peak_in profile ~start:b.B.x ~len:b.B.len = b.B.base)
             boxes
@@ -76,7 +76,7 @@ let suite =
           |> Option.map snd
         in
         ignore (B.best_fit st it ~budget:max_int);
-        let s = (B.starts st).(n - 1) in
+        let s = B.start_of st it in
         (* The profile now includes the item, which raised its own
            window uniformly by its height. *)
         Some (Profile.peak_in profile_before ~start:s ~len:it.Item.w - it.Item.h)

@@ -12,9 +12,8 @@ let item_tests =
     Alcotest.test_case "area and scaling" `Quick (fun () ->
         let it = Item.make ~id:3 ~w:4 ~h:5 in
         Alcotest.check Alcotest.int "area" 20 (Item.area it);
-        Alcotest.check Alcotest.int "scaled height" 15
-          (Item.scale_height 3 it).Item.h;
-        Alcotest.check Alcotest.int "scaled width" 8 (Item.scale_width 2 it).Item.w);
+        Alcotest.check Alcotest.int "area scales with the height" 60
+          (Item.area (Item.make ~id:3 ~w:4 ~h:15)));
     Alcotest.test_case "orderings" `Quick (fun () ->
         let a = Item.make ~id:0 ~w:2 ~h:5 and b = Item.make ~id:1 ~w:3 ~h:4 in
         Alcotest.check Alcotest.bool "height desc puts a first" true
@@ -45,16 +44,26 @@ let instance_tests =
         let inst = Instance.of_dims ~width:4 [ (2, 2); (2, 2); (4, 1) ] in
         Alcotest.check Alcotest.int "area bound" 3 (Instance.area_lower_bound inst);
         Alcotest.check Alcotest.int "max height" 2 (Instance.max_height inst);
-        Alcotest.check Alcotest.int "column bound" 1
-          (Instance.column_lower_bound inst);
-        Alcotest.check Alcotest.int "lower bound" 3 (Instance.lower_bound inst));
+        Alcotest.check Alcotest.int "lower bound" 3 (Instance.lower_bound inst);
+        (* Two 3x2 items both cross the middle of width 4: the column
+           bound 4 beats the area bound 3 and the max height 2. *)
+        Alcotest.check Alcotest.int "column bound" 4
+          (Instance.lower_bound (Instance.of_dims ~width:4 [ (3, 2); (3, 2) ])));
     Helpers.qtest "lower bound is sound vs exact optimum"
       (Helpers.tiny_instance_arb ()) (fun inst ->
         Instance.lower_bound inst <= Dsp_exact.Dsp_bb.optimal_height inst);
-    Helpers.qtest "scale_heights scales area"
+    Helpers.qtest "lower bound covers the column bound"
       (Helpers.instance_arb ~max_width:10 ~max_n:6 ()) (fun inst ->
-        Instance.total_area (Instance.scale_heights 3 inst)
-        = 3 * Instance.total_area inst);
+        (* Items wider than half the strip all cross its middle column,
+           so their heights stack there. *)
+        let column =
+          Array.fold_left
+            (fun acc (it : Item.t) ->
+              if 2 * it.Item.w > inst.Instance.width then acc + it.Item.h
+              else acc)
+            0 inst.Instance.items
+        in
+        Instance.lower_bound inst >= column);
     Alcotest.test_case "building 300 items forces no minor collection" `Quick
       (fun () ->
         let dims = List.init 300 (fun i -> (1 + (i mod 7), 1 + (i mod 11))) in

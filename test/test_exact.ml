@@ -159,7 +159,7 @@ let sp_exact_tests =
         let h = Rect_packing.height pk in
         let starts =
           Array.init (Instance.n_items inst) (fun i ->
-              (Rect_packing.position pk i).Rect_packing.x)
+              pk.Rect_packing.positions.(i).Rect_packing.x)
         in
         Dsp_exact.Sp_exact.y_feasible inst ~starts ~height:h <> None);
   ]
@@ -183,14 +183,16 @@ let three_partition_tests =
            10, never 12. *)
         let numbers = [| 6; 6; 6; 2; 2; 2 |] in
         Alcotest.check Alcotest.bool "unsolvable" false
-          (Dsp_exact.Three_partition.solvable ~numbers ~bound:12 ()));
+          (Option.is_some
+             (Dsp_exact.Three_partition.solve ~numbers ~bound:12 ())));
     Helpers.qtest ~count:30 "generated yes instances are solvable"
       (QCheck.make QCheck.Gen.(pair (int_range 2 4) (int_range 0 1000)))
       (fun (k, seed) ->
         let rng = Dsp_util.Rng.create seed in
         let tp = Dsp_instance.Hardness.yes_instance rng ~k ~bound:16 in
-        Dsp_exact.Three_partition.solvable ~numbers:tp.Dsp_instance.Hardness.numbers
-          ~bound:16 ());
+        Option.is_some
+          (Dsp_exact.Three_partition.solve
+             ~numbers:tp.Dsp_instance.Hardness.numbers ~bound:16 ()));
   ]
 
 let pts_exact_tests =
@@ -206,7 +208,8 @@ let pts_exact_tests =
             Result.is_ok (Pts.Schedule.validate sched)
             && Pts.Schedule.makespan sched >= Pts.Inst.lower_bound inst
             && Pts.Schedule.makespan sched
-               <= Dsp_pts.List_scheduling.makespan inst);
+               <= Pts.Schedule.makespan
+                    (Dsp_pts.List_scheduling.schedule inst));
     Alcotest.test_case "known schedule optimum" `Quick (fun () ->
         (* 2 machines, jobs (2,2), (1,1), (1,1): block 2 then both
            singles in parallel -> makespan 3. *)
@@ -219,12 +222,8 @@ let gap_tests =
   [
     Alcotest.test_case "gap family has the advertised optima" `Slow (fun () ->
         let inst = Dsp_instance.Gap_family.instance ~scale:1 in
-        Alcotest.check Alcotest.int "dsp"
-          (Dsp_instance.Gap_family.expected_dsp_opt ~scale:1)
-          (Dsp_exact.Dsp_bb.optimal_height inst);
-        Alcotest.check Alcotest.int "sp"
-          (Dsp_instance.Gap_family.expected_sp_opt ~scale:1)
-          (Dsp_exact.Sp_exact.optimal_height inst));
+        Alcotest.check Alcotest.int "dsp" 6 (Dsp_exact.Dsp_bb.optimal_height inst);
+        Alcotest.check Alcotest.int "sp" 7 (Dsp_exact.Sp_exact.optimal_height inst));
     Alcotest.test_case "all witnesses have a strict gap" `Slow (fun () ->
         List.iter
           (fun inst ->
@@ -263,7 +262,7 @@ let optimum_test =
 let caps = [ 1; 3; 5; 10; 30; 100 ]
 
 let check_capped name solve =
-  let optimum = solve (Dsp_util.Budget.unlimited ()) in
+  let optimum = solve (Dsp_util.Budget.create ()) in
   List.iter
     (fun cap ->
       match Dsp_util.Budget.within ~nodes:cap solve with

@@ -46,7 +46,7 @@ let differential_stream () =
               op start (start + len) a b
       | _ ->
           let x = Rng.int rng width in
-          if Profile.load p x <> q.(x) then
+          if (Profile.to_array p).(x) <> q.(x) then
             Alcotest.failf "instance %d op %d: load %d differs" i op x
     done;
     if Profile.to_array p <> q then
@@ -276,19 +276,19 @@ let overflow_guard_cases () =
   let t = Segtree.create 8 in
   let a = Array.init 8 (fun x -> if x >= 2 && x < 6 then huge else 0) in
   Segtree.range_add t ~lo:2 ~hi:6 huge;
-  Alcotest.(check int) "flat carries the near-max value" huge (Segtree.get t 3);
+  Alcotest.(check int) "flat carries the near-max value" huge (Segtree.range_max t ~lo:3 ~hi:4);
   Alcotest.(check bool) "flat guard trips" true
     (raises (fun () -> Segtree.range_add t ~lo:0 ~hi:8 100));
   (* A trip must not corrupt the structure: the guard fires before any
      cell is touched. *)
-  Alcotest.(check int) "flat intact after trip" huge (Segtree.get t 3);
+  Alcotest.(check int) "flat intact after trip" huge (Segtree.range_max t ~lo:3 ~hi:4);
   Alcotest.(check (list int))
     "flat still matches the loads after trip" (Array.to_list a)
     (Array.to_list (Segtree.to_array t));
   (* Negative adds cannot raise the maximum, so they pass the guard
      even at the boundary. *)
   Segtree.range_add t ~lo:0 ~hi:8 (-5);
-  Alcotest.(check int) "negative add applies" (huge - 5) (Segtree.get t 3);
+  Alcotest.(check int) "negative add applies" (huge - 5) (Segtree.range_max t ~lo:3 ~hi:4);
   (* Saturating threshold: limit = max_int with a positive height must
      not wrap into rejecting everything. *)
   Alcotest.(check (option int))
@@ -349,9 +349,9 @@ let copy_best_start_interleaving () =
    which merge into one run, then remove a piece, which splits it
    again, and re-add the piece, which merges it back over the stale
    bits the removal left — on widths around the word boundaries.  Then edit the end columns 0 and
-   n-1, step the profile at every column in turn (each bit of each
-   word), and reset and update afresh.  After every step, best_start
-   for every length and to_array must match scans of a plain array. *)
+   n-1, and step a fresh profile at every column in turn (each bit of
+   each word).  After every step, best_start for every length and
+   to_array must match scans of a plain array. *)
 let runs_merge_and_split () =
   List.iter
     (fun width ->
@@ -402,19 +402,11 @@ let runs_merge_and_split () =
       add (width - 1) width (-3);
       check "ends restored";
       for x = 1 to width - 1 do
-        Segtree.reset t;
-        if Segtree.best_start t ~len:1 <> Some (0, 0) then
-          Alcotest.failf "width %d: best_start after reset" width;
+        let t = Segtree.create width in
         Segtree.range_add t ~lo:0 ~hi:x 1;
         if Segtree.best_start t ~len:1 <> Some (x, 0) then
           Alcotest.failf "width %d: step at column %d missed" width x
-      done;
-      Segtree.reset t;
-      Array.fill a 0 width 0;
-      check "reset";
-      add (width / 2) width 2;
-      add 0 (width - (width / 3)) 1;
-      check "fresh updates after reset")
+      done)
     [ 1; 7; 9; 31; 32; 33; 63; 64; 65; 96; 97 ]
 
 let suite =

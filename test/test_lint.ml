@@ -167,31 +167,36 @@ let plumbing_tests =
           "dsp_lint: no such path \"../lib/nosuchdir\"\n" msg);
   ]
 
-(* ----- whole-program rules (R6-R9, compiled fixtures) ---------------- *)
+(* ----- whole-program rules (R6-R10, compiled fixtures) --------------- *)
 
 module W = Lint_whole
 
-(* The R6-R9 fixtures compile into the lint_fixtures library
-   (tools/lint/fixtures/dune), and the rules read their .cmt
+(* The R6-R10 fixtures compile into the lint_fixtures library
+   (tools/lint/fixtures/dune), and the rules read their .cmt and .cmti
    typedtrees through Lint_tast, as `dune build @lint` does for the
    production tree.  test/dune builds them first. *)
 let fixture_cmts = Filename.concat fixtures ".lint_fixtures.objs/byte"
 
 let unit_of path = Filename.remove_extension (Filename.basename path)
 
+(* An .ml fixture's .cmt, or an .mli fixture's .cmti. *)
 let cmt_of path =
-  let cmt = Filename.concat fixture_cmts (unit_of path ^ ".cmt") in
+  let ext = if Filename.check_suffix path ".mli" then ".cmti" else ".cmt" in
+  let cmt = Filename.concat fixture_cmts (unit_of path ^ ext) in
   if not (Sys.file_exists cmt) then
     Alcotest.failf "%s has no %s: add it to the lint_fixtures modules" path cmt;
   cmt
 
 (* Fixture roots: each fixture's entry points stand in for the
-   production Segtree hot paths / Server.handle. *)
+   production Segtree hot paths / Server.handle; r10_lib.mli stands in
+   for lib/'s interfaces, and r10_test_* for the test tree. *)
 let wcfg =
   {
     W.r7_roots =
       [ "R7_bad.range_add"; "R7_good.range_add"; "Suppress_whole.hot" ];
     r8_roots = [ "R8_bad.handle"; "R8_good.handle"; "Suppress_whole.handle" ];
+    r10_exports = [ "tools/lint/fixtures/r10_" ];
+    r10_tests = [ "tools/lint/fixtures/r10_test" ];
   }
 
 (* Each case loads only some fixtures (and the two stubs), so it keeps
@@ -202,6 +207,7 @@ let wrun ?only ?(config = wcfg) paths =
   let loaded r = List.mem (List.hd (String.split_on_char '.' r)) units in
   let config =
     {
+      config with
       W.r7_roots = List.filter loaded config.W.r7_roots;
       r8_roots = List.filter loaded config.W.r8_roots;
     }
@@ -211,10 +217,17 @@ let wrun ?only ?(config = wcfg) paths =
     W.run ?only ~config ~root:".." ~src_prefixes:[ "tools/lint/fixtures/" ] cmts
   in
   Alcotest.(check (list string)) "no errors" [] res.W.errors;
-  Alcotest.(check int) "every fixture is a unit" (List.length cmts) res.W.units;
+  Alcotest.(check int) "every fixture is a unit"
+    (List.length (List.filter (fun c -> Filename.check_suffix c ".cmt") cmts))
+    res.W.units;
   List.map
     (fun f -> (L.rule_name f.L.rule, Filename.basename f.L.file, f.L.line))
     res.W.findings
+
+let r10_fixtures =
+  List.map fx [ "r10_lib.mli"; "r10_lib.ml"; "r10_user.ml"; "r10_test_user.ml" ]
+
+let r10_at = List.map (fun line -> ("R10", "r10_lib.mli", line))
 
 let whole_rule_tests =
   [
@@ -266,6 +279,7 @@ let whole_rule_tests =
       (fun () ->
         let config =
           {
+            wcfg with
             W.r7_roots = [ "R7_good.range_add"; "R7_good.no_such_entry" ];
             r8_roots = [ "R8_good.handle"; "R8_good.no_such_handler" ];
           }
@@ -279,12 +293,54 @@ let whole_rule_tests =
           (wrun
              ~only:[ L.R6; L.R7; L.R8; L.R9 ]
              [ fx "suppress_whole.ml" ]));
-    case "every R6-R9 fixture is compiled into lint_fixtures" (fun () ->
+    case "R10 flags exports no other unit names, and test-only ones unless waived"
+      (fun () ->
+        check "r10" (r10_at [ 2; 3; 4; 12 ]) (wrun ~only:[ L.R10 ] r10_fixtures));
+    case "R10 counts uses through module aliases and as unapplied values"
+      (fun () ->
+        (* Without r10_user.ml, the four exports only it names fail. *)
+        check "r10 without its user"
+          (r10_at [ 2; 3; 4; 5; 6; 7; 11; 12 ])
+          (wrun ~only:[ L.R10 ]
+             (List.filter (fun f -> f <> fx "r10_user.ml") r10_fixtures)));
+    case "R10 with no interface to read is an error, not a clean run" (fun () ->
+        let errors cmts =
+          (W.run ~only:[ L.R10 ] ~config:wcfg ~root:".."
+             ~src_prefixes:[ "tools/lint/fixtures/" ] cmts)
+            .W.errors
+        in
+        let user = cmt_of (fx "r10_user.ml") in
+        Alcotest.(check int) "no .cmti" 1 (List.length (errors [ user ]));
+        Alcotest.(check int) "an unreadable .cmti too" 2
+          (List.length (errors [ user; "no_such.cmti" ])));
+    case "R10 waivers load from interfaces, nested ones too, and need a reason" (fun () ->
+        (* A file that does not load keeps its findings, and to
+           Parse.implementation r10_lib.mli's [module Inner : sig ... end]
+           is a syntax error. *)
+        match L.load_source (fx "r10_lib.mli") with
+        | Error e -> Alcotest.fail e
+        | Ok src ->
+            Alcotest.(check bool) "nested waiver" true (L.suppressed src L.R10 13);
+            Alcotest.(check bool) "not the line after it" false
+              (L.suppressed src L.R10 14);
+            let r10 text =
+              List.filter_map
+                (fun (l, r) -> if r = L.R10 then Some l else None)
+                (L.scan_waivers text)
+            in
+            Alcotest.(check (list int)) "no reason, no waiver" []
+              (r10 "val x : int (* lint: ok R10 *)");
+            Alcotest.(check (list int)) "a waiver on its own line: the next" [ 2 ]
+              (r10 "(* lint: ok R10 why *)\nval y : int");
+            Alcotest.(check (list (pair int string))) "a reason naming R7" [ (1, "R10") ]
+              (List.map (fun (l, r) -> (l, L.rule_name r))
+                 (L.scan_waivers "val z : int (* lint: ok R10 unlike R7 *)")));
+    case "every R6-R9 fixture is compiled into lint_fixtures, and R10's" (fun () ->
         let whole f =
-          Filename.check_suffix f ".ml"
+          (Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
           && List.exists
                (fun p -> String.starts_with ~prefix:p f)
-               [ "r6_"; "r7_"; "r8_"; "r9_"; "suppress_whole." ]
+               [ "r6_"; "r7_"; "r8_"; "r9_"; "r10_"; "suppress_whole." ]
         in
         let files = List.filter whole (Array.to_list (Sys.readdir fixtures)) in
         Alcotest.(check bool) "fixtures found" true (files <> []);

@@ -86,7 +86,9 @@ let property_tests =
         let a, b, _ = build_system sys in
         match Simplex.feasible_point ~a ~b () with
         | None -> false
-        | Some x -> Simplex.count_nonzero x <= Array.length a);
+        | Some x ->
+            Array.fold_left (fun n v -> if Rat.sign v <> 0 then n + 1 else n) 0 x
+            <= Array.length a);
     Helpers.qtest ~count:100 "optimal value dominates the witness objective"
       system_arb (fun sys ->
         let a, b, x0 = build_system sys in

@@ -90,7 +90,7 @@ let instr_tests =
     Alcotest.test_case "aggregation is exact after join: 4 domains x 5000"
       `Quick (fun () ->
         let c = Instr.counter "test.par.bumps" in
-        let before = Instr.value c in
+        let before = Helpers.counter_value "test.par.bumps" in
         Pool.with_pool ~jobs:4 (fun pool ->
             ignore
               (Pool.run_all pool
@@ -100,7 +100,7 @@ let instr_tests =
                       done))));
         (* Workers are joined: the per-domain deltas must sum exactly. *)
         Alcotest.(check int) "sum of per-domain deltas" 20_000
-          (Instr.value c - before));
+          (Helpers.counter_value "test.par.bumps" - before));
     Alcotest.test_case "snapshot delta sees cross-domain work" `Quick
       (fun () ->
         let c = Instr.counter "test.par.delta" in

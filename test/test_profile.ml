@@ -29,8 +29,8 @@ let profile_tests =
         let p = Profile.create 5 in
         Profile.add p ~start:1 ~len:3 ~height:4;
         Profile.add p ~start:0 ~len:2 ~height:2;
-        Alcotest.check Alcotest.int "load 0" 2 (Profile.load p 0);
-        Alcotest.check Alcotest.int "load 1" 6 (Profile.load p 1);
+        Alcotest.check Alcotest.int "load 0" 2 (Profile.peak_in p ~start:0 ~len:1);
+        Alcotest.check Alcotest.int "load 1" 6 (Profile.peak_in p ~start:1 ~len:1);
         Alcotest.check Alcotest.int "peak" 6 (Profile.peak p);
         Alcotest.check Alcotest.int "peak in [2,5)" 4
           (Profile.peak_in p ~start:2 ~len:3));
@@ -98,7 +98,7 @@ let segtree_tests =
           (fun () -> Profile.add p ~start:1 ~len:2 ~height:1);
         (* The guarded add must not have half-applied. *)
         Alcotest.check Alcotest.int "load intact after refusal" max_int
-          (Profile.load p 1);
+          (Profile.peak_in p ~start:1 ~len:1);
         (* A large negative add keeps working: only the max can
            overflow upward. *)
         Profile.add p ~start:0 ~len:4 ~height:(-max_int);

@@ -8,15 +8,18 @@ let rat_arb =
       let* d = int_range 1 1000 in
       return (Rat.make n d))
 
-let check_rat = Alcotest.testable Rat.pp Rat.equal
+let check_rat =
+  Alcotest.testable
+    (fun fmt r -> Format.pp_print_string fmt (Rat.to_string r))
+    Rat.equal
 
 let unit_tests =
   [
     Alcotest.test_case "normalization" `Quick (fun () ->
         Alcotest.check check_rat "6/4 = 3/2" (Rat.make 3 2) (Rat.make 6 4);
         Alcotest.check check_rat "neg den" (Rat.make (-1) 2) (Rat.make 1 (-2));
-        Alcotest.check Alcotest.int "num" 3 (Rat.num (Rat.make 6 4));
-        Alcotest.check Alcotest.int "den" 2 (Rat.den (Rat.make 6 4)));
+        Alcotest.check Alcotest.string "lowest terms" "3/2"
+          (Rat.to_string (Rat.make 6 4)));
     Alcotest.test_case "zero denominator rejected" `Quick (fun () ->
         Alcotest.check_raises "div by zero" Rat.Division_by_zero (fun () ->
             ignore (Rat.make 1 0)));
@@ -32,10 +35,6 @@ let unit_tests =
         Alcotest.check check_rat "1/3-1/6" (Rat.make 1 6) (Rat.sub a b);
         Alcotest.check check_rat "1/3*1/6" (Rat.make 1 18) (Rat.mul a b);
         Alcotest.check check_rat "1/3 / 1/6" (Rat.of_int 2) (Rat.div a b));
-    Alcotest.test_case "of_float_approx" `Quick (fun () ->
-        Alcotest.check check_rat "0.5" (Rat.make 1 2) (Rat.of_float_approx 0.5);
-        Alcotest.check check_rat "0.25" (Rat.make 1 4) (Rat.of_float_approx 0.25);
-        Alcotest.check check_rat "2.0" (Rat.of_int 2) (Rat.of_float_approx 2.0));
     Alcotest.test_case "overflow detected" `Quick (fun () ->
         let big = Rat.make max_int 1 in
         Alcotest.check_raises "mul overflow" Rat.Overflow (fun () ->
@@ -59,8 +58,6 @@ let unit_tests =
         let bottom = Rat.of_int min_int in
         Alcotest.check_raises "neg min_int" Rat.Overflow (fun () ->
             ignore (Rat.neg bottom));
-        Alcotest.check_raises "abs min_int" Rat.Overflow (fun () ->
-            ignore (Rat.abs bottom));
         Alcotest.check_raises "make with min_int numerator" Rat.Overflow
           (fun () -> ignore (Rat.make min_int 3));
         Alcotest.check_raises "make with min_int denominator" Rat.Overflow
@@ -93,14 +90,11 @@ let property_tests =
     Helpers.qtest "floor <= x < floor+1" rat_arb (fun a ->
         let f = Rat.floor a in
         let f1 = f + 1 in
-        Rat.(of_int f <= a) && Rat.(a < of_int f1));
+        Rat.(of_int f <= a) && not Rat.(of_int f1 <= a));
     Helpers.qtest "ceil is -floor(-x)" rat_arb (fun a ->
         Rat.ceil a = -Rat.floor (Rat.neg a));
     Helpers.qtest "compare antisymmetric" (QCheck.pair rat_arb rat_arb)
       (fun (a, b) -> Rat.compare a b = -Rat.compare b a);
-    Helpers.qtest "to_float consistent with compare"
-      (QCheck.pair rat_arb rat_arb) (fun (a, b) ->
-        if Rat.compare a b < 0 then Rat.to_float a <= Rat.to_float b else true);
   ]
 
 let suite = unit_tests @ property_tests

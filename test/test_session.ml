@@ -11,7 +11,12 @@ module Trace = Dsp_instance.Trace
 module Session = Dsp_engine.Session
 module Naive = Dsp_bench.Naive
 
-let policies = Session.policies ~k:2 @ [ Session.bounded_migration ~k:0 ]
+let policies =
+  Session.
+    [ first_fit; best_fit; bounded_migration ~k:2; bounded_migration ~k:0 ]
+
+(* A departure as trace replay makes it: a stale id raises. *)
+let depart s arrival = Session.apply s (Trace.Depart { arrival })
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -160,20 +165,14 @@ let stepwise_consistency () =
     let live = Session.live_items s in
     if live <> [] && Rng.int rng 3 = 0 then begin
       let id, _, _ = List.nth live (Rng.int rng (List.length live)) in
-      Session.depart s id
+      depart s id
     end
     else
       ignore
         (Session.arrive s ~w:(Rng.int_in rng 1 10) ~h:(Rng.int_in rng 1 8));
     if step mod 10 = 0 then
       check_session_consistent ~ctx:(Printf.sprintf "step %d" step) s
-  done;
-  Session.reset s;
-  Alcotest.(check int) "reset clears peak" 0 (Session.peak s);
-  Alcotest.(check int) "reset clears items" 0
-    (List.length (Session.live_items s));
-  ignore (Session.arrive s ~w:3 ~h:2);
-  check_session_consistent ~ctx:"after reset" s
+  done
 
 (* ---- policy contracts ---- *)
 
@@ -430,8 +429,8 @@ let depart_typed_errors () =
   let st = Session.stats s in
   Alcotest.(check int) "arrivals" 1 st.Session.arrivals;
   Alcotest.(check int) "departures" 1 st.Session.departures;
-  (* the raising wrapper carries the same message *)
-  (match Session.depart s id with
+  (* trace replay's raising departure carries the same message *)
+  (match depart s id with
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument m ->
       Alcotest.(check string)
@@ -478,7 +477,7 @@ let depart_typed_errors () =
           None (Session.start_of s id))
       [ 8; 9; max_int ]
   in
-  List.iter (fun id -> if id mod 2 = 0 then Session.depart s id) ids;
+  List.iter (fun id -> if id mod 2 = 0 then depart s id) ids;
   stale "session" s;
   let restored =
     Session.restore ~width:10 ~n_arrived:8 ~n_migrations:0
@@ -504,7 +503,7 @@ let depart_typed_errors () =
 let fixed_live_set () =
   let module Instr = Dsp_util.Instr in
   let site = Instr.Sites.session_scan_entries in
-  let entries = Instr.counter site and scans = ref 0 in
+  let scans = ref 0 in
   Instr.set_on_hit (Some (fun name -> if name = site then incr scans));
   Fun.protect
     ~finally:(fun () -> Instr.set_on_hit None)
@@ -525,7 +524,7 @@ let fixed_live_set () =
             end
             else begin
               let j = Rng.int rng l in
-              Session.depart s live.(j);
+              depart s live.(j);
               live.(j) <- id
             end
           in
@@ -535,13 +534,13 @@ let fixed_live_set () =
             while (Session.stats s).Session.arrivals < upto - 4096 do
               step ()
             done;
-            let e0 = Instr.value entries and c0 = !scans in
+            let e0 = Helpers.counter_value site and c0 = !scans in
             for _ = 1 to 4096 do
               step ()
             done;
             ( Obj.reachable_words (Obj.repr s),
               !scans - c0,
-              Instr.value entries - e0 )
+              Helpers.counter_value site - e0 )
           in
           let words_a, scans_a, entries_a = window 4096 in
           let words_b, scans_b, entries_b = window 65536 in

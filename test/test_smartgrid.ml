@@ -6,15 +6,22 @@ let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 10_000)
 let suite =
   [
     Alcotest.test_case "catalogue fits the day" `Quick (fun () ->
+        (* A day of 200 households runs all seven catalogue entries. *)
+        let runs = Sg.simulate_day (Dsp_util.Rng.create 1) ~households:200 in
         List.iter
-          (fun (a : Sg.appliance) ->
+          (fun (r : Sg.run) ->
+            let a = r.Sg.appliance in
             Alcotest.check Alcotest.bool a.Sg.name true
               (a.Sg.duration >= 1
               && a.Sg.duration <= Sg.slots_per_day
               && a.Sg.power >= 1
               && a.Sg.preferred_slot >= 0
               && a.Sg.preferred_slot < Sg.slots_per_day))
-          Sg.catalogue);
+          runs;
+        Alcotest.check Alcotest.int "every appliance ran" 7
+          (List.length
+             (List.sort_uniq compare
+                (List.map (fun (r : Sg.run) -> r.Sg.appliance.Sg.name) runs))));
     Helpers.qtest "simulation is deterministic in the seed" seed_arb (fun seed ->
         let runs1 = Sg.simulate_day (Dsp_util.Rng.create seed) ~households:8 in
         let runs2 = Sg.simulate_day (Dsp_util.Rng.create seed) ~households:8 in
@@ -42,6 +49,9 @@ let suite =
         let runs = Sg.simulate_day (Dsp_util.Rng.create seed) ~households:3 in
         QCheck.assume (runs <> []);
         let p = Packing.profile (Sg.naive_packing runs) in
-        Sg.quadratic_cost p
+        let report =
+          Sg.evaluate runs ~scheduler:Dsp_algo.Baselines.first_fit_doubling
+        in
+        report.Sg.naive_cost
         = Array.fold_left (fun acc v -> acc + (v * v)) 0 (Profile.to_array p));
   ]

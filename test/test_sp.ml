@@ -41,7 +41,8 @@ let steinberg_tests =
         (* Area 8 in width 4 with small items: v = 4 gives
            2*8 = 16 <= 16. *)
         Alcotest.check Alcotest.int "bound" 4
-          (Dsp_sp.Steinberg.region_bound ~u:4 ~w_max:2 ~h_max:2 ~area:8));
+          (Dsp_sp.Steinberg.height_bound
+             (Instance.of_dims ~width:4 [ (2, 2); (2, 2) ])));
     Helpers.qtest "steinberg packings are valid"
       (Helpers.instance_arb ~max_width:15 ~max_n:12 ()) (fun inst ->
         Result.is_ok (Rect_packing.validate (Dsp_sp.Steinberg.pack inst)));
@@ -51,13 +52,15 @@ let steinberg_tests =
         Packing.height (Rect_packing.to_dsp pk) <= Rect_packing.height pk);
     Helpers.qtest "steinberg within the NFDH guarantee"
       (Helpers.instance_arb ~max_width:15 ~max_n:12 ()) (fun inst ->
-        Dsp_sp.Steinberg.height inst <= Dsp_sp.Shelf.nfdh_height_bound inst);
+        Rect_packing.height (Dsp_sp.Steinberg.pack inst)
+        <= Dsp_sp.Shelf.nfdh_height_bound inst);
     Helpers.qtest ~count:200 "steinberg within 2.1x of max(area, h) bound"
       (Helpers.instance_arb ~max_width:15 ~max_n:14 ()) (fun inst ->
         (* The Steinberg guarantee is <= 2 * max(S/W, h_max) up to
            rounding; we allow integer slack of h_max. *)
         let lb = max (Instance.area_lower_bound inst) (Instance.max_height inst) in
-        Dsp_sp.Steinberg.height inst <= (2 * lb) + Instance.max_height inst);
+        Rect_packing.height (Dsp_sp.Steinberg.pack inst)
+        <= (2 * lb) + Instance.max_height inst);
     Helpers.qtest "pack_region respects the region"
       (Helpers.instance_arb ~max_width:12 ~max_n:8 ~max_h:5 ()) (fun inst ->
         let v = Dsp_sp.Steinberg.height_bound inst in

@@ -50,22 +50,14 @@ let xutil_tests =
       (fun (a, b) ->
         let k = Xutil.ceil_div a b in
         k * b >= a && (k = 0 || (k - 1) * b < a));
-    Alcotest.test_case "group_sorted" `Quick (fun () ->
-        Alcotest.check
-          (Alcotest.list (Alcotest.list Alcotest.int))
-          "groups"
-          [ [ 1; 1 ]; [ 2 ]; [ 3; 3; 3 ] ]
-          (Xutil.group_sorted ( = ) [ 1; 1; 2; 3; 3; 3 ]));
     Alcotest.test_case "take and drop" `Quick (fun () ->
         Alcotest.check (Alcotest.list Alcotest.int) "take" [ 1; 2 ]
           (Xutil.take 2 [ 1; 2; 3 ]);
-        Alcotest.check (Alcotest.list Alcotest.int) "drop" [ 3 ]
-          (Xutil.drop 2 [ 1; 2; 3 ]);
         Alcotest.check (Alcotest.list Alcotest.int) "take too many" [ 1 ]
           (Xutil.take 5 [ 1 ]));
     Helpers.qtest "take @ drop = original"
       (QCheck.pair (QCheck.list QCheck.small_int) (QCheck.int_range 0 20))
-      (fun (xs, n) -> Xutil.take n xs @ Xutil.drop n xs = xs);
+      (fun (xs, n) -> Xutil.take n xs @ List.filteri (fun i _ -> i >= n) xs = xs);
     Alcotest.test_case "binary_search_min" `Quick (fun () ->
         Alcotest.check (Alcotest.option Alcotest.int) "min x >= 42" (Some 42)
           (Xutil.binary_search_min 0 100 (fun x -> x >= 42));

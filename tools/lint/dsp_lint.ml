@@ -1,10 +1,12 @@
 (* dsp_lint: command-line driver for the project invariant checker.
 
-   R1–R5 are per-file parsetree rules over the given paths; R6–R9 are
-   whole-program rules over the compiler's .cmt typedtree artifacts
-   (discovered under <root>/_build/default, or under <root> itself
-   when already inside the build tree).  They are read as they are on
-   disk; `dune build @lint` rebuilds every one before it runs this.
+   R1–R5 are per-file parsetree rules over the given paths; R6–R10 are
+   whole-program rules over the compiler's .cmt and .cmti typedtree
+   artifacts (discovered under <root>/_build/default, or under <root>
+   itself when already inside the build tree): R6–R9 read lib, bin and
+   bench, and R10 checks lib's interfaces against the references of
+   every compiled unit.  The artifacts are read as they are on disk;
+   `dune build @lint` rebuilds every one before it runs this.
 
    Exit status: 0 when clean, 1 when findings were reported, 2 on
    usage/parse errors. *)
@@ -19,7 +21,7 @@ let usage () =
     "  --except RULES   run all rules except these (comma-separated)";
   prerr_endline
     "  --root DIR       project root (default .); sets rule scopes and the";
-  prerr_endline "                   .cmt search path for R6-R9";
+  prerr_endline "                   .cmt/.cmti search path for R6-R10";
   prerr_endline
     "  --format FMT     output format: text (default) or sarif";
   prerr_endline
@@ -39,6 +41,8 @@ let list_rules () =
   print_endline
     "  (* lint: ok R<k> *)     waives R<k> on this line and the next";
   print_endline
+    "                          (R10: only with a reason after it)";
+  print_endline
     "  (* lint: local *)       the R2 form, for deliberately local state";
   print_endline
     "  [@@@lint.ignore \"R<k>\"]  waives R<k> for the whole file";
@@ -50,7 +54,7 @@ let parse_rules flag spec =
   in
   let expected = List.length (String.split_on_char ',' spec) in
   if rules = [] || List.length rules <> expected then begin
-    Printf.eprintf "dsp_lint: bad %s spec %S (rules are R1..R9)\n" flag spec;
+    Printf.eprintf "dsp_lint: bad %s spec %S (rules are R1..R10)\n" flag spec;
     exit 2
   end;
   rules
@@ -142,7 +146,10 @@ let () =
   | `Sarif -> print_string (Lint_report.to_sarif findings));
   (match whole_result with
   | Some r ->
-      Printf.eprintf "dsp_lint: whole-program: %d units\n" r.Lint_whole.units
+      Printf.eprintf "dsp_lint: whole-program: %d units\n" r.Lint_whole.units;
+      if List.mem Lint_core.R10 whole then
+        Printf.eprintf "dsp_lint: R10: %d exports checked\n"
+          r.Lint_whole.exports
   | None -> ());
   let n = List.length findings in
   let files =

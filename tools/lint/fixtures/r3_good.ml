@@ -1,10 +1,10 @@
 (* R3 fixture: budgeted recursion, both with a direct checkpoint and
    through a checkpointing helper. *)
 let rec walk budget n =
-  Budget.check budget;
+  Budget.check_opt budget;
   if n = 0 then 0 else walk budget (n - 1)
 
-let helper budget = Dsp_util.Budget.poll budget
+let helper budget = Dsp_util.Budget.poll_opt budget
 
 let rec indirect budget n =
   helper budget;

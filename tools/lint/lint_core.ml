@@ -25,15 +25,15 @@ module SS = Set.Make (String)
 
 (* ----- rules ---------------------------------------------------------- *)
 
-type rule_id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
+type rule_id = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10 ]
 
-(* R1–R5 are per-file parsetree rules run by this module; R6–R9 are
-   the whole-program typedtree rules run by [Lint_whole] over the
-   cross-module call graph. *)
+(* R1–R5 are per-file parsetree rules run by this module; R6–R10 are
+   the whole-program typedtree rules run by [Lint_whole]: R6–R9 over
+   the cross-module call graph, R10 over interfaces and references. *)
 let syntactic_rules = [ R1; R2; R3; R4; R5 ]
-let whole_program_rules = [ R6; R7; R8; R9 ]
+let whole_program_rules = [ R6; R7; R8; R9; R10 ]
 
 let rule_name = function
   | R1 -> "R1"
@@ -45,6 +45,7 @@ let rule_name = function
   | R7 -> "R7"
   | R8 -> "R8"
   | R9 -> "R9"
+  | R10 -> "R10"
 
 let rule_of_string s =
   match String.uppercase_ascii (String.trim s) with
@@ -57,6 +58,7 @@ let rule_of_string s =
   | "R7" -> Some R7
   | "R8" -> Some R8
   | "R9" -> Some R9
+  | "R10" -> Some R10
   | _ -> None
 
 let rule_summary = function
@@ -70,7 +72,7 @@ let rule_summary = function
        local *)"
   | R3 ->
       "budget-totality: recursive functions in lib/exact and lib/lp must \
-       reach a Budget.check/poll checkpoint (directly or via a helper)"
+       reach a Budget.check_opt/poll_opt checkpoint (directly or via a helper)"
   | R4 ->
       "instr-registry: Instr.counter string literals must be canonical \
        Instr.Sites names, and every site must be referenced (no dead sites)"
@@ -95,6 +97,11 @@ let rule_summary = function
       "blocking-under-lock: no Unix fsync/socket IO or Pool.await may run, \
        even transitively, while a mutex is held (Condition.wait is exempt: \
        it releases the mutex)"
+  | R10 ->
+      "dead-exports: every value a lib/ interface exports must be named by \
+       some other unit outside test/ (lib, bin, bench, perfbench, examples); \
+       one that no other unit names, or only test/ names, goes or carries a \
+       waiver with its reason"
 
 type finding = {
   rule : rule_id;
@@ -271,7 +278,7 @@ let project_config ~root =
               "scan_runs";
               "best_start";
             ] );
-        ("lib/core/profile.ml", Except [ "render"; "pp" ]);
+        ("lib/core/profile.ml", Except [ "render" ]);
       ];
     r2_dirs =
       (* dsp_serve pulls in the engine cone and adds the service layer,
@@ -298,7 +305,11 @@ type source = {
 
 (* Comment waivers live outside the parsetree, so they are recovered
    from the raw text: any line containing "lint: ok R<k>" waives R<k>
-   on that line and the next; "lint: local" is the R2 form. *)
+   on that line and the next; "lint: local" is the R2 form.  The rules
+   are the R<k> tokens right after "lint: ok", so a reason may name
+   other rules.  An R10 waiver counts only with a reason, and waives
+   one line: its own when it trails code, else the next (so a waiver
+   that ends one `val` does not cover the next). *)
 let scan_waivers text =
   let waivers = ref [] in
   let contains_at line pat i =
@@ -316,21 +327,31 @@ let scan_waivers text =
       let lnum = idx + 1 in
       find_all line "lint: local" (fun _ -> waivers := (lnum, R2) :: !waivers);
       find_all line "lint: ok" (fun j ->
-          (* Collect every R<digit> token in the rest of the line. *)
           let rest = String.sub line j (String.length line - j) in
-          String.split_on_char ' ' rest
-          |> List.iter (fun tok ->
-                 let tok =
-                   String.concat ""
-                     (String.split_on_char ','
-                        (String.concat "" (String.split_on_char '*' tok)))
-                 in
-                 let tok =
-                   String.concat "" (String.split_on_char ')' tok)
-                 in
-                 match rule_of_string tok with
-                 | Some r -> waivers := (lnum, r) :: !waivers
-                 | None -> ())))
+          let toks =
+            String.split_on_char ' ' rest
+            |> List.map (fun tok ->
+                   String.to_seq tok
+                   |> Seq.filter (fun c -> not (String.contains "*,)" c))
+                   |> String.of_seq)
+            |> List.filter (( <> ) "")
+          in
+          let rec rules = function
+            | tok :: more -> (
+                match rule_of_string tok with
+                | Some r -> r :: rules more
+                | None -> [])
+            | [] -> []
+          in
+          let rs = rules toks in
+          let reason = List.length toks > List.length rs in
+          List.iter
+            (fun r ->
+              if r <> R10 then waivers := (lnum, r) :: !waivers
+              else if reason then
+                let own_line = String.starts_with ~prefix:"(*" (String.trim line) in
+                waivers := ((if own_line then lnum + 1 else lnum), R10) :: !waivers)
+            rs))
     (String.split_on_char '\n' text);
   !waivers
 
@@ -358,9 +379,14 @@ let file_level_ignores structure =
       | _ -> [])
     structure
 
+(* An interface (.mli, where R10 findings sit) is not parsed, so its
+   nested signatures cannot make it fail to load: only its comment
+   waivers are read. *)
 let load_source path =
   match read_file path with
   | exception Sys_error e -> Error (Printf.sprintf "%s: %s" path e)
+  | text when Filename.check_suffix path ".mli" ->
+      Ok { path; structure = []; waivers = scan_waivers text; ignored = [] }
   | text -> (
       let lexbuf = Lexing.from_string text in
       Location.init lexbuf path;
@@ -379,7 +405,7 @@ let load_source path =
 let suppressed src rule line =
   List.mem rule src.ignored
   || List.exists
-       (fun (l, r) -> r = rule && (l = line || l = line - 1))
+       (fun (l, r) -> r = rule && (l = line || (l = line - 1 && r <> R10)))
        src.waivers
 
 (* ----- AST helpers ---------------------------------------------------- *)
@@ -578,7 +604,7 @@ let r2_check cfg src emit =
 
 (* ----- R3: budget-totality -------------------------------------------- *)
 
-let budget_checkpoints = [ "check"; "poll"; "check_opt"; "poll_opt" ]
+let budget_checkpoints = [ "check_opt"; "poll_opt" ]
 
 let is_budget_call lid =
   let comps = flatten_lid lid in
@@ -675,7 +701,7 @@ let r3_check cfg src emit =
           emit R3 line col
             (Printf.sprintf
                "recursive function `%s` loops without a Budget checkpoint; \
-                call Budget.check/poll (directly or via a checkpointing \
+                call Budget.check_opt/poll_opt (directly or via a checkpointing \
                 helper) or waive with (* lint: ok R3 *)"
                name)
         end)

@@ -1,8 +1,9 @@
-(* Intermediate representation of the whole-program rules (R6–R9).
+(* Intermediate representation of the whole-program rules (R6–R10).
    [Lint_tast] lowers each compiled module's .cmt typedtree to a
    per-function event summary, for the production tree and the
    compiled fixture library alike, so the rules and the call graph
-   never look at an AST.
+   never look at an AST.  R10 reads only a summary's [refs]: every
+   value the unit names, with its local module aliases resolved.
 
    The event language keeps exactly what the four rules need, in
    evaluation order:
@@ -58,6 +59,8 @@ type summary = {
   unit_name : string;  (* normalized top module name, e.g. "Segtree" *)
   src_file : string;  (* root-relative source path when known *)
   funcs : func list;
+  refs : string list list;
+      (* qualified values the unit names, sorted, without duplicates *)
 }
 
 let join_name comps = String.concat "." comps

@@ -222,9 +222,58 @@ let collect_funcs ~unit_name (str : structure) =
 let last_component comps =
   match List.rev comps with c :: _ -> c | [] -> ""
 
-(* Read one .cmt into a summary.  [Error] covers unreadable or
-   non-implementation artifacts (interfaces, packs). *)
-let summarize_cmt path : (Ir.summary, string) result =
+(* ----- structure -> references (R10) ---------------------------------- *)
+
+(* Every qualified value the unit names: applied, passed as an
+   argument or stored.  A path through a local module alias ([module
+   Bb = Dsp_exact.Dsp_bb], or its [let module] form) is rewritten to
+   the alias's target, so [Bb.solve] counts as [Dsp_exact.Dsp_bb.solve]. *)
+let refs_of_structure (str : structure) =
+  let aliases = Hashtbl.create 8 and paths = ref [] in
+  let alias id (me : module_expr) =
+    let rec target (me : module_expr) =
+      match me.mod_desc with
+      | Tmod_ident (p, _) -> Some p
+      | Tmod_constraint (me, _, _, _) -> target me
+      | _ -> None
+    in
+    match (id, target me) with
+    | Some id, Some p -> Hashtbl.replace aliases (Ident.unique_name id) p
+    | _ -> ()
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      module_binding =
+        (fun it mb ->
+          alias mb.mb_id mb.mb_expr;
+          Tast_iterator.default_iterator.module_binding it mb);
+      expr =
+        (fun it e ->
+          (match e.exp_desc with
+          | Texp_ident ((Path.Pdot _ as p), _, _) -> paths := p :: !paths
+          | Texp_letmodule (id, _, _, me, _) -> alias id me
+          | _ -> ());
+          Tast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.structure it str;
+  let rec resolve (p : Path.t) =
+    match p with
+    | Pident id -> (
+        match Hashtbl.find_opt aliases (Ident.unique_name id) with
+        | Some target -> resolve target
+        | None -> p)
+    | Pdot (q, s) -> Pdot (resolve q, s)
+    | Papply _ | Pextra_ty _ -> p
+  in
+  List.sort_uniq compare (List.map (fun p -> path_components (resolve p)) !paths)
+
+(* Read one .cmt into a summary; [lower] says, given the unit's source
+   file, whether to lower its functions (R6–R9) or leave them empty.
+   [Error] covers unreadable or non-implementation artifacts
+   (interfaces, packs). *)
+let summarize_cmt ~lower path : (Ir.summary, string) result =
   match Cmt_format.read_cmt path with
   | exception e ->
       Error (Printf.sprintf "%s: cannot read cmt: %s" path (Printexc.to_string e))
@@ -237,12 +286,19 @@ let summarize_cmt path : (Ir.summary, string) result =
           let src_file =
             Option.value cmt.Cmt_format.cmt_sourcefile ~default:""
           in
-          Ok { Ir.unit_name; src_file; funcs = collect_funcs ~unit_name str }
+          Ok
+            {
+              Ir.unit_name;
+              src_file;
+              funcs = (if lower src_file then collect_funcs ~unit_name str else []);
+              refs = refs_of_structure str;
+            }
       | _ -> Error (Printf.sprintf "%s: not an implementation cmt" path))
 
 (* ----- artifact discovery --------------------------------------------- *)
 
-(* Find the .cmt files dune wrote for the production tree.  When run
+(* Find the .cmt and .cmti files dune wrote for the production tree
+   (R10 reads the interfaces' .cmti).  When run
    from the project root the artifacts live under _build/default; when
    run *inside* _build/default (the @lint rule does, after building
    every one through its (alias_rec check) dependency) the .objs
@@ -272,7 +328,10 @@ let discover_cmts ~root =
             | exception Sys_error _ -> ()
             | true -> if entry <> "_build" && entry <> ".git" then walk p
             | false ->
-                if Filename.check_suffix entry ".cmt" then begin
+                if
+                  Filename.check_suffix entry ".cmt"
+                  || Filename.check_suffix entry ".cmti"
+                then begin
                   let n = Ir.normalize p in
                   if contains ".objs/byte/" n || contains ".eobjs/byte/" n
                   then hits := p :: !hits

@@ -1,9 +1,10 @@
-(* Whole-program analysis driver for R6–R9: lowers .cmt typedtrees to
+(* Whole-program analysis driver for R6–R10: lowers .cmt typedtrees to
    per-module event summaries through [Lint_tast], builds the
-   cross-module call graph and runs the four rules, then applies the
-   same waiver channels the per-file rules honour.  [run] serves the
-   production tree (`@lint`) and the compiled fixtures (the golden
-   tests) alike.
+   cross-module call graph and runs R6–R9 on it, checks the exports of
+   the .cmti interfaces against every unit's references (R10), then
+   applies the same waiver channels the per-file rules honour.  [run]
+   serves the production tree (`@lint`) and the compiled fixtures (the
+   golden tests) alike.
 
    Every run summarizes every unit afresh.  Incrementality is dune's
    job: the @lint rule depends on every typedtree, so it reruns
@@ -11,15 +12,21 @@
 
 module Ir = Lint_ir
 
+(* Source prefixes are root-relative, e.g. "lib/". *)
 type config = {
   r7_roots : string list;  (* hot-path entry points, joined names *)
   r8_roots : string list;  (* request handlers, joined names *)
+  r10_exports : string list;  (* prefixes whose interfaces R10 checks *)
+  r10_tests : string list;  (* prefixes of the units that are tests *)
 }
 
 (* The production configuration: the flat Segtree kernel's hot-path
    entry points (the ones the perf gate's alloc probe samples), the
-   session's migration repair scan and candidate selection, and the
-   serve daemon's request dispatcher. *)
+   session's migration repair scan and candidate selection, the serve
+   daemon's request dispatcher, and the library's interfaces.  Every
+   unit read counts as a user of those: the lint fixtures' Wal and
+   Protocol stubs are unwrapped, so their names never reach the
+   wrapped Dsp_* paths R10 looks up. *)
 let project_config =
   {
     r7_roots =
@@ -33,12 +40,15 @@ let project_config =
         "Session.tallest";
       ];
     r8_roots = [ "Server.handle" ];
+    r10_exports = [ "lib/" ];
+    r10_tests = [ "test/" ];
   }
 
 type result = {
   findings : Lint_core.finding list;
   errors : string list;
   units : int;  (* summaries in the call graph *)
+  exports : int;  (* values R10 checked *)
 }
 
 (* ----- rule evaluation ------------------------------------------------- *)
@@ -135,40 +145,64 @@ let dedup_sorted findings =
 
 (* ----- entry points ---------------------------------------------------- *)
 
-(* Analyze the implementation .cmts among [cmts] whose source file
-   sits under one of [src_prefixes] (root-relative, e.g. "lib/"); the
-   first unit of each name wins.  Interface-only and pack artifacts
-   are not units and are skipped.  Waivers are read from the sources
-   under [root]. *)
-let run ?only ~config ~root ~src_prefixes cmts =
-  let seen_units = Hashtbl.create 64 in
-  let summaries =
+(* Analyze the artifacts among [cmts]: the implementation .cmts whose
+   source sits under one of [src_prefixes] form the call graph of
+   R6–R9 (the first unit of each name wins); R10 checks the .cmti
+   interfaces under [config.r10_exports] against the references of
+   every .cmt.  Waivers are read from the sources under [root].  A
+   rule with nothing to read is an error, not a clean run. *)
+let run ?(only = Lint_core.whole_program_rules) ~config ~root ~src_prefixes
+    cmts =
+  let in_graph = Lint_tast.src_in_prefixes src_prefixes in
+  let cmtis, cmts = List.partition (fun p -> Filename.check_suffix p ".cmti") cmts in
+  let read =
     List.filter_map
-      (fun cmt ->
-        match Lint_tast.summarize_cmt cmt with
-        | Error _ -> None
-        | Ok s ->
-            if
-              Lint_tast.src_in_prefixes src_prefixes s.Ir.src_file
-              && not (Hashtbl.mem seen_units s.Ir.unit_name)
-            then begin
-              Hashtbl.add seen_units s.Ir.unit_name ();
-              Some s
-            end
-            else None)
+      (fun cmt -> Result.to_option (Lint_tast.summarize_cmt ~lower:in_graph cmt))
       cmts
   in
-  let errors =
-    if summaries <> [] then []
+  let seen_units = Hashtbl.create 64 in
+  let summaries =
+    List.filter
+      (fun (s : Ir.summary) ->
+        in_graph s.src_file
+        && (not (Hashtbl.mem seen_units s.unit_name))
+        && (Hashtbl.add seen_units s.unit_name (); true))
+      read
+  in
+  let r10 = List.mem Lint_core.R10 only in
+  let interfaces, unreadable =
+    if not r10 then ([], [])
     else
-      [ Printf.sprintf "no .cmt artifacts found under %s — run `dune build \
-                        @check` first so the whole-program rules have \
-                        typedtrees to analyze" root ]
+      List.partition_map
+        (fun p -> Result.fold ~ok:Either.left ~error:Either.right
+                    (Lint_r10_exports.exports_of_cmti p))
+        cmtis
   in
+  let exports =
+    List.concat interfaces
+    |> List.filter (fun (e : Lint_r10_exports.export) ->
+           Lint_tast.src_in_prefixes config.r10_exports e.pos.Ir.file)
+  in
+  let errors =
+    (if summaries <> [] then []
+     else
+       [ Printf.sprintf "no .cmt artifacts found under %s — run `dune build \
+                         @check` first so the whole-program rules have \
+                         typedtrees to analyze" root ])
+    @ unreadable
+    @
+    if r10 && exports = [] then
+      [ Printf.sprintf "R10 found no exported value in a .cmti under %s — \
+                        run `dune build @check` first" root ]
+    else []
+  in
+  let is_test = Lint_tast.src_in_prefixes config.r10_tests in
   let findings =
-    analyze ?only ~config summaries |> apply_waivers ~root |> dedup_sorted
+    analyze ~only ~config summaries
+    @ Lint_r10_exports.check ~is_test ~users:read exports
+    |> apply_waivers ~root |> dedup_sorted
   in
-  { findings; errors; units = List.length summaries }
+  { findings; errors; units = List.length summaries; exports = List.length exports }
 
 let run_project ?only ~root () =
   run ?only ~config:project_config ~root
